@@ -8,6 +8,11 @@ schema described in report.py, and exits with
   2  run completed but an acceptance threshold failed
   1  usage error: bad flags, bad config file, invalid parameters
 
+Each experiment declares its flags once, in the ``@_experiment``
+registry entry on its handler: name, type, default, choices and help.
+build_parser() generates every subcommand from that table, and run()
+checks a config against it, so the parser and the API cannot disagree.
+
 Configuration is flag-driven. A ``--config FILE`` of ``key=value``
 lines supplies defaults for the chosen subcommand; explicit flags win,
 unknown keys are rejected, and no environment variables are read.
@@ -24,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from . import detsig, minischeme, purify
 from .coin import ATTACKS, CoinParams, counterfeit_game
@@ -79,13 +84,37 @@ class ExperimentConfig:
 
 _Handler = Callable[[ExperimentConfig], tuple[dict, bool]]
 
-# experiment name -> (handler, exact expected param keys)
-EXPERIMENTS: dict[str, tuple[_Handler, frozenset]] = {}
+
+class Param(NamedTuple):
+    """One experiment flag, ``--name`` with underscores as dashes."""
+
+    name: str
+    type: Callable | None = None
+    default: object = None
+    choices: Sequence | None = None
+    help: str | None = None
 
 
-def _experiment(name: str, params: tuple[str, ...]):
+class Experiment(NamedTuple):
+    """A registered experiment. A ``trials`` flag fills
+    ExperimentConfig.trials, every other flag a key of its params."""
+
+    handler: _Handler
+    help: str
+    flags: tuple[Param, ...]  # in --help order, --trials included
+    params: tuple[str, ...]   # the keys run() expects in config.params
+    trials: int | None        # default --trials; None: takes no trials
+
+
+# experiment name -> its handler and flag table
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def _experiment(name: str, help_: str, *flags: Param):
     def register(fn: _Handler) -> _Handler:
-        EXPERIMENTS[name] = (fn, frozenset(params))
+        params = tuple(f.name for f in flags if f.name != "trials")
+        trials = next((f.default for f in flags if f.name == "trials"), None)
+        EXPERIMENTS[name] = Experiment(fn, help_, flags, params, trials)
         return fn
 
     return register
@@ -102,7 +131,13 @@ def _hex_width(bits: int) -> int:
     return (bits + 3) // 4
 
 
-@_experiment("coin demo", ("variant", "id_bits", "mini_n", "attack", "coins"))
+@_experiment("coin demo", "counterfeit game demo",
+             Param("variant", default="eqsup", choices=("prs", "eqsup")),
+             Param("id_bits", int, 4),
+             Param("mini_n", int, 8),
+             Param("attack", default="zero-pad", choices=sorted(ATTACKS)),
+             Param("coins", int, 1, help="coins issued per trial"),
+             Param("trials", int, 100))
 def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     params = CoinParams(id_bits=p["id_bits"], mini_n=p["mini_n"])
@@ -123,6 +158,11 @@ def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
+_SIG_FLAGS = (Param("n", int, 8, help="message bits"),
+              Param("tag_bits", int, 16), Param("digest_bits", int, 16))
+_MESSAGE = Param("message", help="hex message (demo/sign default: sampled)")
+
+
 def _detsig_message(p: dict, rng) -> int:
     limit = 1 << p["n"]
     if p["message"] is None:
@@ -133,7 +173,7 @@ def _detsig_message(p: dict, rng) -> int:
     return m
 
 
-@_experiment("detsig demo", ("n", "tag_bits", "digest_bits", "message"))
+@_experiment("detsig demo", "signature demo", *_SIG_FLAGS, _MESSAGE)
 def _detsig_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -153,7 +193,7 @@ def _detsig_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, verified
 
 
-@_experiment("detsig sign", ("n", "tag_bits", "digest_bits", "message"))
+@_experiment("detsig sign", "signature sign", *_SIG_FLAGS, _MESSAGE)
 def _detsig_sign(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -170,8 +210,8 @@ def _detsig_sign(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, True
 
 
-@_experiment("detsig verify",
-             ("n", "tag_bits", "digest_bits", "message", "signature"))
+@_experiment("detsig verify", "signature verify", *_SIG_FLAGS, _MESSAGE,
+             Param("signature", help="hex signature blob"))
 def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -190,7 +230,8 @@ def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, verified
 
 
-@_experiment("detsig vectors", ("n", "tag_bits", "digest_bits", "count"))
+@_experiment("detsig vectors", "signature vectors", *_SIG_FLAGS,
+             Param("count", int, 8, help="number of signed messages"))
 def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -217,7 +258,8 @@ def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, True
 
 
-@_experiment("purify typedist", ("n", "t"))
+@_experiment("purify typedist", "exact type-state vs Haar-average distance",
+             Param("n", int, 4), Param("t", int, 2))
 def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     out = purify.type_vs_haar_distance(p["n"], p["t"])
@@ -226,7 +268,9 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-@_experiment("purify compiler", ("n", "t", "payload_qubits", "tol"))
+@_experiment("purify compiler", "purified-compiler equivalence gap",
+             Param("n", int, 3), Param("t", int, 2),
+             Param("payload_qubits", int, 1), Param("tol", float, 1e-9))
 def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     q = p["payload_qubits"]
@@ -242,7 +286,7 @@ def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-@_experiment("prs demo", ("n",))
+@_experiment("prs demo", "phase-state digest", Param("n", int, 4))
 def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     key = prs_setup(p["n"], make_rng(cfg.seed))
@@ -255,7 +299,9 @@ def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, True
 
 
-@_experiment("prs overlap", ("k", "ell", "domain_bits"))
+@_experiment("prs overlap", "small-range overlap experiment",
+             Param("k", int, 2), Param("ell", int, 32),
+             Param("domain_bits", int, 6), Param("trials", int, 200))
 def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     out = purify.small_range_experiment(p["k"], p["ell"], p["domain_bits"],
@@ -265,7 +311,9 @@ def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-@_experiment("prs srd", ("k", "ell", "domain"))
+@_experiment("prs srd", "classical small-range distinguisher",
+             Param("k", int, 2), Param("ell", int, 32),
+             Param("domain", int, 4096), Param("trials", int, 500))
 def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     out = purify.classical_srd_experiment(p["k"], p["ell"], p["domain"],
@@ -275,7 +323,8 @@ def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-@_experiment("mini demo", ("n",))
+@_experiment("mini demo", "mint, verify, and zero-pad forgery odds",
+             Param("n", int, 8))
 def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     n = p["n"]
@@ -298,7 +347,8 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, ok
 
 
-@_experiment("sde demo", ("message_bits", "keys"))
+@_experiment("sde demo", "round trips plus foreign reject",
+             Param("message_bits", int, 4), Param("keys", int, 2))
 def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -327,7 +377,8 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, ok
 
 
-@_experiment("ue demo", ("message_bits",))
+@_experiment("ue demo", "round trips, determinism, ek=dk wrapper",
+             Param("message_bits", int, 4))
 def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -365,7 +416,14 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, ok
 
 
-@_experiment("game run", ("name", "q", "gamma", "adversary", "samples"))
+@_experiment("game run", "run one game with an adversary",
+             Param("name", choices=GAMES),
+             Param("q", int, 2),
+             Param("gamma", float, 0.1),
+             Param("adversary", default="honest-forwarder",
+                   choices=sorted(ADVERSARIES)),
+             Param("trials", int, 1),
+             Param("samples", int, 8, help="challenge samples per test"))
 def _game_run(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     if p["name"] is None:
@@ -376,7 +434,7 @@ def _game_run(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, True
 
 
-@_experiment("vectors", ())
+@_experiment("vectors", "cross-module golden vectors")
 def _vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     rng = make_rng(cfg.seed)
     prf_key = pprf_gen(8, 128, rng)
@@ -407,19 +465,22 @@ def _vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 def run(config: ExperimentConfig) -> int:
     """Run one experiment and emit its report; returns the exit code."""
-    entry = EXPERIMENTS.get(config.experiment)
-    if entry is None:
+    spec = EXPERIMENTS.get(config.experiment)
+    if spec is None:
         raise UsageError(f"unknown experiment {config.experiment!r}")
-    handler, expected = entry
-    if set(config.params) != expected:
+    if set(config.params) != set(spec.params):
         raise UsageError(
             f"{config.experiment} takes parameters "
-            f"{sorted(expected)}, got {sorted(config.params)}"
+            f"{sorted(spec.params)}, got {sorted(config.params)}"
         )
+    if spec.trials is None and config.trials is not None:
+        raise UsageError(f"{config.experiment} takes no trials")
+    if spec.trials is not None and config.trials is None:
+        raise UsageError(f"{config.experiment} needs trials")
     if config.seed is None:
         raise UsageError(f"{config.experiment} needs --seed")
     start = time.perf_counter()
-    results, ok = handler(config)
+    results, ok = spec.handler(config)
     wall = time.perf_counter() - start
     echo = dict(config.params)
     if config.trials is not None:
@@ -433,140 +494,51 @@ def run(config: ExperimentConfig) -> int:
     return 0 if ok else 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="experiment seed (required)")
-    parser.add_argument("--out", default=None,
-                        help="report file path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format")
-    parser.add_argument("--config", default=None,
-                        help="key=value file of flag defaults")
+_COMMON_FLAGS = (
+    Param("seed", int, help="experiment seed (required)"),
+    Param("out", help="report file path (default: stdout)"),
+    Param("format", default="json", choices=("json", "csv"),
+          help="report format"),
+    Param("config", help="key=value file of flag defaults"),
+)
 
-
-_COMMON_DESTS = {"seed", "out", "format", "config", "trials", "_experiment"}
-
-
-def _module_actions(top, name: str, help_: str):
-    sub = top.add_parser(name, help=help_)
-    return sub.add_subparsers(dest="_action", metavar="ACTION")
+_MODULE_HELP = {
+    "coin": "unclonable coin experiments",
+    "detsig": "deterministic signature tools",
+    "purify": "purification and averaging checks",
+    "prs": "phase-state experiments",
+    "mini": "subspace banknote checks",
+    "sde": "single-decryptor encryption",
+    "ue": "unclonable encryption",
+    "game": "security game harness",
+}
 
 
 def build_parser() -> tuple[_Parser, dict]:
+    """The top parser and one leaf per experiment, generated from
+    EXPERIMENTS; "module action" names nest, one-word names stay top-level."""
     parser = _Parser(prog="unclonelab",
                      description="experiment runner and report emitter")
     top = parser.add_subparsers(dest="_module", metavar="COMMAND")
+    modules = {}
     leaves: dict[str, _Parser] = {}
-
-    def leaf(owner, name: str, experiment: str, help_: str) -> _Parser:
-        sub = owner.add_parser(name, help=help_)
-        sub.set_defaults(_experiment=experiment)
-        leaves[experiment] = sub
-        return sub
-
-    coin = _module_actions(top, "coin", "unclonable coin experiments")
-    demo = leaf(coin, "demo", "coin demo", "counterfeit game demo")
-    demo.add_argument("--variant", choices=("prs", "eqsup"), default="eqsup")
-    demo.add_argument("--id-bits", type=int, default=4)
-    demo.add_argument("--mini-n", type=int, default=8)
-    demo.add_argument("--attack", choices=sorted(ATTACKS), default="zero-pad")
-    demo.add_argument("--coins", type=int, default=1,
-                      help="coins issued per trial")
-    demo.add_argument("--trials", type=int, default=100)
-    _add_common(demo)
-
-    sig = _module_actions(top, "detsig", "deterministic signature tools")
-    for action, experiment in (("demo", "detsig demo"),
-                               ("sign", "detsig sign"),
-                               ("verify", "detsig verify"),
-                               ("vectors", "detsig vectors")):
-        sub = leaf(sig, action, experiment, f"signature {action}")
-        sub.add_argument("--n", type=int, default=8, help="message bits")
-        sub.add_argument("--tag-bits", type=int, default=16)
-        sub.add_argument("--digest-bits", type=int, default=16)
-        if action in ("demo", "sign", "verify"):
-            sub.add_argument("--message", default=None,
-                             help="hex message (demo/sign default: sampled)")
-        if action == "verify":
-            sub.add_argument("--signature", default=None,
-                             help="hex signature blob")
-        if action == "vectors":
-            sub.add_argument("--count", type=int, default=8,
-                             help="number of signed messages")
-        _add_common(sub)
-
-    pur = _module_actions(top, "purify", "purification and averaging checks")
-    typ = leaf(pur, "typedist", "purify typedist",
-               "exact type-state vs Haar-average distance")
-    typ.add_argument("--n", type=int, default=4)
-    typ.add_argument("--t", type=int, default=2)
-    _add_common(typ)
-    comp = leaf(pur, "compiler", "purify compiler",
-                "purified-compiler equivalence gap")
-    comp.add_argument("--n", type=int, default=3)
-    comp.add_argument("--t", type=int, default=2)
-    comp.add_argument("--payload-qubits", type=int, default=1)
-    comp.add_argument("--tol", type=float, default=1e-9)
-    _add_common(comp)
-
-    prs_p = _module_actions(top, "prs", "phase-state experiments")
-    pdemo = leaf(prs_p, "demo", "prs demo", "phase-state digest")
-    pdemo.add_argument("--n", type=int, default=4)
-    _add_common(pdemo)
-    over = leaf(prs_p, "overlap", "prs overlap",
-                "small-range overlap experiment")
-    over.add_argument("--k", type=int, default=2)
-    over.add_argument("--ell", type=int, default=32)
-    over.add_argument("--domain-bits", type=int, default=6)
-    over.add_argument("--trials", type=int, default=200)
-    _add_common(over)
-    srd = leaf(prs_p, "srd", "prs srd",
-               "classical small-range distinguisher")
-    srd.add_argument("--k", type=int, default=2)
-    srd.add_argument("--ell", type=int, default=32)
-    srd.add_argument("--domain", type=int, default=4096)
-    srd.add_argument("--trials", type=int, default=500)
-    _add_common(srd)
-
-    mini = _module_actions(top, "mini", "subspace banknote checks")
-    mdemo = leaf(mini, "demo", "mini demo",
-                 "mint, verify, and zero-pad forgery odds")
-    mdemo.add_argument("--n", type=int, default=8)
-    _add_common(mdemo)
-
-    sde = _module_actions(top, "sde", "single-decryptor encryption")
-    sdemo = leaf(sde, "demo", "sde demo", "round trips plus foreign reject")
-    sdemo.add_argument("--message-bits", type=int, default=4)
-    sdemo.add_argument("--keys", type=int, default=2)
-    _add_common(sdemo)
-
-    ue = _module_actions(top, "ue", "unclonable encryption")
-    udemo = leaf(ue, "demo", "ue demo",
-                 "round trips, determinism, ek=dk wrapper")
-    udemo.add_argument("--message-bits", type=int, default=4)
-    _add_common(udemo)
-
-    game = _module_actions(top, "game", "security game harness")
-    grun = leaf(game, "run", "game run", "run one game with an adversary")
-    grun.add_argument("--name", choices=GAMES, default=None)
-    grun.add_argument("--q", type=int, default=2)
-    grun.add_argument("--gamma", type=float, default=0.1)
-    grun.add_argument("--adversary", choices=sorted(ADVERSARIES),
-                      default="honest-forwarder")
-    grun.add_argument("--trials", type=int, default=1)
-    grun.add_argument("--samples", type=int, default=8,
-                      help="challenge samples per test")
-    _add_common(grun)
-
-    vec = leaf(top, "vectors", "vectors", "cross-module golden vectors")
-    _add_common(vec)
-
+    for name, spec in EXPERIMENTS.items():
+        module, _, action = name.partition(" ")
+        owner = top
+        if action:
+            if module not in modules:
+                modules[module] = top.add_parser(
+                    module, help=_MODULE_HELP[module]
+                ).add_subparsers(dest="_action", metavar="ACTION")
+            owner = modules[module]
+        leaf = owner.add_parser(action or module, help=spec.help)
+        leaf.set_defaults(_experiment=name)
+        for flag in spec.flags + _COMMON_FLAGS:
+            leaf.add_argument("--" + flag.name.replace("_", "-"),
+                              type=flag.type, default=flag.default,
+                              choices=flag.choices, help=flag.help)
+        leaves[name] = leaf
     return parser, leaves
-
-
-def _module_actions(top, name: str, help_: str):
-    sub = top.add_parser(name, help=help_)
-    return sub.add_subparsers(dest="_action", metavar="ACTION")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -608,13 +580,9 @@ def _apply_config_file(leaf: _Parser, path: str) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    params = {
-        k: v for k, v in vars(args).items()
-        if k not in _COMMON_DESTS and not k.startswith("_")
-    }
     return ExperimentConfig(
         experiment=args._experiment,
-        params=params,
+        params={k: getattr(args, k) for k in EXPERIMENTS[args._experiment].params},
         seed=args.seed,
         trials=getattr(args, "trials", None),
         out=args.out,

@@ -30,16 +30,18 @@ class Subspace:
     dual_basis: tuple[int, ...]  # rows [R^T | I]
 
     def elements(self) -> list[int]:
-        els = [0]
-        for row in self.basis:
-            els += [e ^ row for e in els]
-        return els
+        return _span(self.basis)
 
     def dual_elements(self) -> list[int]:
-        els = [0]
-        for row in self.dual_basis:
-            els += [e ^ row for e in els]
-        return els
+        return _span(self.dual_basis)
+
+
+def _span(rows: tuple[int, ...]) -> list[int]:
+    """Every GF(2) combination of rows, as bitmasks."""
+    els = [0]
+    for row in rows:
+        els += [e ^ row for e in els]
+    return els
 
 
 @dataclass(frozen=True)

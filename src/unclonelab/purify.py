@@ -8,8 +8,10 @@ t distinct labels. compiler_equivalence_check builds both endpoint states
 from one shared randomness transcript and reports the exact vector gap.
 
 type_vs_haar_distance realizes the t-copy closeness bound between averaged
-distinct type states and the Haar average, exactly in the symmetric
-multiset basis or by Monte Carlo in the full product space.
+distinct type states and the Haar average, exactly by its closed form in
+the symmetric multiset basis or by Monte Carlo in the full product space.
+haar_average_exact and type_average_exact build the two dense averages
+in that basis, for checking the closed form.
 
 small_range_states and the surrounding experiments quantify how much an
 oracle with only ell distinct outputs can be told apart from a fresh one.
@@ -204,14 +206,17 @@ def _trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> float:
 def type_vs_haar_distance(n: int, t: int, num_haar_samples: int | None = None,
                           rng: np.random.Generator | None = None) -> dict:
     """Trace distance between the t-copy Haar average and the distinct-type
-    average; exact in the multiset basis unless Monte Carlo is requested."""
+    average; exact (closed form) unless Monte Carlo is requested."""
     d = 1 << n
     if d < t:
         raise ValueError("need at least t distinct basis labels")
     bound = 4.0 * t * t / d
     if num_haar_samples is None:
-        haar, _ = haar_average_exact(n, t)
-        td = _trace_distance_matrix(haar, type_average_exact(n, t))
+        # in the multiset basis the Haar average is I/D (D = C(d+t-1, t))
+        # and the type average puts 1/C(d, t) on each distinct multiset,
+        # so the trace distance is 1 - C(d, t)/D
+        dim = math.comb(d + t - 1, t)
+        td = (dim - math.comb(d, t)) / dim
         return {"n": n, "t": t, "td_estimate": td, "bound": bound, "method": "exact"}
     if n * t > MAX_FULL_QUBITS:
         raise ValueError(f"Monte Carlo path limited to n*t <= {MAX_FULL_QUBITS}")

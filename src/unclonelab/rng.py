@@ -2,16 +2,14 @@
 
 Every stochastic experiment takes one integer seed and derives all of its
 randomness from a counter-based Philox generator, so reports are reproducible
-byte for byte. Sub-experiments split the generator rather than sharing it;
-splitting is collision-free by construction (SeedSequence spawning), so trial
-order never matters for the values a trial sees.
+byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "split", "derive_seed"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -22,14 +20,3 @@ def make_rng(seed: int) -> np.random.Generator:
         raise ValueError("seed must be non-negative")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
-
-def split(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """n independent child generators; the parent stays usable."""
-    if n < 0:
-        raise ValueError("cannot split into a negative number of generators")
-    return list(rng.spawn(n))
-
-
-def derive_seed(rng: np.random.Generator) -> int:
-    """A fresh 63-bit seed drawn from rng, for recording in reports."""
-    return int(rng.integers(0, 2**63 - 1))

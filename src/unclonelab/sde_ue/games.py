@@ -63,7 +63,7 @@ from .compiler import (
     sde_setup,
 )
 from .fail import FAIL
-from .ue import UeCiphertext, ue_dec, ue_enc, ue_kg
+from .ue import UeCiphertext, _random_message, ue_dec, ue_enc, ue_kg
 
 GAMES = (
     "strong-anti-piracy",
@@ -133,11 +133,6 @@ def _check_decryptors(decs, count: int) -> DeskDecryptors:
             f"adversary returned {len(decs.decoders)} decryptors, need {count}"
         )
     return decs
-
-
-def _random_message(config: SdeConfig, rng: np.random.Generator) -> bytes:
-    value = int.from_bytes(rng.bytes(config.msg_len), "big")
-    return (value & ((1 << config.message_bits) - 1)).to_bytes(config.msg_len, "big")
 
 
 def _measure_register_basis(vec, dims, idx, rng):

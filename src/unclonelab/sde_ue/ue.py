@@ -25,6 +25,7 @@ import numpy as np
 
 from .compiler import (
     Sde,
+    SdeConfig,
     SdeSecretKey,
     message_to_bytes,
     sde_ct_len,
@@ -53,7 +54,7 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def _random_message(config, rng: np.random.Generator) -> bytes:
+def _random_message(config: SdeConfig, rng: np.random.Generator) -> bytes:
     value = int.from_bytes(rng.bytes(config.msg_len), "big")
     return (value & ((1 << config.message_bits) - 1)).to_bytes(config.msg_len, "big")
 

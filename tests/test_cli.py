@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from unclonelab import report
-from unclonelab.cli import ExperimentConfig, UsageError, main, run
+from unclonelab.cli import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    UsageError,
+    _config_from_args,
+    build_parser,
+    main,
+    run,
+)
 
 
 def _capture(capsys, argv):
@@ -262,6 +270,43 @@ class TestRunApi:
         with pytest.raises(UsageError, match="seed"):
             run(ExperimentConfig(experiment="mini demo", params={"n": 6},
                                  seed=None))
+
+    def test_trials_rejected_where_not_taken(self, capsys):
+        with pytest.raises(UsageError, match="takes no trials"):
+            run(ExperimentConfig(experiment="mini demo", params={"n": 6},
+                                 seed=1, trials=5))
+        assert capsys.readouterr().out == ""
+
+    def test_trials_required_where_taken(self):
+        for name, params in (
+                ("coin demo", {"variant": "eqsup", "id_bits": 4,
+                               "mini_n": 8, "attack": "zero-pad",
+                               "coins": 1}),
+                ("prs overlap", {"k": 2, "ell": 32, "domain_bits": 6}),
+                ("prs srd", {"k": 2, "ell": 32, "domain": 4096}),
+                ("game run", {"name": "identical-challenge", "q": 2,
+                              "gamma": 0.1, "adversary": "honest-forwarder",
+                              "samples": 4})):
+            with pytest.raises(UsageError, match="needs trials"):
+                run(ExperimentConfig(experiment=name, params=params, seed=1))
+
+
+class TestParserMatchesRegistry:
+    def test_every_leaf_yields_the_registered_parameters(self):
+        parser, _ = build_parser()
+        takes_trials = set()
+        for name, spec in EXPERIMENTS.items():
+            argv = name.split() + ["--seed", "1"]
+            if name == "game run":
+                argv += ["--name", "identical-challenge"]
+            cfg = _config_from_args(parser.parse_args(argv))
+            assert cfg.experiment == name
+            assert set(cfg.params) == set(spec.params), name
+            assert (cfg.trials is not None) == (spec.trials is not None), name
+            if cfg.trials is not None:
+                takes_trials.add(name)
+        assert takes_trials == {"coin demo", "prs overlap", "prs srd",
+                                "game run"}
 
 
 class TestModuleEntryPoint:

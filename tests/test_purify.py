@@ -6,7 +6,10 @@ Independent oracles used here:
   distance has a closed form. The Haar average is I/D on the symmetric
   subspace, D = C(d+t-1, t); the distinct-type average spreads 1/C(d, t)
   over the C(d, t) distinct multisets. Splitting the diagonal into the
-  shared support and the remainder gives TD = 1 - C(d, t) / D.
+  shared support and the remainder gives TD = 1 - C(d, t) / D. The
+  library returns that closed form; the dense averages it no longer
+  builds are kept as the oracle, and their eigvalsh trace distance must
+  match it.
 * The distinct-image probability mass is re-derived by brute-force tuple
   enumeration, independent of the bincount fast path.
 * For uniform queries and a uniform random index map the expected k=2
@@ -31,6 +34,7 @@ from unclonelab.minischeme import mini_gen
 from unclonelab.primitives import pprf_gen
 from unclonelab.prs import prs_amplitudes, prs_setup
 from unclonelab.purify import (
+    MAX_SYM_DIM,
     GenStateSpec,
     SmallRangeParams,
     classical_srd_experiment,
@@ -118,9 +122,30 @@ class TestTypeVsHaarExact:
         assert np.count_nonzero(np.diag(ty)) == math.comb(8, 2)
         assert np.count_nonzero(ty - np.diag(np.diag(ty))) == 0
 
+    def test_eigvalsh_oracle(self):
+        # every (n, t) whose multiset basis fits the dense builders' cap,
+        # up to dimension 2080 (n=6, t=2); the three larger pairs (3432,
+        # 3876 and 4096) would add ~28 s and ~580 MB to the suite
+        pairs = [(n, t) for n in range(1, 13) for t in range(1, (1 << n) + 1)
+                 if math.comb((1 << n) + t - 1, t) <= 2080]
+        assert len(pairs) == 24
+        for n, t in pairs:
+            haar, _ = haar_average_exact(n, t)
+            diff = haar - type_average_exact(n, t)
+            eig_td = 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+            assert type_vs_haar_distance(n, t)["td_estimate"] == pytest.approx(
+                eig_td, abs=1e-12), (n, t)
+
     def test_dimension_cap(self):
+        # the dense builders keep the cap; the closed form needs none
+        assert math.comb(66, 3) > MAX_SYM_DIM
         with pytest.raises(ValueError):
-            type_vs_haar_distance(6, 3)
+            haar_average_exact(6, 3)
+        with pytest.raises(ValueError):
+            type_average_exact(6, 3)
+        out = type_vs_haar_distance(6, 3)
+        assert out["td_estimate"] == pytest.approx(
+            1.0 - math.comb(64, 3) / math.comb(66, 3), abs=1e-15)
 
     def test_needs_enough_labels(self):
         with pytest.raises(ValueError):
