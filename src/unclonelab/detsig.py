@@ -29,6 +29,7 @@ from .primitives import (
     ots_verify,
     ots_vk_len,
     pprf_eval,
+    pprf_eval_many,
     pprf_gen,
 )
 
@@ -97,19 +98,6 @@ def _prefix_input(depth: int, value: int, n: int) -> int:
     return (depth << n) | (value << (n - depth))
 
 
-def _prefix_keypair(sk: TreeSigSecretKey, depth: int, value: int) -> OtsKeypair:
-    if depth == 0:
-        return sk.sk_root
-    cached = sk._cache.get((depth, value))
-    if cached is not None:
-        return cached
-    seed = pprf_eval(sk.key_prf, _prefix_input(depth, value, sk.n))
-    kp = ots_setup_from_seed(sk.digest_bits, seed)
-    if len(sk._cache) < 1 << 16:
-        sk._cache[(depth, value)] = kp
-    return kp
-
-
 def setup(n: int, tag_bits: int, rng: np.random.Generator,
           digest_bits: int = 24) -> tuple[TreeSigVerifyKey, TreeSigSecretKey]:
     if not 1 <= n <= MAX_MESSAGE_BITS:
@@ -127,16 +115,26 @@ def setup(n: int, tag_bits: int, rng: np.random.Generator,
 def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
     if not 0 <= m < (1 << sk.n):
         raise ValueError("message out of range for this key")
+    n = sk.n
+    # both children of every prefix of m, (depth, value) for depth 1..n; the
+    # keypairs not yet cached derive from one walk over their PRF inputs
+    nodes = [(t, (m >> (n - t)) ^ side) for t in range(1, n + 1) for side in (0, 1)]
+    keys = {node: sk._cache.get(node) for node in nodes}
+    missing = [node for node, kp in keys.items() if kp is None]
+    seeds = pprf_eval_many(sk.key_prf, [_prefix_input(t, v, n) for t, v in missing])
+    for node, seed in zip(missing, seeds):
+        keys[node] = ots_setup_from_seed(sk.digest_bits, seed)
+        if len(sk._cache) < 1 << 16:
+            sk._cache[node] = keys[node]
+    keys[(0, 0)] = sk.sk_root
     links = []
-    for t in range(1, sk.n + 1):
-        parent_value = m >> (sk.n - (t - 1))
-        parent = _prefix_keypair(sk, t - 1, parent_value)
-        child0 = _prefix_keypair(sk, t, parent_value << 1)
-        child1 = _prefix_keypair(sk, t, (parent_value << 1) | 1)
-        pl0, pl1 = child0.vk_bytes(), child1.vk_bytes()
-        links.append((pl0, pl1, ots_sign(parent, pl0 + pl1)))
+    for t in range(1, n + 1):
+        parent_value = m >> (n - (t - 1))
+        pl0 = keys[(t, parent_value << 1)].vk_bytes()
+        pl1 = keys[(t, (parent_value << 1) | 1)].vk_bytes()
+        links.append((pl0, pl1, ots_sign(keys[(t - 1, parent_value)], pl0 + pl1)))
     y = pprf_eval(sk.tag_prf, m)
-    isig = ots_sign(_prefix_keypair(sk, sk.n, m), y)
+    isig = ots_sign(keys[(n, m)], y)
     return TreeSignature(tuple(links), y, isig)
 
 

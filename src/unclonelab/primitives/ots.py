@@ -7,11 +7,12 @@ so a PRF output can stand in for the key-generation randomness.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hashes import ots_preimage, sha256
+from .hashes import TAG_OTS, sha256
 
 __all__ = [
     "OtsKeypair",
@@ -44,13 +45,22 @@ def ots_sig_len(L: int) -> int:
     return L * 32
 
 
+# the (bit, position) tail of every hashes.ots_preimage input, per bit
+_PREIMAGE_SUFFIXES = tuple(
+    tuple(bytes([b]) + struct.pack("<H", i) for i in range(256)) for b in (0, 1)
+)
+
+
 def ots_setup_from_seed(L: int, seed: bytes) -> OtsKeypair:
     if not 1 <= L <= 256:
         raise ValueError("digest length L must be in [1, 256]")
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
+    # sk[b][i] is hashes.ots_preimage(seed, b, i)
+    prefix = TAG_OTS + seed
     sk = tuple(
-        tuple(ots_preimage(seed, b, i) for i in range(L)) for b in (0, 1)
+        tuple(sha256(prefix + suffix) for suffix in row[:L])
+        for row in _PREIMAGE_SUFFIXES
     )
     vk = tuple(tuple(sha256(p) for p in row) for row in sk)
     return OtsKeypair(L, sk, vk)

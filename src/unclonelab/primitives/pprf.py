@@ -2,9 +2,14 @@
 
 Evaluation descends from the root by the input's bits (most significant
 first), applying the length-doubling PRG at each level, then expands the leaf
-seed to the output width. Puncturing at a set S hands out the seeds of the
-maximal subtrees covering everything outside S's root-to-leaf paths (the
-copath), which reproduces every value except those at S.
+seed to the output width. pprf_eval_many evaluates a full key at many inputs
+in one walk over the trie of their paths: it visits the inputs in sorted
+order and keeps the seeds along the previous input's path, so each input
+descends only below the longest prefix it shares with its predecessor and
+every tree node is hashed exactly once. pprf_eval on a full key is the
+one-input walk. Puncturing at a set S hands out the seeds of the maximal
+subtrees covering everything outside S's root-to-leaf paths (the copath),
+which reproduces every value except those at S.
 
 Outputs are byte strings of ceil(output_bits / 8) bytes holding the first
 output_bits bits MSB-first; trailing pad bits are zero.
@@ -26,6 +31,7 @@ __all__ = [
     "PuncturedPointError",
     "pprf_gen",
     "pprf_eval",
+    "pprf_eval_many",
     "pprf_puncture",
     "pprf_key_to_bytes",
     "pprf_key_from_bytes",
@@ -97,12 +103,42 @@ def _expand_output(leaf_seed: bytes, output_bits: int) -> bytes:
     return bytes(out)
 
 
-def pprf_eval(key: PprfKey | PuncturedKey, x: int) -> bytes:
+def _check_input(key: PprfKey | PuncturedKey, x: int) -> None:
     if not 0 <= x < (1 << key.input_bits):
         raise ValueError(f"input {x} out of range for {key.input_bits} bits")
+
+
+def pprf_eval_many(key: PprfKey, xs) -> list[bytes]:
+    """pprf_eval(key, x) for every x in xs, in order, from one trie walk.
+
+    Duplicates and unsorted inputs are allowed; each distinct tree node on
+    the inputs' paths costs one PRG call and each distinct input one output
+    expansion.
+    """
+    xs = list(xs)
+    for x in xs:
+        _check_input(key, x)
+    bits = key.input_bits
+    outputs: dict[int, bytes] = {}
+    path = [key.root_seed]  # path[d]: seed at depth d on the last input's path
+    prev = None
+    for x in sorted(set(xs)):
+        # the previous input's seeds stay valid down to the deepest shared node
+        shared = 0 if prev is None else bits - (x ^ prev).bit_length()
+        del path[shared + 1:]
+        seed = path[shared]
+        for d in range(shared, bits):
+            seed = prg_child(seed, (x >> (bits - 1 - d)) & 1)
+            path.append(seed)
+        outputs[x] = _expand_output(seed, key.output_bits)
+        prev = x
+    return [outputs[x] for x in xs]
+
+
+def pprf_eval(key: PprfKey | PuncturedKey, x: int) -> bytes:
     if isinstance(key, PprfKey):
-        leaf = _descend(key.root_seed, _path_bits(x, key.input_bits))
-        return _expand_output(leaf, key.output_bits)
+        return pprf_eval_many(key, (x,))[0]
+    _check_input(key, x)
     if x in key.punctured_set:
         raise PuncturedPointError(f"input {x} is a punctured point")
     # Find the copath subtree containing x, then walk the remaining levels.
@@ -174,18 +210,24 @@ def punctured_key_to_bytes(key: PuncturedKey) -> bytes:
 
 
 def punctured_key_from_bytes(data: bytes) -> PuncturedKey:
+    if len(data) < 7:
+        raise ValueError("truncated punctured key encoding")
     input_bits, output_bits, num_punctured, num_nodes = struct.unpack_from("<BHHH", data, 0)
-    off = 7
-    punctured = []
-    for _ in range(num_punctured):
-        punctured.append(struct.unpack_from("<Q", data, off)[0])
-        off += 8
+    size = 7 + 8 * num_punctured + (9 + 32) * num_nodes
+    if len(data) < size:
+        raise ValueError("truncated punctured key encoding")
+    if len(data) > size:
+        raise ValueError("trailing bytes in punctured key encoding")
+    punctured = struct.unpack_from(f"<{num_punctured}Q", data, 7)
+    for x in punctured:
+        if x >= 1 << input_bits:
+            raise ValueError(f"punctured input {x} out of range")
+    off = 7 + 8 * num_punctured
     nodes = {}
     for _ in range(num_nodes):
         depth, index = struct.unpack_from("<BQ", data, off)
-        off += 9
-        nodes[(depth, index)] = data[off : off + 32]
-        off += 32
-    if off != len(data):
-        raise ValueError("trailing bytes in punctured key encoding")
-    return PuncturedKey(tuple(punctured), nodes, input_bits, output_bits)
+        if not 1 <= depth <= input_bits or index >= 1 << depth:
+            raise ValueError(f"copath node ({depth}, {index}) outside the tree")
+        nodes[(depth, index)] = data[off + 9 : off + 41]
+        off += 41
+    return PuncturedKey(punctured, nodes, input_bits, output_bits)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import MAX_STATE_AMPLITUDES, StateVector
-from .primitives import KwiseFunction, PprfKey, kwise_eval, kwise_gen, pprf_eval, pprf_gen
+from .primitives import KwiseFunction, PprfKey, kwise_eval, kwise_gen, pprf_eval_many, pprf_gen
 
 MAX_QUBITS = MAX_STATE_AMPLITUDES.bit_length() - 1
 
@@ -22,10 +22,12 @@ class PrsKey:
     n: int
     phase_fn: PprfKey | KwiseFunction
 
-    def phase_bit(self, x: int) -> int:
+    def phase_bits(self) -> list[int]:
+        """f_k(x) for every x in the n-bit domain, in order."""
+        domain = range(1 << self.n)
         if isinstance(self.phase_fn, PprfKey):
-            return pprf_eval(self.phase_fn, x)[0] >> 7
-        return kwise_eval(self.phase_fn, x)
+            return [out[0] >> 7 for out in pprf_eval_many(self.phase_fn, domain)]
+        return [kwise_eval(self.phase_fn, x) for x in domain]
 
 
 def prs_setup(n: int, rng: np.random.Generator) -> PrsKey:
@@ -41,7 +43,7 @@ def prs_setup_kwise(n: int, k: int, rng: np.random.Generator) -> PrsKey:
 
 def prs_amplitudes(key: PrsKey) -> np.ndarray:
     scale = 2.0 ** (-key.n / 2)
-    signs = np.array([1 - 2 * key.phase_bit(x) for x in range(1 << key.n)])
+    signs = np.array([1 - 2 * bit for bit in key.phase_bits()])
     return signs * scale + 0j
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import StateVector, HybridState, haar_sample, tensor, type_state
-from .primitives import PprfKey, pprf_eval
+from .primitives import PprfKey, pprf_eval_many
 from .prs import PrsKey, prs_amplitudes
 
 C_SRD_DEFAULT = 1.0
@@ -78,8 +78,8 @@ def purified_state(spec: GenStateSpec, prs_key: PrsKey, pprf_key: PprfKey) -> Hy
         raise ValueError("PRF output width must match the generator randomness")
     amps = prs_amplitudes(prs_key)
     terms = [
-        ((x,), complex(amps[x]), spec.payload(pprf_eval(pprf_key, x)))
-        for x in range(1 << n)
+        ((x,), complex(amps[x]), spec.payload(rand))
+        for x, rand in enumerate(pprf_eval_many(pprf_key, range(1 << n)))
     ]
     return HybridState.from_terms(spec.payload_qubits, terms)
 
@@ -316,6 +316,8 @@ def small_range_experiment(k: int, ell: int, domain_bits: int, trials: int,
                            rng: np.random.Generator) -> dict:
     """Mean overlap between full and distinct-index states over random
     index maps, for uniform queries; reports estimate, stderr, bound."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     size = 1 << domain_bits
     uniform = [np.full(size, 1.0 / size) for _ in range(k)]
     overlaps = np.empty(trials)
@@ -337,6 +339,8 @@ def classical_srd_experiment(k: int, ell: int, domain: int, trials: int,
     a range-compressed one, each queried at k distinct points."""
     if k > domain:
         raise ValueError("need k distinct query points in the domain")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     hits_full = 0
     hits_small = 0
     for _ in range(trials):

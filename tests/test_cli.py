@@ -73,6 +73,13 @@ class TestExitCodes:
         assert code == 1
         assert "q must be" in err
 
+    def test_zero_trials_is_a_usage_error(self, capsys):
+        for argv in (["prs", "srd"], ["prs", "overlap"], ["coin", "demo"]):
+            code, out, err = _capture(capsys, argv + ["--trials", "0",
+                                                      "--seed", "1"])
+            assert (code, out) == (1, ""), argv
+            assert "trials must be positive" in err
+
     def test_threshold_failure_is_exit_2(self, capsys):
         sign = _json_report(capsys, ["detsig", "sign", "--n", "4",
                                      "--seed", "5", "--message", "a"])

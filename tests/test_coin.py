@@ -145,6 +145,21 @@ class TestVerify:
         assert post is not None
         assert (x0, sn0, bad) not in post.labels()
 
+    def test_only_accepted_signatures_remembered(self):
+        vk, sk = coin_setup("eqsup", CoinParams(), make_rng(103))
+        state = gen_banknote(sk).state
+        x0, sn0, sig0 = state.labels()[0]
+        bad = sig0[:-1] + bytes([sig0[-1] ^ 1])
+        tampered = state.map_labels(
+            lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
+        for _ in range(2):
+            assert coin_verify(vk, tampered)[2] == 1.0 - 0.25**2
+            assert (sn0, bad) not in vk._sig_cache
+            assert vk._sig_cache == {(sn, sig) for _, sn, sig in tampered.labels()
+                                     if sig != bad}
+        assert coin_verify(vk, state)[2] == 1.0
+        assert (sn0, sig0) in vk._sig_cache
+
     def test_zero_padded_forgery_probability(self, eqsup_instance):
         vk, _, coin = eqsup_instance
         x0, sn0, sig0 = coin.state.labels()[0]

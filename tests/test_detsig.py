@@ -57,6 +57,23 @@ class TestSignVerify:
         assert hashlib.sha256(sig.to_bytes()).hexdigest() == GOLDEN_SIG_SHA256
         assert sig.y.hex() == GOLDEN_TAG_HEX
 
+    def test_fresh_and_warm_keys_sign_alike_at_coin_parameters(self):
+        # a warm key takes part of m's path from its cache and derives the
+        # rest; the bytes must not depend on which
+        def key():
+            return detsig.setup(40, 64, make_rng(8), digest_bits=16)[1]
+
+        m = 0xA55A0FF0C3
+        want = detsig.sign(key(), m).to_bytes()
+        warm = key()
+        for other in (m ^ (1 << 20), m ^ (1 << 39)):
+            detsig.sign(warm, other)
+        path = [(t, (m >> (40 - t)) ^ side) for t in range(1, 41) for side in (0, 1)]
+        assert sum(node in warm._cache for node in path) == 40
+        assert detsig.sign(warm, m).to_bytes() == want
+        assert all(node in warm._cache for node in path)
+        assert detsig.sign(warm, m).to_bytes() == want
+
     def test_signature_size_formula(self):
         for n, bits, lam in ((1, 8, 8), (4, 24, 16), (8, 8, 128)):
             vk, sk = detsig.setup(n, lam, make_rng(3), digest_bits=bits)

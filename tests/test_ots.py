@@ -7,6 +7,7 @@ import pytest
 
 from unclonelab.primitives import (
     ots_gen,
+    ots_preimage,
     ots_setup_from_seed,
     ots_sig_len,
     ots_sign,
@@ -51,6 +52,15 @@ class TestSetup:
         assert a.vk_bytes() == b.vk_bytes()
         assert a.sk == b.sk
         assert hashlib.sha256(a.vk_bytes()).hexdigest() == GOLDEN_VK_SHA256
+
+    def test_preimages_follow_ots_preimage(self):
+        for L in (1, 16, 24, 256):
+            seed = make_rng(L).bytes(32)
+            kp = ots_setup_from_seed(L, seed)
+            sk = tuple(tuple(ots_preimage(seed, b, i) for i in range(L)) for b in (0, 1))
+            assert kp.sk == sk
+            assert kp.vk == tuple(
+                tuple(hashlib.sha256(p).digest() for p in row) for row in sk)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

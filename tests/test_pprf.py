@@ -13,11 +13,14 @@ from unclonelab.primitives import (
     PuncturedKey,
     PuncturedPointError,
     pprf_eval,
+    pprf_eval_many,
     pprf_gen,
     pprf_key_to_bytes,
     pprf_puncture,
+    punctured_key_from_bytes,
     punctured_key_to_bytes,
 )
+from unclonelab.primitives import hashes
 from unclonelab.rng import make_rng
 
 
@@ -147,6 +150,50 @@ class TestEval:
             pprf_eval(key, -1)
         with pytest.raises(ValueError):
             pprf_eval(key, 16)
+
+
+class TestEvalMany:
+    def test_matches_eval_and_oracle_at_every_width(self):
+        rng = make_rng(40)
+        for bits in range(1, 65):
+            key = pprf_gen(bits, 13, make_rng(400 + bits))
+            # unsorted, with repeats, and both ends of the domain
+            xs = [int.from_bytes(rng.bytes(8), "big") >> (64 - bits)
+                  for _ in range(12)]
+            xs += [xs[3], xs[0], 0, (1 << bits) - 1, 0]
+            got = pprf_eval_many(key, xs)
+            assert got == [pprf_eval(key, x) for x in xs]
+            assert got == [_oracle_eval(key, x) for x in xs]
+
+    def test_empty_input(self):
+        key = pprf_gen(8, 16, make_rng(43))
+        assert pprf_eval_many(key, []) == []
+
+    def test_rejects_out_of_range_input(self):
+        key = pprf_gen(4, 8, make_rng(0))
+        for bad in ([-1], [3, 16], [1 << 64]):
+            with pytest.raises(ValueError):
+                pprf_eval_many(key, bad)
+
+    def test_hashes_each_trie_node_once(self, monkeypatch):
+        calls = []
+        real = hashes.sha256
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(hashes, "sha256", counting)
+        rng = make_rng(44)
+        for bits, out_bits, size in ((8, 8, 40), (20, 300, 25), (48, 256, 30)):
+            key = pprf_gen(bits, out_bits, rng)
+            xs = [int(v) for v in rng.integers(0, 1 << bits, size=size)]
+            xs += xs[:5]
+            calls.clear()
+            pprf_eval_many(key, xs)
+            nodes = {(d, x >> (bits - d)) for x in xs for d in range(1, bits + 1)}
+            blocks = -(-out_bits // 256)
+            assert len(calls) == len(nodes) + len(set(xs)) * blocks
 
 
 class TestPuncture:
@@ -283,6 +330,45 @@ class TestSerialization:
             off += 9 + 32
         assert seen == sorted(seen)
         assert off == len(blob)
+
+    def test_punctured_round_trip(self):
+        key = pprf_gen(8, 16, make_rng(15))
+        for s in ([0], [3, 77, 254], [0x10, 0x11]):
+            pk = pprf_puncture(key, s)
+            back = punctured_key_from_bytes(punctured_key_to_bytes(pk))
+            assert back == pk
+            for x in range(256):
+                if x not in s:
+                    assert pprf_eval(back, x) == pprf_eval(key, x)
+
+    def test_punctured_decoder_rejects_truncation_and_trailing_bytes(self):
+        blob = punctured_key_to_bytes(pprf_puncture(pprf_gen(8, 16, make_rng(16)), [3, 200]))
+        for end in range(len(blob)):
+            with pytest.raises(ValueError):
+                punctured_key_from_bytes(blob[:end])
+        with pytest.raises(ValueError):
+            punctured_key_from_bytes(blob + b"\x00")
+
+    def test_punctured_decoder_rejects_points_outside_the_tree(self):
+        key = pprf_gen(8, 16, make_rng(17))
+        blob = bytearray(punctured_key_to_bytes(pprf_puncture(key, [3, 200])))
+        node = 7 + 8 * 2  # first copath node: depth byte, then 8-byte index
+
+        def patched(offset, raw):
+            bad = bytearray(blob)
+            bad[offset : offset + len(raw)] = raw
+            return bytes(bad)
+
+        cases = [
+            patched(node, bytes([99])),                 # depth beyond 8 bits
+            patched(node, bytes([0])),                  # the root itself
+            patched(node, bytes([2]) + struct.pack("<Q", 4)),  # index >= 2^2
+            patched(7, struct.pack("<Q", 256)),         # punctured point >= 2^8
+            patched(0, bytes([0])),                     # input width 0
+        ]
+        for bad in cases:
+            with pytest.raises(ValueError):
+                punctured_key_from_bytes(bad)
 
     def test_punctured_bytes_deterministic(self):
         key = pprf_gen(8, 16, make_rng(14))

@@ -390,6 +390,11 @@ class TestSmallRangeExperiment:
         assert out["mean_overlap"] >= out["bound"]
         assert out["bound"] == pytest.approx(1.0 - 4.0 / 32.0)
 
+    def test_rejects_non_positive_trials(self):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials must be positive"):
+                small_range_experiment(2, 32, 6, trials, make_rng(0))
+
     def test_range_size_helper(self):
         assert small_range_size(2.0, 2, 16.0) == 512
         assert small_range_size(1.0, 1, 1.0) == 1
@@ -413,6 +418,11 @@ class TestClassicalSRD:
         assert out["p_collision_full"] == 0.0
         assert out["p_collision_small"] == 0.0
         assert out["advantage"] == 0.0
+
+    def test_rejects_non_positive_trials(self):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials must be positive"):
+                classical_srd_experiment(2, 32, 4096, trials, make_rng(0))
 
     def test_needs_distinct_query_points(self):
         with pytest.raises(ValueError):
