@@ -13,6 +13,10 @@ acceptance subspace, so they pass with probability exactly 1 and come
 back unchanged, which is the desk-scale stand-in for coherent
 verification followed by rewinding.
 
+Each verify key maps the (sn, sig) labels it accepted to their accept
+vectors, so a branch costs one lookup. A miss runs detsig.verify, then
+decodes the subspace; the map follows detsig's store rule and cap.
+
 Same caveat as the banknote layer: serial numbers expose their subspace
 in the clear, so nothing here is presumed unforgeable beyond the toy
 counterfeiting games in this module.
@@ -43,8 +47,6 @@ MAX_COINS_ISSUED = 4
 # before signing, the usual arbitrary-length-message composition
 SN_MESSAGE_BITS = 40
 
-_SIG_CACHE_CAP = 1 << 16
-
 
 @dataclass(frozen=True)
 class CoinParams:
@@ -72,8 +74,10 @@ class CoinVerifyKey:
     vk: detsig.TreeSigVerifyKey
     id_bits: int
     mini_n: int
-    _sig_cache: set = field(default_factory=set, compare=False, repr=False)
-    _space_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # (sn, sig) of an accepted label -> its accept vector, None when sn
+    # names no subspace of mini_n qubits
+    _accepted: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,29 +134,24 @@ def gen_banknote(sk: CoinSecretKey) -> Coin:
     return Coin(HybridState.from_terms(sk.mini_n, terms))
 
 
-def _sig_ok(vk: CoinVerifyKey, sn: bytes, sig: bytes) -> bool:
-    # remembers accepted (sn, sig) pairs only: a rejected label is whatever
-    # bytes its submitter chose, and storing those would bound nothing
+def _accept_vector(vk: CoinVerifyKey, sn: bytes, sig: bytes) -> np.ndarray | None:
+    # a rejected label is whatever bytes its submitter chose, so it is
+    # never stored
     key = (sn, sig)
-    if key in vk._sig_cache:
-        return True
+    try:
+        return vk._accepted[key]
+    except KeyError:
+        pass
     if not detsig.verify(vk.vk, _sn_message(sn), sig):
-        return False
-    if len(vk._sig_cache) < _SIG_CACHE_CAP:
-        vk._sig_cache.add(key)
-    return True
-
-
-def _accept_vector(vk: CoinVerifyKey, sn: bytes) -> np.ndarray | None:
-    if sn in vk._space_cache:
-        return vk._space_cache[sn]
+        return None
     try:
         space = subspace_from_sn(sn)
     except ValueError:
         vec = None
     else:
         vec = note_state(space).amplitudes if space.n == vk.mini_n else None
-    vk._space_cache[sn] = vec
+    if len(vk._accepted) < detsig.STORE_CAP:
+        vk._accepted[key] = vec
     return vec
 
 
@@ -177,9 +176,7 @@ def coin_verify(vk: CoinVerifyKey, candidate: HybridState,
         if not isinstance(ident, int) or not isinstance(sn, bytes) \
                 or not isinstance(sig, bytes):
             raise ValueError("coin labels are (id, sn, sig) triples")
-        if not _sig_ok(vk, sn, sig):
-            continue
-        avec = _accept_vector(vk, sn)
+        avec = _accept_vector(vk, sn, sig)
         if avec is None:
             continue
         coef = complex(np.vdot(avec, candidate.branch_vector(label)))

@@ -35,6 +35,12 @@ from .primitives import (
 
 MAX_MESSAGE_BITS = 56  # prefix encoding prepends a length byte
 
+# One rule for every per-key store (the signer's keypairs, the verifier's
+# links, the coin verifier's labels): keep derived keys or checks that
+# passed, never a rejection, and stop growing at STORE_CAP entries. Read at
+# call time, so one patch bounds all three.
+STORE_CAP = 1 << 12
+
 
 @dataclass(frozen=True)
 class TreeSigSecretKey:
@@ -124,7 +130,7 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
     seeds = pprf_eval_many(sk.key_prf, [_prefix_input(t, v, n) for t, v in missing])
     for node, seed in zip(missing, seeds):
         keys[node] = ots_setup_from_seed(sk.digest_bits, seed)
-        if len(sk._cache) < 1 << 16:
+        if len(sk._cache) < STORE_CAP:
             sk._cache[node] = keys[node]
     keys[(0, 0)] = sk.sk_root
     links = []
@@ -142,11 +148,7 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
 # reuse. It maps a tree node, (depth, prefix of m), to the parent key and the
 # link bytes that passed ots_verify there; the leaf check (y, isig) is node
 # (n, m). A lookup hits only when both are byte-equal to the stored ones, so a
-# hit stands for a check with exactly those inputs. Rejections are never
-# stored. The store stops growing at VERIFIED_LINKS_CAP nodes.
-VERIFIED_LINKS_CAP = 1 << 12
-
-
+# hit stands for a check with exactly those inputs.
 def _link_verified(vk: TreeSigVerifyKey, node: tuple[int, int], parent: bytes,
                    link: bytes, split: int) -> bool:
     store = vk._verified
@@ -154,7 +156,7 @@ def _link_verified(vk: TreeSigVerifyKey, node: tuple[int, int], parent: bytes,
         return True
     if not ots_verify(parent, link[:split], link[split:], vk.digest_bits):
         return False
-    if len(store) < VERIFIED_LINKS_CAP:
+    if len(store) < STORE_CAP:
         store[node] = (parent, link)
     return True
 

@@ -81,7 +81,7 @@ class StateVector:
         if arr.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got {arr.shape}")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-7:
+        if not abs(norm - 1.0) <= 1e-7:  # also rejects NaN and inf
             raise ValueError(f"state not normalized: |amp| = {norm}")
         object.__setattr__(self, "amplitudes", arr)
 
@@ -332,8 +332,9 @@ def state_from_bytes(data: bytes) -> StateVector:
     if len(data) < 4:
         raise ValueError("truncated state header")
     (num_qubits,) = struct.unpack_from("<I", data, 0)
+    if num_qubits >= MAX_STATE_AMPLITUDES.bit_length():  # before the shift
+        raise ValueError(f"state of {num_qubits} qubits exceeds the dense cap")
     dim = 1 << num_qubits
     if len(data) != 4 + 16 * dim:
         raise ValueError(f"expected {4 + 16 * dim} bytes for {num_qubits} qubits, got {len(data)}")
-    pairs = np.frombuffer(data, dtype="<f8", offset=4).reshape(dim, 2)
-    return StateVector(num_qubits, pairs[:, 0] + 1j * pairs[:, 1])
+    return StateVector(num_qubits, np.frombuffer(data, dtype="<c16", offset=4))

@@ -50,21 +50,22 @@ class MiniBanknote:
     note: StateVector
 
 
-def _bits_from_bytes(randomness: bytes, count: int) -> list[int]:
-    if len(randomness) * 8 < count:
-        raise ValueError(f"need at least {(count + 7) // 8} randomness bytes")
-    return [(randomness[i // 8] >> (7 - i % 8)) & 1 for i in range(count)]
-
-
 def subspace_from_randomness(n: int, randomness: bytes) -> Subspace:
     if n % 2 or not 2 <= n <= MAX_AMBIENT_BITS:
         raise ValueError(f"n must be even and in [2, {MAX_AMBIENT_BITS}]")
     half = n // 2
-    bits = _bits_from_bytes(randomness, half * half)
-    r_rows = [
-        sum(bits[i * half + j] << (half - 1 - j) for j in range(half))
-        for i in range(half)
-    ]
+    need = (half * half + 7) // 8
+    if len(randomness) < need:
+        raise ValueError(f"need at least {need} randomness bytes")
+    # the first half * half bits, MSB-first, are R's rows in order
+    bits = int.from_bytes(randomness[:need], "big") >> (8 * need - half * half)
+    mask = (1 << half) - 1
+    return _subspace(n, [(bits >> (half * (half - 1 - i))) & mask for i in range(half)])
+
+
+def _subspace(n: int, r_rows: list[int]) -> Subspace:
+    """The subspace with echelon rows [I | R], R given as half-bit rows."""
+    half = n // 2
     basis = tuple((1 << (n - 1 - i)) | r_rows[i] for i in range(half))
     # dual rows: column j of R in the high half, identity in the low half
     dual = tuple(
@@ -98,16 +99,7 @@ def subspace_from_sn(blob: bytes) -> Subspace:
     for i, row in enumerate(rows):
         if row >> half != 1 << (half - 1 - i):
             raise ValueError("serial number rows are not in echelon form")
-    r_rows = [row & mask for row in rows]
-    packed = bytearray()
-    acc, filled = 0, 0
-    for row in r_rows:
-        acc = (acc << half) | row
-        filled += half
-    total = half * half
-    acc <<= (-filled) % 8
-    packed = acc.to_bytes((total + 7) // 8, "big") if total else b""
-    return subspace_from_randomness(n, packed)
+    return _subspace(n, [row & mask for row in rows])
 
 
 def note_state(space: Subspace) -> StateVector:

@@ -85,16 +85,6 @@ def pprf_gen(input_bits: int, output_bits: int, rng: np.random.Generator) -> Ppr
     return PprfKey(rng.bytes(32), input_bits, output_bits)
 
 
-def _descend(seed: bytes, bits: list[int]) -> bytes:
-    for bit in bits:
-        seed = prg_child(seed, bit)
-    return seed
-
-
-def _path_bits(x: int, input_bits: int) -> list[int]:
-    return [(x >> (input_bits - 1 - d)) & 1 for d in range(input_bits)]
-
-
 def _expand_output(leaf_seed: bytes, output_bits: int) -> bytes:
     out = bytearray(expand_stream(leaf_seed, (output_bits + 7) // 8))
     pad = 8 * len(out) - output_bits
@@ -146,33 +136,41 @@ def pprf_eval(key: PprfKey | PuncturedKey, x: int) -> bytes:
         node = (depth, x >> (key.input_bits - depth))
         seed = key.copath_nodes.get(node)
         if seed is not None:
-            rest = _path_bits(x, key.input_bits)[depth:]
-            return _expand_output(_descend(seed, rest), key.output_bits)
+            for d in range(depth, key.input_bits):
+                seed = prg_child(seed, (x >> (key.input_bits - 1 - d)) & 1)
+            return _expand_output(seed, key.output_bits)
     raise PuncturedPointError(f"no copath node covers input {x}")
 
 
-def pprf_puncture(key: PprfKey, punctured: list[int]) -> PuncturedKey:
-    if not punctured:
-        raise ValueError("punctured set must be non-empty")
+def _check_punctured(punctured, input_bits: int) -> None:
+    # PuncturedKey itself rejects an empty set
     if len(punctured) > 64:
         raise ValueError("punctured set too large for desk scale")
     if len(set(punctured)) != len(punctured):
         raise ValueError("duplicate entries in punctured set")
     for x in punctured:
-        if not 0 <= x < (1 << key.input_bits):
+        if not 0 <= x < (1 << input_bits):
             raise ValueError(f"punctured input {x} out of range")
 
-    on_path = set()
-    for x in punctured:
-        for depth in range(1, key.input_bits + 1):
-            on_path.add((depth, x >> (key.input_bits - depth)))
+
+def pprf_puncture(key: PprfKey, punctured: list[int]) -> PuncturedKey:
+    _check_punctured(punctured, key.input_bits)
+    # one top-down pass: an on-path node's children are on-path seeds (never
+    # a punctured leaf itself) or copath seeds, one PRG call each
+    bits = key.input_bits
     copath: dict[tuple[int, int], bytes] = {}
-    for x in punctured:
-        for depth in range(1, key.input_bits + 1):
-            sibling = (depth, (x >> (key.input_bits - depth)) ^ 1)
-            if sibling not in on_path and sibling not in copath:
-                prefix_bits = [(sibling[1] >> (depth - 1 - d)) & 1 for d in range(depth)]
-                copath[sibling] = _descend(key.root_seed, prefix_bits)
+    level = {0: key.root_seed}  # on-path seeds one level up, by index
+    for depth in range(1, bits + 1):
+        on_path = {x >> (bits - depth) for x in punctured}
+        below = {}
+        for index, seed in level.items():
+            for bit in (0, 1):
+                child = (index << 1) | bit
+                if child not in on_path:
+                    copath[(depth, child)] = prg_child(seed, bit)
+                elif depth < bits:
+                    below[child] = prg_child(seed, bit)
+        level = below
     return PuncturedKey(
         tuple(sorted(punctured)), copath, key.input_bits, key.output_bits
     )
@@ -216,18 +214,27 @@ def punctured_key_from_bytes(data: bytes) -> PuncturedKey:
     size = 7 + 8 * num_punctured + (9 + 32) * num_nodes
     if len(data) < size:
         raise ValueError("truncated punctured key encoding")
-    if len(data) > size:
-        raise ValueError("trailing bytes in punctured key encoding")
     punctured = struct.unpack_from(f"<{num_punctured}Q", data, 7)
-    for x in punctured:
-        if x >= 1 << input_bits:
-            raise ValueError(f"punctured input {x} out of range")
+    _check_punctured(punctured, input_bits)
     off = 7 + 8 * num_punctured
     nodes = {}
     for _ in range(num_nodes):
-        depth, index = struct.unpack_from("<BQ", data, off)
-        if not 1 <= depth <= input_bits or index >= 1 << depth:
-            raise ValueError(f"copath node ({depth}, {index}) outside the tree")
-        nodes[(depth, index)] = data[off + 9 : off + 41]
+        nodes[struct.unpack_from("<BQ", data, off)] = data[off + 9 : off + 41]
         off += 41
-    return PuncturedKey(punctured, nodes, input_bits, output_bits)
+    key = PuncturedKey(tuple(sorted(punctured)), nodes, input_bits, output_bits)
+    # the points are in range, so this also keeps every node inside the tree
+    if set(nodes) != _copath(input_bits, punctured):
+        raise ValueError("copath nodes do not cover exactly the unpunctured inputs")
+    # the key holds its points sorted and the encoder sorts its nodes, so
+    # unsorted points, repeated or unsorted nodes and trailing bytes all
+    # change the bytes
+    if punctured_key_to_bytes(key) != data:
+        raise ValueError("non-canonical punctured key encoding")
+    return key
+
+
+def _copath(input_bits: int, punctured) -> set[tuple[int, int]]:
+    """Positions of the maximal subtrees that avoid every punctured path."""
+    on_path = {(d, x >> (input_bits - d))
+               for x in punctured for d in range(1, input_bits + 1)}
+    return {(d, i ^ 1) for d, i in on_path} - on_path

@@ -154,11 +154,25 @@ class TestVerify:
             lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
         for _ in range(2):
             assert coin_verify(vk, tampered)[2] == 1.0 - 0.25**2
-            assert (sn0, bad) not in vk._sig_cache
-            assert vk._sig_cache == {(sn, sig) for _, sn, sig in tampered.labels()
-                                     if sig != bad}
+            assert (sn0, bad) not in vk._accepted
+            assert set(vk._accepted) == {(sn, sig) for _, sn, sig in tampered.labels()
+                                         if sig != bad}
         assert coin_verify(vk, state)[2] == 1.0
-        assert (sn0, sig0) in vk._sig_cache
+        assert (sn0, sig0) in vk._accepted
+
+    def test_one_cap_bounds_every_store(self, monkeypatch):
+        _, want_sk = coin_setup("eqsup", CoinParams(), make_rng(104))
+        want = gen_banknote(want_sk).state
+        monkeypatch.setattr(detsig, "STORE_CAP", 3)
+        vk, sk = coin_setup("eqsup", CoinParams(), make_rng(104))
+        state = gen_banknote(sk).state
+        # signing past the cap derives the same keys it no longer keeps
+        assert state.labels() == want.labels()
+        assert len(sk.sgk._cache) == 3
+        for _ in range(2):
+            assert coin_verify(vk, state)[::2] == (1, 1.0)
+            assert len(vk._accepted) == 3
+            assert len(vk.vk._verified) == 3
 
     def test_zero_padded_forgery_probability(self, eqsup_instance):
         vk, _, coin = eqsup_instance

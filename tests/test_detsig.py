@@ -276,7 +276,7 @@ class TestVerifiedLinkStore:
         assert other_vk._verified == other_before
 
     def test_store_bounded_by_cap(self, monkeypatch):
-        monkeypatch.setattr(detsig, "VERIFIED_LINKS_CAP", 6)
+        monkeypatch.setattr(detsig, "STORE_CAP", 6)
         vk, sk = detsig.setup(4, 16, make_rng(28), digest_bits=8)
         blobs = [detsig.sign(sk, m).to_bytes() for m in range(16)]
         for m, blob in enumerate(blobs):

@@ -1,5 +1,7 @@
 """State construction, oracles, measurement, and Haar statistics."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,17 @@ def test_serialization_golden_plus():
 def test_serialization_rejects_bad_length():
     with pytest.raises(ValueError):
         state_from_bytes(bytes.fromhex(PLUS_GOLDEN_HEX)[:-1])
+
+
+def test_serialization_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf, -np.inf):
+        for pair in ((bad, 0.0), (1.0, bad)):
+            blob = struct.pack("<Idddd", 1, *pair, 0.0, 0.0)
+            with pytest.raises(ValueError):
+                state_from_bytes(blob)
+
+
+def test_serialization_rejects_headers_past_the_dense_cap():
+    for num_qubits in (21, 1000):
+        with pytest.raises(ValueError):
+            state_from_bytes(struct.pack("<I", num_qubits) + bytes(32))

@@ -14,6 +14,15 @@ def _random_banknote(n, rng):
     return ms.mini_gen(n, rng.bytes(need))
 
 
+def _oracle_basis(n, randomness):
+    # rows [I | R], R filled row by row from the randomness bits, MSB-first
+    half = n // 2
+    bits = [(randomness[i // 8] >> (7 - i % 8)) & 1 for i in range(half * half)]
+    return tuple(
+        (1 << (n - 1 - i)) | sum(bits[i * half + j] << (half - 1 - j) for j in range(half))
+        for i in range(half))
+
+
 def _basis_state(n, index):
     amps = np.zeros(1 << n, dtype=complex)
     amps[index] = 1.0
@@ -79,8 +88,11 @@ class TestSerialNumber:
         rng = make_rng(2)
         for n in (2, 4, 6, 8, 10, 12):
             for _ in range(10):
-                bn = _random_banknote(n, rng)
+                r = rng.bytes(((n // 2) ** 2 + 7) // 8)
+                bn = ms.mini_gen(n, r)
                 space = ms.subspace_from_sn(bn.sn)
+                assert space == ms.subspace_from_randomness(n, r)
+                assert space.basis == _oracle_basis(n, r)
                 assert ms.sn_bytes(space) == bn.sn
                 assert np.array_equal(ms.note_state(space).amplitudes, bn.note.amplitudes)
 

@@ -241,6 +241,37 @@ class TestPuncture:
             pk = pprf_puncture(key, s)
             assert len(pk.copath_nodes) <= len(s) * 8
 
+    def test_one_pass_hashes_each_node_once(self, monkeypatch):
+        # every on-path node above the leaves and every copath node costs one
+        # PRG call; the keys match a root descent per copath node
+        calls = []
+        real = hashes.sha256
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(hashes, "sha256", counting)
+        rng = make_rng(46)
+        for bits, size in ((1, 1), (4, 3), (8, 6), (20, 17), (64, 62)):
+            key = pprf_gen(bits, 16, rng)
+            s = {int.from_bytes(rng.bytes(8), "big") >> (64 - bits)
+                 for _ in range(size)}
+            # points sharing long prefixes, for the shared part of the trie
+            s |= {min(s) ^ 1, min(s) ^ 2} if bits > 1 else set()
+            s = sorted(s, reverse=True)
+            calls.clear()
+            pk = pprf_puncture(key, s)
+            inner = {(d, x >> (bits - d)) for x in s for d in range(1, bits)}
+            copath = _oracle_copath(bits, s)
+            assert len(calls) == len(inner) + len(copath)
+            oracle = PuncturedKey(
+                tuple(sorted(s)),
+                {(d, i): _node_seed(key.root_seed, d, i) for d, i in copath},
+                bits, 16)
+            assert punctured_key_to_bytes(pk) == punctured_key_to_bytes(oracle)
+            assert pk == oracle
+
     def test_rejects_bad_sets(self):
         key = pprf_gen(4, 8, make_rng(0))
         with pytest.raises(ValueError):
@@ -367,6 +398,42 @@ class TestSerialization:
             patched(0, bytes([0])),                     # input width 0
         ]
         for bad in cases:
+            with pytest.raises(ValueError):
+                punctured_key_from_bytes(bad)
+
+    def test_punctured_decoder_rejects_non_canonical_encodings(self):
+        key = pprf_gen(8, 16, make_rng(18))
+        blob = punctured_key_to_bytes(pprf_puncture(key, [3, 200]))
+        head = bytearray(blob[:7])
+        points = blob[7 : 7 + 16]
+        nodes = [blob[off : off + 41] for off in range(7 + 16, len(blob), 41)]
+
+        def encoding(points, nodes):
+            head[5:7] = struct.pack("<H", len(nodes))
+            return bytes(head) + points + b"".join(nodes)
+
+        cases = [
+            encoding(points, nodes + nodes[:1]),         # first node repeated
+            encoding(points, nodes[:-1]),                # a node dropped
+            encoding(points, nodes[1:2] + nodes[:1] + nodes[2:]),  # nodes unsorted
+            encoding(points[8:] + points[:8], nodes),    # points unsorted
+        ]
+        assert encoding(points, nodes) == blob
+        for bad in cases:
+            with pytest.raises(ValueError):
+                punctured_key_from_bytes(bad)
+
+    def test_punctured_decoder_rejects_repeated_and_too_many_points(self):
+        key = pprf_gen(8, 16, make_rng(19))
+        blob = punctured_key_to_bytes(pprf_puncture(key, [3]))
+        repeated = struct.pack("<BHHH", 8, 16, 2, 8) + struct.pack("<QQ", 3, 3) \
+            + blob[7 + 8 :]
+        # canonical in every other respect, but past pprf_puncture's limit
+        points = range(0, 130, 2)
+        too_many = punctured_key_to_bytes(PuncturedKey(
+            tuple(points), {node: bytes(32) for node in _oracle_copath(8, points)},
+            8, 16))
+        for bad in (repeated, too_many):
             with pytest.raises(ValueError):
                 punctured_key_from_bytes(bad)
 
