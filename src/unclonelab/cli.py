@@ -543,9 +543,12 @@ def build_parser() -> tuple[_Parser, dict]:
 
 def _load_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # unlike OSError, the decoder's message does not name the file
+        raise UsageError(f"cannot read config file: {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -145,24 +145,15 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
 
 
 # Verified-link store, one per verify key, in the manner of SPHINCS path
-# reuse. It maps a tree node, (depth, prefix of m), to the parent key and the
-# link bytes that passed ots_verify there; the leaf check (y, isig) is node
-# (n, m). A lookup hits only when both are byte-equal to the stored ones, so a
-# hit stands for a check with exactly those inputs.
-def _link_verified(vk: TreeSigVerifyKey, node: tuple[int, int], parent: bytes,
-                   link: bytes, split: int) -> bool:
-    store = vk._verified
-    if store.get(node) == (parent, link):
-        return True
-    if not ots_verify(parent, link[:split], link[split:], vk.digest_bits):
-        return False
-    if len(store) < STORE_CAP:
-        store[node] = (parent, link)
-    return True
-
-
+# reuse. It maps a tree node, by its integer id prefix | 1 << depth, to the
+# parent key and the link bytes that passed ots_verify there; the leaf check
+# (y, isig) is node m | 1 << n. A hit is confirmed in place: the stored parent
+# must equal vk_root at depth 0, else the blob's on-path child key of the link
+# before, and the stored link the blob at its offset. So a hit stands for a
+# check with exactly those inputs; only a miss slices and calls ots_verify.
 def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
-    if not 0 <= m < (1 << vk.n):
+    n = vk.n
+    if not 0 <= m < (1 << n):
         return False
     vk_len = ots_vk_len(vk.digest_bits)
     sig_len = ots_sig_len(vk.digest_bits)
@@ -172,23 +163,38 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
     else:
         # check every field: joined, mis-sized fields could shift into a
         # blob of valid length
-        if (len(sig.links) != vk.n
+        if (len(sig.links) != n
                 or any(tuple(map(len, link)) != (vk_len, vk_len, sig_len)
                        for link in sig.links)
                 or len(sig.y) != tag_len or len(sig.isig) != sig_len):
             return False
         sig = sig.to_bytes()
-    if len(sig) != signature_len(vk.n, vk.digest_bits, vk.tag_bits):
+    if len(sig) != signature_len(n, vk.digest_bits, vk.tag_bits):
         return False
+    store = vk._verified
     step = 2 * vk_len + sig_len
-    current = vk.vk_root
-    for t in range(vk.n):
-        link = sig[t * step : (t + 1) * step]
-        if not _link_verified(vk, (t, m >> (vk.n - t)), current, link, 2 * vk_len):
-            return False
-        side = (m >> (vk.n - 1 - t)) & 1
-        current = link[side * vk_len : (side + 1) * vk_len]
-    return _link_verified(vk, (vk.n, m), current, sig[vk.n * step :], tag_len)
+    parent_at = -1  # offset of the parent key in sig; -1 stands for vk_root
+    for t in range(n + 1):
+        off = t * step
+        node = m >> (n - t) | 1 << t
+        hit = store.get(node)
+        if (hit is None
+                or not (hit[0] == vk.vk_root if parent_at < 0
+                        else sig.startswith(hit[0], parent_at))
+                or not sig.startswith(hit[1], off)):
+            parent = (vk.vk_root if parent_at < 0
+                      else sig[parent_at : parent_at + vk_len])
+            if t < n:
+                link, split = sig[off : off + step], 2 * vk_len
+            else:
+                link, split = sig[off:], tag_len
+            if not ots_verify(parent, link[:split], link[split:], vk.digest_bits):
+                return False
+            if len(store) < STORE_CAP:
+                store[node] = (parent, link)
+        if t < n:
+            parent_at = off + (m >> (n - 1 - t) & 1) * vk_len
+    return True
 
 
 class QueryBudgetExceeded(RuntimeError):

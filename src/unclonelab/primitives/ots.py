@@ -81,12 +81,14 @@ def ots_sign(keypair: OtsKeypair, message: bytes) -> bytes:
 
 
 def ots_verify(vk_bytes: bytes, message: bytes, sig: bytes, L: int) -> bool:
-    if len(vk_bytes) != ots_vk_len(L) or len(sig) != ots_sig_len(L):
+    if (not 1 <= L <= 256 or len(vk_bytes) != ots_vk_len(L)
+            or len(sig) != ots_sig_len(L)):
         return False
-    bits = _digest_bits(message, L)
-    for i, bit in enumerate(bits):
-        pre = sig[32 * i : 32 * (i + 1)]
-        want = vk_bytes[32 * (bit * L + i) : 32 * (bit * L + i + 1)]
-        if sha256(pre) != want:
+    # position i's bit is digest bit 255 - i; read each as it is needed and
+    # stop at the first preimage that does not hash to its vk entry
+    digest = int.from_bytes(sha256(message), "big")
+    for i in range(L):
+        at = 32 * ((digest >> (255 - i) & 1) * L + i)
+        if not vk_bytes.startswith(sha256(sig[32 * i : 32 * i + 32]), at):
             return False
     return True

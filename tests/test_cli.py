@@ -253,6 +253,14 @@ class TestConfigFile:
                                          "--config", "/nonexistent.cfg"])
         assert code == 1
 
+    def test_undecodable_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"trials=\xff\n")
+        code, _, err = _capture(capsys, ["coin", "demo", "--seed", "1",
+                                         "--config", str(path)])
+        assert code == 1
+        assert f"cannot read config file: {path}:" in err
+
 
 class TestRunApi:
     def test_programmatic_run(self, tmp_path, capsys):

@@ -2,13 +2,17 @@
 key-derivation oracle, tamper rejection, and the toy plus-one game."""
 
 import dataclasses
+import functools
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unclonelab import detsig
 from unclonelab.hilbert import HybridState
-from unclonelab.primitives import ots_setup_from_seed, ots_sig_len, ots_verify, ots_vk_len, pprf_eval
+from unclonelab.primitives import hashes, ots_setup_from_seed, ots_sig_len, ots_verify, ots_vk_len, pprf_eval
+from unclonelab.primitives import ots as ots_module
 from unclonelab.rng import make_rng
 
 GOLDEN_VK_ROOT_SHA256 = "30ac69e5295e8115145677e7e80f888a743763e5137bcb539780b1d3ab8e53da"
@@ -108,6 +112,18 @@ class TestSignVerify:
         with pytest.raises(ValueError):
             detsig.sign(sk, 16)
         assert not detsig.verify(vk, 16, detsig.sign(sk, 3))
+
+    @pytest.mark.parametrize("digest_bits", (0, 257, 300))
+    def test_digest_width_out_of_range_rejected(self, digest_bits):
+        # at width 0 every link and the leaf check are empty, so a 1-byte
+        # blob (the tag) would pass for every message
+        vk = detsig.TreeSigVerifyKey(bytes(ots_vk_len(digest_bits)), 4,
+                                     digest_bits, 8)
+        size = detsig.signature_len(4, digest_bits, 8)
+        for m in range(16):
+            for fill in (0, m, 255):
+                assert not detsig.verify(vk, m, bytes([fill]) * size)
+        assert not vk._verified
 
     def test_every_message_bit_flip_rejected(self):
         rng = make_rng(7)
@@ -288,6 +304,131 @@ class TestVerifiedLinkStore:
             assert not detsig.verify(vk, m, _flip(blob, 8 * len(blob) - 1))
             assert not detsig.verify(vk, m, _flip(blob, 0))
         assert len(vk._verified) == 6
+
+
+class TestVerifyWork:
+    """Hash and one-time-check counts of verify; they do not depend on the
+    hardware. A warm store confirms honest links without hashing, and a
+    tampered link costs one ots_verify that stops at its first bad preimage."""
+
+    n, digest_bits, tag_bits = 4, 24, 16
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        hashed, checks = [], []
+        real_sha, real_check = hashes.sha256, detsig.ots_verify
+
+        def sha256(data):
+            hashed.append(data)
+            return real_sha(data)
+
+        def ots_verify(*args):
+            checks.append(args)
+            return real_check(*args)
+
+        monkeypatch.setattr(hashes, "sha256", sha256)
+        monkeypatch.setattr(ots_module, "sha256", sha256)
+        monkeypatch.setattr(detsig, "ots_verify", ots_verify)
+        return hashed, checks
+
+    def _layout(self):
+        vk_len, sig_len = ots_vk_len(self.digest_bits), ots_sig_len(self.digest_bits)
+        step = 2 * vk_len + sig_len
+        # (offset, message length) of link t's check; t = n is the leaf
+        return [(t * step, 2 * vk_len) for t in range(self.n)] + \
+            [(self.n * step, self.tag_bits // 8)]
+
+    def _first_bad(self, message, tampered_message, preimage):
+        # the first position whose digest bit changed, or the flipped preimage
+        old = int.from_bytes(hashlib.sha256(message).digest(), "big")
+        new = int.from_bytes(hashlib.sha256(tampered_message).digest(), "big")
+        changed = [i for i in range(self.digest_bits)
+                   if (old ^ new) >> (255 - i) & 1]
+        return min(changed + ([preimage] if preimage is not None else []))
+
+    def test_warm_honest_verify_hashes_nothing(self, counted):
+        hashed, checks = counted
+        vk, sk = detsig.setup(self.n, self.tag_bits, make_rng(30),
+                              digest_bits=self.digest_bits)
+        for m in (5, 12):
+            sig = detsig.sign(sk, m)
+            assert detsig.verify(vk, m, sig)
+            hashed.clear()
+            checks.clear()
+            assert detsig.verify(vk, m, sig.to_bytes())
+            assert detsig.verify(vk, m, sig)
+            assert (len(hashed), len(checks)) == (0, 0)
+
+    def test_one_flipped_bit_costs_one_check_on_its_link(self, counted):
+        hashed, checks = counted
+        vk, sk = detsig.setup(self.n, self.tag_bits, make_rng(31),
+                              digest_bits=self.digest_bits)
+        m = 0b0110
+        blob = detsig.sign(sk, m).to_bytes()
+        assert detsig.verify(vk, m, blob)
+        vk_len = ots_vk_len(self.digest_bits)
+        parents = [vk.vk_root] + [
+            blob[off + (m >> (self.n - 1 - t) & 1) * vk_len:][:vk_len]
+            for t, (off, _) in enumerate(self._layout()[:-1])]
+        before = dict(vk._verified)
+        for t, (off, msg_len) in enumerate(self._layout()):
+            end = off + msg_len + ots_sig_len(self.digest_bits)
+            # a flip in the signed message, then one in preimages 0, 9, L - 1
+            for byte, preimage in ((off + msg_len // 2, None),
+                                   (off + msg_len, 0),
+                                   (off + msg_len + 32 * 9 + 5, 9),
+                                   (end - 1, self.digest_bits - 1)):
+                tampered = _flip(blob, 8 * byte + 3)
+                hashed.clear()
+                checks.clear()
+                assert not detsig.verify(vk, m, tampered)
+                assert len(checks) == 1
+                parent, message, sig, width = checks[0]
+                assert parent == parents[t]
+                assert message + sig == tampered[off:end]
+                assert width == self.digest_bits
+                first_bad = self._first_bad(blob[off : off + msg_len], message,
+                                            preimage)
+                assert len(hashed) == 1 + first_bad + 1
+        assert vk._verified == before
+
+
+@functools.cache
+def _tamper_fixture():
+    vk, sk = detsig.setup(4, 16, make_rng(32), digest_bits=24)
+    blobs = [detsig.sign(sk, m).to_bytes() for m in range(16)]
+    warm = dataclasses.replace(vk)
+    assert all(detsig.verify(warm, m, blob) for m, blob in enumerate(blobs))
+    return vk, blobs, dict(warm._verified)
+
+
+_SIG_BITS = 8 * detsig.signature_len(4, 24, 16)
+
+
+class TestTamperProperty:
+    """One flipped bit anywhere in a signature is rejected, whatever the
+    store holds, and leaves nothing in the store that an honest signature
+    would not put there."""
+
+    @given(m=st.integers(0, 15), bit=st.integers(0, _SIG_BITS - 1))
+    def test_cold_store(self, m, bit):
+        vk, blobs, honest = _tamper_fixture()
+        cold = dataclasses.replace(vk)
+        assert not detsig.verify(cold, m, _flip(blobs[m], bit))
+        # links before the flipped one pass and may be stored; only those
+        assert cold._verified.items() <= honest.items()
+        assert detsig.verify(cold, m, blobs[m])
+
+    @given(m=st.integers(0, 15), bit=st.integers(0, _SIG_BITS - 1))
+    def test_warm_store(self, m, bit):
+        vk, blobs, honest = _tamper_fixture()
+        warm = dataclasses.replace(vk)
+        for other, blob in enumerate(blobs):
+            assert detsig.verify(warm, other, blob)
+        assert warm._verified == honest
+        assert not detsig.verify(warm, m, _flip(blobs[m], bit))
+        assert warm._verified == honest
+        assert detsig.verify(warm, m, blobs[m])
 
 
 def _honest_pairs(oracle, messages):

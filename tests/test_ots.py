@@ -14,6 +14,7 @@ from unclonelab.primitives import (
     ots_verify,
     ots_vk_len,
 )
+from unclonelab.primitives import ots as ots_module
 from unclonelab.rng import make_rng
 
 FIXED_SEED = bytes(range(32))
@@ -143,3 +144,34 @@ class TestSignVerify:
         assert not ots_verify(kp.vk_bytes(), b"msg", sig[:-1], 16)
         assert not ots_verify(kp.vk_bytes()[:-1], b"msg", sig, 16)
         assert not ots_verify(kp.vk_bytes(), b"msg", sig + b"\x00", 16)
+
+    def test_digest_length_out_of_range_returns_false(self):
+        # L = 0 would accept an empty signature for every message, and
+        # L > 256 asks for more digest bits than SHA-256 has
+        for L in (0, 257, 300):
+            vk, sig = bytes(ots_vk_len(L)), bytes(ots_sig_len(L))
+            for msg in (b"", b"m"):
+                assert not ots_verify(vk, msg, sig, L)
+
+    def test_rejection_stops_at_first_bad_preimage(self, monkeypatch):
+        # one hash for the message digest, then one per preimage up to and
+        # including the first that does not match
+        calls = []
+        real = ots_module.sha256
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(ots_module, "sha256", counting)
+        kp = ots_gen(24, make_rng(13))
+        sig = ots_sign(kp, b"msg")
+        for j in range(24):
+            bad = bytearray(sig)
+            bad[32 * j] ^= 1
+            calls.clear()
+            assert not ots_verify(kp.vk_bytes(), b"msg", bytes(bad), 24)
+            assert len(calls) == 1 + j + 1
+        calls.clear()
+        assert ots_verify(kp.vk_bytes(), b"msg", sig, 24)
+        assert len(calls) == 1 + 24
