@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .states import PROB_FLOOR, StateVector
+from .states import PROB_FLOOR, StateVector, born_sample
 
 __all__ = ["HybridState"]
 
@@ -60,24 +60,21 @@ class HybridState:
 
     __slots__ = ("payload_qubits", "_branches")
 
-    def __init__(self, payload_qubits: int, branches: Mapping[_Label, np.ndarray], _trusted=False):
+    def __init__(self, payload_qubits: int, branches: Mapping[_Label, np.ndarray]):
         if payload_qubits < 0:
             raise ValueError("payload_qubits must be non-negative")
         dim = 1 << payload_qubits
         clean: dict[_Label, np.ndarray] = {}
-        if _trusted:
-            clean = dict(branches)
-        else:
-            for label, vec in branches.items():
-                label = _check_label(label)
-                vec = np.asarray(vec, dtype=np.complex128).reshape(dim).copy()
-                if np.linalg.norm(vec) >= PROB_FLOOR:
-                    vec.setflags(write=False)
-                    clean[label] = vec
+        for label, vec in branches.items():
+            label = _check_label(label)
+            vec = np.asarray(vec, dtype=np.complex128).reshape(dim).copy()
+            if not np.linalg.norm(vec) < PROB_FLOOR:  # keeps NaN for the check below
+                vec.setflags(write=False)
+                clean[label] = vec
         object.__setattr__(self, "payload_qubits", payload_qubits)
         object.__setattr__(self, "_branches", clean)
         norm = self.norm()
-        if abs(norm - 1.0) > 1e-7:
+        if not abs(norm - 1.0) <= 1e-7:  # also rejects NaN and inf
             raise ValueError(f"hybrid state not normalized: norm = {norm}")
 
     def __setattr__(self, name, value):
@@ -185,10 +182,7 @@ class HybridState:
             key = proj(label)
             groups[key] = groups.get(key, 0.0) + float(np.linalg.norm(vec) ** 2)
         keys = sorted(groups, key=_label_sort_key)
-        probs = np.array([groups[k] for k in keys])
-        probs = np.where(probs < PROB_FLOOR, 0.0, probs)
-        probs = probs / probs.sum()
-        observed = keys[int(rng.choice(len(keys), p=probs))]
+        observed = keys[born_sample(np.array([groups[k] for k in keys]), rng)]
         kept = {l: v for l, v in self._branches.items() if proj(l) == observed}
         total = np.sqrt(sum(np.linalg.norm(v) ** 2 for v in kept.values()))
         kept = {l: v / total for l, v in kept.items()}
@@ -202,16 +196,14 @@ class HybridState:
         probs = np.zeros(dim)
         for vec in self._branches.values():
             probs += np.abs(vec) ** 2
-        probs = np.where(probs < PROB_FLOOR, 0.0, probs)
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(dim, p=probs))
+        outcome = born_sample(probs, rng)
         kept: dict[_Label, np.ndarray] = {}
         for label, vec in self._branches.items():
             new = np.zeros(dim, dtype=np.complex128)
             new[outcome] = vec[outcome]
             kept[label] = new
         total = np.sqrt(sum(np.linalg.norm(v) ** 2 for v in kept.values()))
-        kept = {l: v / total for l, v in kept.items() if np.linalg.norm(v) >= PROB_FLOOR}
+        kept = {l: v / total for l, v in kept.items()}
         return outcome, HybridState(self.payload_qubits, kept)
 
     # -- conversion ---------------------------------------------------------

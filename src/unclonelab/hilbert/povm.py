@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import DensityOperator, PROB_FLOOR, StateVector
+from .states import DensityOperator, StateVector, born_sample
 
 __all__ = [
     "EIG_TOL",
@@ -166,10 +166,7 @@ def measure_projimp(
     dim = state.dim if isinstance(state, StateVector) else state.dim
     if dim != pi.dim:
         raise ValueError("state and measurement dimensions differ")
-    probs = _projimp_probabilities(pi, state)
-    probs = np.where(probs < PROB_FLOOR, 0.0, probs)
-    probs = probs / probs.sum()
-    idx = int(rng.choice(len(probs), p=probs))
+    idx = born_sample(_projimp_probabilities(pi, state), rng)
     proj = pi.projectors[idx]
     if isinstance(state, StateVector):
         v = proj @ state.amplitudes
@@ -225,9 +222,7 @@ def measure_register_projective(
     probs = np.array([float(np.linalg.norm(b) ** 2) for b in branches])
     if abs(probs.sum() - 1.0) > 1e-7:
         raise ValueError("projector family does not resolve the register identity")
-    probs = np.where(probs < PROB_FLOOR, 0.0, probs)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
+    outcome = born_sample(probs, rng)
     post = branches[outcome] / np.linalg.norm(branches[outcome])
     return outcome, post
 

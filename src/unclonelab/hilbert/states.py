@@ -33,6 +33,7 @@ __all__ = [
     "reg_qubits",
     "apply_oracle",
     "born_probabilities",
+    "born_sample",
     "measure",
     "swap_test",
     "sample_swap_test",
@@ -61,6 +62,19 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _dense_dim(num_qubits: int) -> int:
+    """2^num_qubits, once the count is checked against the dense cap."""
+    if num_qubits < 0:
+        raise ValueError("num_qubits must be non-negative")
+    dim = 1 << num_qubits
+    if dim > MAX_STATE_AMPLITUDES:
+        raise ValueError(
+            f"state of {num_qubits} qubits exceeds the dense cap of "
+            f"{MAX_STATE_AMPLITUDES} amplitudes"
+        )
+    return dim
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state on num_qubits qubits."""
@@ -69,14 +83,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 0:
-            raise ValueError("num_qubits must be non-negative")
-        dim = 1 << self.num_qubits
-        if dim > MAX_STATE_AMPLITUDES:
-            raise ValueError(
-                f"state of {self.num_qubits} qubits exceeds the dense cap of "
-                f"{MAX_STATE_AMPLITUDES} amplitudes"
-            )
+        dim = _dense_dim(self.num_qubits)
         arr = _frozen_array(self.amplitudes, np.complex128)
         if arr.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got {arr.shape}")
@@ -252,14 +259,19 @@ def born_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     return np.bincount(outcomes, weights=state.probabilities(), minlength=1 << len(qubits))
 
 
+def born_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an outcome index from Born weights: weights below PROB_FLOOR are
+    impossible, and the rest are renormalized before sampling."""
+    probs = np.where(probs < PROB_FLOOR, 0.0, probs)
+    probs = probs / probs.sum()
+    return int(rng.choice(len(probs), p=probs))
+
+
 def measure(
     state: StateVector, qubits: Sequence[int], rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Computational-basis measurement; returns (outcome, collapsed state)."""
-    probs = born_probabilities(state, qubits)
-    probs = np.where(probs < PROB_FLOOR, 0.0, probs)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
+    outcome = born_sample(born_probabilities(state, qubits), rng)
     indices = np.arange(state.dim, dtype=np.int64)
     keep = _gather_bits(indices, state.num_qubits, qubits) == outcome
     amps = np.where(keep, state.amplitudes, 0.0)
@@ -294,7 +306,7 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 def haar_sample(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state (normalized complex Gaussian vector)."""
-    dim = 1 << num_qubits
+    dim = _dense_dim(num_qubits)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(num_qubits, v / np.linalg.norm(v))
 

@@ -47,6 +47,10 @@ class GenStateSpec:
     payload_qubits: int
     generator: Callable[[bytes, bytes], StateVector]
 
+    def __post_init__(self):
+        if self.payload_qubits > MAX_PAYLOAD_QUBITS:
+            raise ValueError(f"payload limited to {MAX_PAYLOAD_QUBITS} qubits")
+
     def payload(self, rand: bytes) -> StateVector:
         state = self.generator(self.z, rand)
         if state.num_qubits != self.payload_qubits:
@@ -70,8 +74,6 @@ def purified_state(spec: GenStateSpec, prs_key: PrsKey, pprf_key: PprfKey) -> Hy
     n = prs_key.n
     if n > MAX_LABEL_BITS:
         raise ValueError(f"label register limited to {MAX_LABEL_BITS} bits")
-    if spec.payload_qubits > MAX_PAYLOAD_QUBITS:
-        raise ValueError(f"payload limited to {MAX_PAYLOAD_QUBITS} qubits")
     if pprf_key.input_bits != n:
         raise ValueError("PRF input width must match the label register")
     if pprf_key.output_bits != spec.randomness_bits:

@@ -106,7 +106,7 @@ class DeskDecryptors:
                 )
         if self.state.shape != (int(np.prod(self.dims)),):
             raise ValueError("state length must match the register dims")
-        if abs(np.linalg.norm(self.state) - 1.0) > _NORM_ATOL:
+        if not abs(np.linalg.norm(self.state) - 1.0) <= _NORM_ATOL:  # and NaN too
             raise ValueError("state must be normalized")
 
 
@@ -136,143 +136,110 @@ def _check_decryptors(decs, count: int) -> DeskDecryptors:
 
 
 def _measure_register_basis(vec, dims, idx, rng):
-    d = dims[idx]
-    projectors = []
-    for z in range(d):
-        p = np.zeros((d, d))
-        p[z, z] = 1.0
-        projectors.append(p)
+    projectors = [np.diag(row) for row in np.eye(dims[idx])]
     return measure_register_projective(vec, dims, idx, projectors, rng)
 
 
-def _answer_projector(decoder, challenge, expected, dim: int) -> np.ndarray:
-    proj = np.zeros((dim, dim))
-    for z in range(dim):
-        if decoder(challenge, z) == expected:
-            proj[z, z] = 1.0
-    return proj
-
-
-def _cpa_test_povm(sde, pair, decoder, dim, samples, rng):
-    # balanced over the coin: a blind decoder sits at exactly 1/2
-    weight = 1.0 / (2 * samples)
-    components = []
-    for _ in range(samples):
-        for coin in (0, 1):
-            ct = sde_enc(sde, sde.pk, pair[coin], rng)
-            components.append((weight, _answer_projector(decoder, ct, coin, dim)))
-    return mixture_povm(components)
-
-
-def _search_test_povm(sde, decoder, dim, samples, rng):
-    weight = 1.0 / samples
-    components = []
-    for _ in range(samples):
-        m = _random_message(sde.config, rng)
+def _challenge_povm(sde, decoder, dim, challenges, rng):
+    """Equal-weight mixture over the drawn (message, expected answer) pairs
+    of the projector onto the basis indices whose decoded answer to a fresh
+    encryption of the message is the expected one."""
+    projectors = []
+    for m, expected in challenges:
         ct = sde_enc(sde, sde.pk, m, rng)
-        components.append((weight, _answer_projector(decoder, ct, m, dim)))
-    return mixture_povm(components)
-
-
-def _issue_keys(q, rng, config, transcript):
-    sde = sde_setup(config, rng)
-    transcript.append("step 1: setup ran; public key sent to adversary")
-    sks = tuple(sde_kg(sde, sde.msk, rng) for _ in range(q))
-    transcript.append(
-        f"step 2: adversary sent 1^{q}; {q} decryption keys issued and sent"
-    )
-    return sde, sks
-
-
-def _run_strong_anti_piracy(adversary, q, gamma, rng, config, samples):
-    transcript: list[str] = []
-    sde, sks = _issue_keys(q, rng, config, transcript)
-    view = GameView(game="strong-anti-piracy", q=q, gamma=gamma, config=config,
-                    rng=rng, sde=sde, pk=sde.pk, sks=sks)
-    out = adversary(view)
-    if not isinstance(out, tuple) or len(out) != 2:
-        raise ValueError("adversary must return (message_pairs, decryptors)")
-    raw_pairs, decs = out
-    pairs = tuple(
-        (message_to_bytes(config, a), message_to_bytes(config, b))
-        for a, b in raw_pairs
-    )
-    if len(pairs) != q + 1:
-        raise ValueError(f"adversary returned {len(pairs)} message pairs, need {q + 1}")
-    decs = _check_decryptors(decs, q + 1)
-    transcript.append(
-        f"step 3: adversary returned {q + 1} message pairs and {q + 1} decryptors"
-    )
-    vec = decs.state
-    bits = []
-    for i in range(q + 1):
-        povm = _cpa_test_povm(sde, pairs[i], decs.decoders[i], decs.dims[i],
-                              samples, rng)
-        bit, vec = threshold_measure_register(povm, 0.5 + gamma, vec, decs.dims,
-                                              i, rng)
-        bits.append(int(bit))
-        transcript.append(
-            f"step 4: distinguishing test on decryptor {i + 1}: pass={bit}"
+        projectors.append(
+            np.diag([float(decoder(ct, z) == expected) for z in range(dim)])
         )
-    game_bit = int(all(bits))
-    transcript.append(f"game bit: {game_bit}")
-    return game_bit, bits, transcript
+    weight = 1.0 / len(projectors)
+    return mixture_povm([(weight, proj) for proj in projectors])
 
 
-def _run_strong_search(adversary, q, gamma, rng, config, samples):
-    transcript: list[str] = []
-    sde, sks = _issue_keys(q, rng, config, transcript)
-    view = GameView(game="strong-search", q=q, gamma=gamma, config=config,
-                    rng=rng, sde=sde, pk=sde.pk, sks=sks)
-    decs = _check_decryptors(adversary(view), q + 1)
-    transcript.append(f"step 3: adversary returned {q + 1} decryptors")
-    threshold = 1.0 / (1 << config.message_bits) + gamma
-    vec = decs.state
-    bits = []
-    for i in range(q + 1):
-        povm = _search_test_povm(sde, decs.decoders[i], decs.dims[i], samples, rng)
-        bit, vec = threshold_measure_register(povm, threshold, vec, decs.dims,
-                                              i, rng)
-        bits.append(int(bit))
-        transcript.append(f"step 4: search test on decryptor {i + 1}: pass={bit}")
-    game_bit = int(all(bits))
-    transcript.append(f"game bit: {game_bit}")
-    return game_bit, bits, transcript
-
-
-def _run_identical_challenge(adversary, q, gamma, rng, config, samples):
-    transcript: list[str] = []
-    sde, sks = _issue_keys(q, rng, config, transcript)
-    view = GameView(game="identical-challenge", q=q, gamma=gamma, config=config,
-                    rng=rng, sde=sde, pk=sde.pk, sks=sks)
-    decs = _check_decryptors(adversary(view), q + 1)
-    transcript.append(f"step 3: adversary returned {q + 1} decryptors")
-    m = _random_message(config, rng)
-    ct = sde_enc(sde, sde.pk, m, rng)
-    transcript.append("step 4: challenge message sampled and encrypted once")
-    vec = decs.state
-    bits = []
-    for i in range(q + 1):
+def _decode_test(decs, challenge, expected, rng):
+    """Register test: measure in the computational basis, then decode."""
+    def test(i, vec):
         z, vec = _measure_register_basis(vec, decs.dims, i, rng)
-        bits.append(int(decs.decoders[i](ct, z) == m))
-        transcript.append(
-            f"step 4: decryptor {i + 1} ran on the common ciphertext: "
-            f"match={bits[-1]}"
-        )
+        return decs.decoders[i](challenge, z) == expected, vec
+
+    return test
+
+
+def _test_registers(decs, test, line, transcript):
+    """Run test(i, vec) -> (bit, vec) on each register in order, threading
+    the post-measurement state through; the game bit is the AND."""
+    vec = decs.state
+    bits = []
+    for i in range(len(decs.decoders)):
+        bit, vec = test(i, vec)
+        bits.append(int(bit))
+        transcript.append(line.format(i=i + 1, bit=bits[-1]))
     game_bit = int(all(bits))
     transcript.append(f"game bit: {game_bit}")
     return game_bit, bits, transcript
 
 
-def _run_ue_game(adversary, q, gamma, rng, config, *, exact_copies: bool):
-    name = "multi-copy-ue" if exact_copies else "multi-challenge-ue"
-    transcript: list[str] = []
+def _run_key_game(game, adversary, q, gamma, rng, config, samples):
+    sde = sde_setup(config, rng)
+    sks = tuple(sde_kg(sde, sde.msk, rng) for _ in range(q))
+    transcript = [
+        "step 1: setup ran; public key sent to adversary",
+        f"step 2: adversary sent 1^{q}; {q} decryption keys issued and sent",
+    ]
+    out = adversary(GameView(game=game, q=q, gamma=gamma, config=config,
+                             rng=rng, sde=sde, pk=sde.pk, sks=sks))
+    n = q + 1
+    pairs = None
+    if game == "strong-anti-piracy":
+        if not isinstance(out, tuple) or len(out) != 2:
+            raise ValueError("adversary must return (message_pairs, decryptors)")
+        raw_pairs, out = out
+        pairs = tuple(
+            (message_to_bytes(config, a), message_to_bytes(config, b))
+            for a, b in raw_pairs
+        )
+        if len(pairs) != n:
+            raise ValueError(f"adversary returned {len(pairs)} message pairs, need {n}")
+    decs = _check_decryptors(out, n)
+    returned = f"{n} message pairs and " if pairs else ""
+    transcript.append(f"step 3: adversary returned {returned}{n} decryptors")
+    if game == "identical-challenge":
+        m = _random_message(config, rng)
+        ct = sde_enc(sde, sde.pk, m, rng)
+        transcript.append("step 4: challenge message sampled and encrypted once")
+        return _test_registers(
+            decs, _decode_test(decs, ct, m, rng),
+            "step 4: decryptor {i} ran on the common ciphertext: match={bit}",
+            transcript)
+    if pairs:
+        # balanced over the coin: a blind decoder sits at exactly 1/2
+        def draw(i):
+            return ((pairs[i][c], c) for _ in range(samples) for c in (0, 1))
+
+        threshold = 0.5 + gamma
+        line = "step 4: distinguishing test on decryptor {i}: pass={bit}"
+    else:
+        def draw(i):
+            return ((m, m) for _ in range(samples)
+                    for m in (_random_message(config, rng),))
+
+        threshold = 1.0 / (1 << config.message_bits) + gamma
+        line = "step 4: search test on decryptor {i}: pass={bit}"
+
+    def test(i, vec):
+        povm = _challenge_povm(sde, decs.decoders[i], decs.dims[i], draw(i), rng)
+        return threshold_measure_register(povm, threshold, vec, decs.dims, i, rng)
+
+    return _test_registers(decs, test, line, transcript)
+
+
+def _run_ue_game(game, adversary, q, gamma, rng, config, samples):
     sde = sde_setup(config, rng)
     keys = ue_kg(sde, rng)
-    transcript.append("step 1: key generation ran; security parameter sent")
-    transcript.append(f"step 2: adversary sent 1^{q}")
+    transcript = [
+        "step 1: key generation ran; security parameter sent",
+        f"step 2: adversary sent 1^{q}",
+    ]
     m = _random_message(config, rng)
-    if exact_copies:
+    if game == "multi-copy-ue":
         kg_randomness = rng.bytes(32)
         cts = tuple(
             ue_enc(sde, keys.ek, m, kg_randomness=kg_randomness) for _ in range(q)
@@ -296,37 +263,21 @@ def _run_ue_game(adversary, q, gamma, rng, config, *, exact_copies: bool):
         transcript.append(
             f"step 3: one message sampled; {q} independent ciphertexts sent"
         )
-    view = GameView(game=name, q=q, gamma=gamma, config=config, rng=rng,
+    view = GameView(game=game, q=q, gamma=gamma, config=config, rng=rng,
                     sde=sde, cts=cts)
     decs = _check_decryptors(adversary(view), q + 1)
     transcript.append(f"step 4: adversary split its state into {q + 1} registers")
-    vec = decs.state
-    bits = []
-    for i in range(q + 1):
-        z, vec = _measure_register_basis(vec, decs.dims, i, rng)
-        bits.append(int(decs.decoders[i](keys.dk, z) == m))
-        transcript.append(
-            f"step 5: decryption key sent to party {i + 1}: match={bits[-1]}"
-        )
-    game_bit = int(all(bits))
-    transcript.append(f"game bit: {game_bit}")
-    return game_bit, bits, transcript
-
-
-def _run_multi_challenge_ue(adversary, q, gamma, rng, config, samples):
-    return _run_ue_game(adversary, q, gamma, rng, config, exact_copies=False)
-
-
-def _run_multi_copy_ue(adversary, q, gamma, rng, config, samples):
-    return _run_ue_game(adversary, q, gamma, rng, config, exact_copies=True)
+    return _test_registers(
+        decs, _decode_test(decs, keys.dk, m, rng),
+        "step 5: decryption key sent to party {i}: match={bit}", transcript)
 
 
 _RUNNERS = {
-    "strong-anti-piracy": _run_strong_anti_piracy,
-    "strong-search": _run_strong_search,
-    "identical-challenge": _run_identical_challenge,
-    "multi-challenge-ue": _run_multi_challenge_ue,
-    "multi-copy-ue": _run_multi_copy_ue,
+    "strong-anti-piracy": _run_key_game,
+    "strong-search": _run_key_game,
+    "identical-challenge": _run_key_game,
+    "multi-challenge-ue": _run_ue_game,
+    "multi-copy-ue": _run_ue_game,
 }
 
 
@@ -361,8 +312,8 @@ def run_game(game: str, adversary, q: int, gamma: float,
     wins = 0
     last = None
     for _ in range(trials):
-        game_bit, bits, transcript = runner(adversary, q, gamma, rng, config,
-                                            challenge_samples)
+        game_bit, bits, transcript = runner(game, adversary, q, gamma, rng,
+                                            config, challenge_samples)
         wins += game_bit
         last = (game_bit, bits, transcript)
     rate = wins / trials
@@ -384,115 +335,78 @@ def run_game(game: str, adversary, q: int, gamma: float,
 # -- example adversaries -------------------------------------------------------
 
 
-def _classical_registers(count: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    # decryptors with no quantum memory: every register is trivial
-    return np.ones(1, dtype=np.complex128), (1,) * count
+def _decoder(view: GameView, i: int):
+    """Party i's decoder: the i-th issued key decrypts the challenge
+    ciphertext, or the challenge decryption key opens the i-th received
+    ciphertext. The distinguishing game answers the coin of the (0, 1) pair."""
+    sde, blank = view.sde, bytes(view.config.msg_len)
+    if view.sks is None:
+        def run(dk):
+            return ue_dec(sde, dk, view.cts[i])
+    else:
+        def run(ct):
+            return sde_dec(sde, view.sks[i], ct)
+    if view.game == "strong-anti-piracy":
+        zero = message_to_bytes(view.config, 0)
+        return lambda ct, z: 0 if run(ct) == zero else 1
 
-
-def _key_cpa_decoder(sde, sk, pair):
-    def decode(ct, z):
-        return 0 if sde_dec(sde, sk, ct) == pair[0] else 1
-
-    return decode
-
-
-def _key_search_decoder(sde, sk):
-    blank = bytes(sde.config.msg_len)
-
-    def decode(ct, z):
-        m = sde_dec(sde, sk, ct)
+    def decode(challenge, z):
+        m = run(challenge)
         return m if m is not FAIL else blank
 
     return decode
 
 
-def _ct_ue_decoder(sde, ct):
-    blank = bytes(sde.config.msg_len)
-
-    def decode(dk, z):
-        m = ue_dec(sde, dk, ct)
-        return m if m is not FAIL else blank
-
-    return decode
+def _reply(view: GameView, decoders, state=None, dims=None):
+    """The adversary's answer. Registers default to trivial ones (decryptors
+    with no quantum memory); the distinguishing game also gets the (0, 1)
+    message pair for each party."""
+    if state is None:
+        state, dims = np.ones(1, dtype=np.complex128), (1,) * len(decoders)
+    decs = DeskDecryptors(state, dims, decoders)
+    if view.game == "strong-anti-piracy":
+        return ((0, 1),) * len(decoders), decs
+    return decs
 
 
 def honest_forwarder(view: GameView):
     """Each issued key (or received ciphertext) powers one decryptor; the
     one extra party answers blind, so the full game should fail."""
-    q = view.q
-    state, dims = _classical_registers(q + 1)
-    if view.game == "strong-anti-piracy":
-        pair = (message_to_bytes(view.config, 0), message_to_bytes(view.config, 1))
-        decoders = tuple(_key_cpa_decoder(view.sde, sk, pair) for sk in view.sks)
-        decoders += (lambda ct, z: 0,)
-        pairs = tuple(pair for _ in range(q + 1))
-        return pairs, DeskDecryptors(state, dims, decoders)
-    blank = bytes(view.config.msg_len)
-    if view.game in ("strong-search", "identical-challenge"):
-        decoders = tuple(_key_search_decoder(view.sde, sk) for sk in view.sks)
-    else:
-        decoders = tuple(_ct_ue_decoder(view.sde, ct) for ct in view.cts)
-    decoders += (lambda ch, z: blank,)
-    return DeskDecryptors(state, dims, decoders)
+    blind = 0 if view.game == "strong-anti-piracy" else bytes(view.config.msg_len)
+    decoders = tuple(_decoder(view, i) for i in range(view.q))
+    return _reply(view, decoders + (lambda ch, z: blind,))
 
 
 def perfect_decryptors(view: GameView):
     """All q+1 parties share one key. Classical mock keys copy freely, so
     every test passes: the harness exercises wiring, not security."""
-    q = view.q
-    state, dims = _classical_registers(q + 1)
-    if view.game == "strong-anti-piracy":
-        pair = (message_to_bytes(view.config, 0), message_to_bytes(view.config, 1))
-        decoders = tuple(
-            _key_cpa_decoder(view.sde, view.sks[0], pair) for _ in range(q + 1)
-        )
-        pairs = tuple(pair for _ in range(q + 1))
-        return pairs, DeskDecryptors(state, dims, decoders)
-    if view.game in ("strong-search", "identical-challenge"):
-        decoders = tuple(
-            _key_search_decoder(view.sde, view.sks[0]) for _ in range(q + 1)
-        )
-    else:
-        decoders = tuple(
-            _ct_ue_decoder(view.sde, view.cts[0]) for _ in range(q + 1)
-        )
-    return DeskDecryptors(state, dims, decoders)
+    return _reply(view, tuple(_decoder(view, 0) for _ in range(view.q + 1)))
 
 
 def junk_adversary(view: GameView):
     """Ignores everything; each party outputs an independent fixed guess."""
-    q = view.q
-    state, dims = _classical_registers(q + 1)
+    n = view.q + 1
     if view.game == "strong-anti-piracy":
-        pair = (message_to_bytes(view.config, 0), message_to_bytes(view.config, 1))
-        coins = [int(view.rng.random() < 0.5) for _ in range(q + 1)]
-        decoders = tuple((lambda ct, z, c=c: c) for c in coins)
-        pairs = tuple(pair for _ in range(q + 1))
-        return pairs, DeskDecryptors(state, dims, decoders)
-    guesses = [_random_message(view.config, view.rng) for _ in range(q + 1)]
-    decoders = tuple((lambda ch, z, g=g: g) for g in guesses)
-    return DeskDecryptors(state, dims, decoders)
+        guesses = [int(view.rng.random() < 0.5) for _ in range(n)]
+    else:
+        guesses = [_random_message(view.config, view.rng) for _ in range(n)]
+    return _reply(view, tuple((lambda ch, z, g=g: g) for g in guesses))
 
 
 def ghz_guessers(view: GameView):
     """One qubit per party in a GHZ state; each party answers with its
     measured bit, so answers agree across parties but ignore the
     challenge. Demonstrates post-measurement correlation threading."""
-    q = view.q
-    n = q + 1
+    n = view.q + 1
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = state[-1] = 1.0 / math.sqrt(2.0)
-    dims = (2,) * n
-    config = view.config
     if view.game == "strong-anti-piracy":
-        pair = (message_to_bytes(config, 0), message_to_bytes(config, 1))
-        decoders = tuple((lambda ct, z: int(z)) for _ in range(n))
-        pairs = tuple(pair for _ in range(n))
-        return pairs, DeskDecryptors(state, dims, decoders)
-    decoders = tuple(
-        (lambda ch, z: message_to_bytes(config, int(z))) for _ in range(n)
-    )
-    return DeskDecryptors(state, dims, decoders)
+        answer = int
+    else:
+        def answer(z):
+            return message_to_bytes(view.config, int(z))
+    decoders = tuple((lambda ch, z: answer(z)) for _ in range(n))
+    return _reply(view, decoders, state, (2,) * n)
 
 
 ADVERSARIES = {

@@ -1,5 +1,7 @@
 """Shared construction helpers for tests."""
 
+import tracemalloc
+
 import numpy as np
 
 from unclonelab.hilbert import BinaryPovm
@@ -26,3 +28,13 @@ def random_projector(dim, rank, rng):
     q, _ = np.linalg.qr(a)
     q = q[:, :rank]
     return q @ q.conj().T
+
+
+def peak_traced_bytes(fn, *args):
+    """Call fn(*args) under tracemalloc; return (result, peak traced bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import peak_traced_bytes
 from unclonelab import report
 from unclonelab.cli import (
     EXPERIMENTS,
@@ -72,6 +73,14 @@ class TestExitCodes:
                      "--seed", "1"])
         assert code == 1
         assert "q must be" in err
+
+    def test_oversize_payload_exits_1_without_sampling(self, capsys):
+        for q in ("7", "22"):
+            argv = ["purify", "compiler", "--payload-qubits", q, "--seed", "1"]
+            (code, out, err), peak = peak_traced_bytes(_capture, capsys, argv)
+            assert (code, out) == (1, ""), q
+            assert "payload limited" in err
+            assert peak < 4 << 20, q
 
     def test_zero_trials_is_a_usage_error(self, capsys):
         for argv in (["prs", "srd"], ["prs", "overlap"], ["coin", "demo"]):

@@ -35,6 +35,12 @@ def test_norm_validation():
         HybridState.from_terms(0, [((1,), 0.5, None)])
 
 
+def test_nan_branch_is_rejected_not_dropped():
+    for bad in (np.nan, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="normalized"):
+            HybridState.from_terms(0, [((0,), 1, None), ((1,), bad, None)])
+
+
 def test_merge_same_label():
     half = 1 / (2 * np.sqrt(2))
     s = HybridState.from_terms(

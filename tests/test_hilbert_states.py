@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import peak_traced_bytes
 from unclonelab.hilbert import (
     DensityOperator,
     StateVector,
@@ -298,3 +299,14 @@ def test_serialization_rejects_headers_past_the_dense_cap():
     for num_qubits in (21, 1000):
         with pytest.raises(ValueError):
             state_from_bytes(struct.pack("<I", num_qubits) + bytes(32))
+
+
+def _rejected(fn, *args):
+    with pytest.raises(ValueError, match="dense cap"):
+        fn(*args)
+
+
+def test_haar_sample_checks_the_dense_cap_before_sampling():
+    # a 22-qubit vector alone would take 64 MB
+    _, peak = peak_traced_bytes(_rejected, haar_sample, 22, make_rng(0))
+    assert peak < 1 << 20

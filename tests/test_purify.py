@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import peak_traced_bytes
 from unclonelab.hilbert import (
     HybridState,
     StateVector,
@@ -310,6 +311,16 @@ class TestCompilerEquivalence:
             compiler_equivalence_check(spec, 5, 2, make_rng(0))
         with pytest.raises(ValueError):
             compiler_equivalence_check(spec, 3, 4, make_rng(0))
+
+    def test_payload_cap_applies_before_any_sampling(self):
+        def check(q):
+            with pytest.raises(ValueError, match="payload limited"):
+                spec = GenStateSpec(b"", 16, q, _seeded_haar_generator(q))
+                compiler_equivalence_check(spec, 3, 2, make_rng(0))
+
+        for q in (7, 22):
+            _, peak = peak_traced_bytes(check, q)
+            assert peak < 1 << 20, q
 
 
 class TestSmallRangeStates:

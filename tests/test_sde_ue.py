@@ -11,6 +11,9 @@ exactly 1/2, and the junk adversary's search success rate is
 |M|^-(q+1) by independence.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,9 @@ from unclonelab.primitives import (
 )
 from unclonelab.rng import make_rng
 from unclonelab.sde_ue import (
+    ADVERSARIES,
     FAIL,
+    GAMES,
     DeskDecryptors,
     ReInput,
     SdeConfig,
@@ -662,3 +667,24 @@ class TestGameValidation:
             DeskDecryptors(np.ones(2), (2,), (ok,))
         with pytest.raises(ValueError, match="per decoder"):
             DeskDecryptors(np.ones(2), (2,), (ok, ok))
+
+    def test_nan_state_rejected(self):
+        ok = lambda ct, z: 0
+        for bad in (np.array([np.nan]), np.array([1.0, np.nan]) / 2 ** 0.5):
+            with pytest.raises(ValueError, match="normalized"):
+                DeskDecryptors(bad, (len(bad),), (ok,))
+
+
+class TestGameReportsPinned:
+    # sha256 over the sorted-key JSON of each report, in GAMES x sorted
+    # adversary order, recorded before the game runners were merged
+    DIGEST = "ea316a5cd46c3a89deee7a02b7a7460432bf1f3d1d7b8137ce443877afe70a9e"
+
+    def test_all_game_adversary_pairs(self):
+        h = hashlib.sha256()
+        for game in GAMES:
+            for adversary in sorted(ADVERSARIES):
+                report = run_game(game, adversary, 2, 0.1, make_rng(0),
+                                  trials=2, challenge_samples=4)
+                h.update(json.dumps(report, sort_keys=True).encode())
+        assert h.hexdigest() == self.DIGEST
