@@ -173,50 +173,45 @@ def _detsig_message(p: dict, rng) -> int:
     return m
 
 
-@_experiment("detsig demo", "signature demo", *_SIG_FLAGS, _MESSAGE)
-def _detsig_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+def _detsig_keys(cfg: ExperimentConfig):
+    """(params, rng, vk, sk): the key setup every detsig leaf starts with."""
     p = cfg.params
     rng = make_rng(cfg.seed)
     vk, sk = detsig.setup(p["n"], p["tag_bits"], rng,
                           digest_bits=p["digest_bits"])
+    return p, rng, vk, sk
+
+
+def _detsig_signed(cfg: ExperimentConfig):
+    """(vk, message, signature bytes, sign report) for one signed message."""
+    p, rng, vk, sk = _detsig_keys(cfg)
     m = _detsig_message(p, rng)
     sig = detsig.sign(sk, m).to_bytes()
-    verified = detsig.verify(vk, m, sig)
     results = {
-        "n": p["n"],
         "vk_root": vk.vk_root.hex(),
         "message": f"{m:0{_hex_width(p['n'])}x}",
         "signature": sig.hex(),
         "signature_len": len(sig),
-        "verified": verified,
     }
-    return results, verified
+    return vk, m, sig, results
+
+
+@_experiment("detsig demo", "signature demo", *_SIG_FLAGS, _MESSAGE)
+def _detsig_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    vk, m, sig, signed = _detsig_signed(cfg)
+    verified = detsig.verify(vk, m, sig)
+    return {"n": cfg.params["n"], **signed, "verified": verified}, verified
 
 
 @_experiment("detsig sign", "signature sign", *_SIG_FLAGS, _MESSAGE)
 def _detsig_sign(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    p = cfg.params
-    rng = make_rng(cfg.seed)
-    vk, sk = detsig.setup(p["n"], p["tag_bits"], rng,
-                          digest_bits=p["digest_bits"])
-    m = _detsig_message(p, rng)
-    sig = detsig.sign(sk, m).to_bytes()
-    results = {
-        "vk_root": vk.vk_root.hex(),
-        "message": f"{m:0{_hex_width(p['n'])}x}",
-        "signature": sig.hex(),
-        "signature_len": len(sig),
-    }
-    return results, True
+    return _detsig_signed(cfg)[3], True
 
 
 @_experiment("detsig verify", "signature verify", *_SIG_FLAGS, _MESSAGE,
              Param("signature", help="hex signature blob"))
 def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    p = cfg.params
-    rng = make_rng(cfg.seed)
-    vk, _ = detsig.setup(p["n"], p["tag_bits"], rng,
-                         digest_bits=p["digest_bits"])
+    p, rng, vk, _ = _detsig_keys(cfg)
     if p["message"] is None or p["signature"] is None:
         raise ValueError("verify needs --message and --signature")
     m = _detsig_message(p, rng)
@@ -233,10 +228,7 @@ def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("detsig vectors", "signature vectors", *_SIG_FLAGS,
              Param("count", int, 8, help="number of signed messages"))
 def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    p = cfg.params
-    rng = make_rng(cfg.seed)
-    vk, sk = detsig.setup(p["n"], p["tag_bits"], rng,
-                          digest_bits=p["digest_bits"])
+    p, _, vk, sk = _detsig_keys(cfg)
     width = _hex_width(p["n"])
     vectors = []
     for i in range(p["count"]):
@@ -329,8 +321,7 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     n = p["n"]
     rng = make_rng(cfg.seed)
-    half = n // 2
-    note = minischeme.mini_gen(n, rng.bytes(max((half * half + 7) // 8, 1)))
+    note = minischeme.mini_gen(n, rng.bytes(minischeme.randomness_len(n)))
     honest = minischeme.accept_probability(note.sn, note.note)
     kept, forged = minischeme.mini_counterfeit("zero-pad", note.note, rng)
     # the pair is a product state, so the joint acceptance factorizes

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import detsig
 from .hilbert import HybridState, StateVector, basis_state, measure
-from .minischeme import mini_gen, note_state, subspace_from_sn
+from .minischeme import mini_gen, note_state, randomness_len, subspace_from_sn
 # pprf_eval stays bound here as coin.pprf_eval, a binding that
 # perfbench/tests/test_tracing.py checks the tracer restores
 from .primitives import PprfKey, pprf_eval, pprf_eval_many, pprf_gen  # noqa: F401
@@ -47,15 +47,16 @@ MAX_COINS_ISSUED = 4
 # before signing, the usual arbitrary-length-message composition
 SN_MESSAGE_BITS = 40
 
+TAG_BITS = 64
+# 16-bit link digests keep signing cheap; tamper rejection rests on
+# preimages, not on the digest width
+DIGEST_BITS = 16
+
 
 @dataclass(frozen=True)
 class CoinParams:
     id_bits: int = 4
     mini_n: int = 8
-    tag_bits: int = 64
-    # 16-bit link digests keep signing cheap; tamper rejection rests on
-    # preimages, not on the digest width
-    digest_bits: int = 16
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,8 @@ def coin_setup(variant: str, params: CoinParams | None = None,
         raise ValueError(f"id_bits must be in [1, {MAX_ID_BITS}]")
     if params.mini_n % 2 or not 2 <= params.mini_n <= MAX_MINI_BITS:
         raise ValueError(f"mini_n must be even and in [2, {MAX_MINI_BITS}]")
-    half = params.mini_n // 2
-    rand_bits = 8 * ((half * half + 7) // 8)
-    prf = pprf_gen(params.id_bits, rand_bits, rng)
-    vk, sgk = detsig.setup(SN_MESSAGE_BITS, params.tag_bits, rng,
-                           digest_bits=params.digest_bits)
+    prf = pprf_gen(params.id_bits, 8 * randomness_len(params.mini_n), rng)
+    vk, sgk = detsig.setup(SN_MESSAGE_BITS, TAG_BITS, rng, digest_bits=DIGEST_BITS)
     prs_key = prs_setup(params.id_bits, rng) if variant == "prs" else None
     return (
         CoinVerifyKey(variant, vk, params.id_bits, params.mini_n),

@@ -12,7 +12,6 @@ from .states import (
     born_probabilities,
     haar_sample,
     inner,
-    reg_qubits,
     sample_swap_test,
     state_from_bytes,
     state_to_bytes,
@@ -37,7 +36,6 @@ from .povm import (
     BinaryPovm,
     ProjImp,
     apply_op_to_register,
-    measure_projimp,
     measure_register_projective,
     mixture_povm,
     projective_implementation,
@@ -63,11 +61,9 @@ __all__ = [
     "haar_sample",
     "inner",
     "measure",
-    "measure_projimp",
     "measure_register_projective",
     "mixture_povm",
     "projective_implementation",
-    "reg_qubits",
     "sample_swap_test",
     "state_from_bytes",
     "state_to_bytes",

@@ -14,11 +14,11 @@ positive) pulled out.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .states import PROB_FLOOR, StateVector, born_sample
+from .states import PROB_FLOOR, StateVector, _label_to_index, born_sample
 
 __all__ = ["HybridState"]
 
@@ -60,14 +60,21 @@ class HybridState:
 
     __slots__ = ("payload_qubits", "_branches")
 
-    def __init__(self, payload_qubits: int, branches: Mapping[_Label, np.ndarray]):
+    def __init__(self, payload_qubits: int, branches: Iterable[tuple[_Label, np.ndarray]]):
+        """Sum (label, unnormalized payload vector) pairs per label, in input
+        order; branches below PROB_FLOOR are dropped and the total must have
+        unit norm."""
         if payload_qubits < 0:
             raise ValueError("payload_qubits must be non-negative")
         dim = 1 << payload_qubits
-        clean: dict[_Label, np.ndarray] = {}
-        for label, vec in branches.items():
+        acc: dict[_Label, np.ndarray] = {}
+        for label, vec in branches:
             label = _check_label(label)
-            vec = np.asarray(vec, dtype=np.complex128).reshape(dim).copy()
+            if label not in acc:
+                acc[label] = np.zeros(dim, dtype=np.complex128)
+            acc[label] += np.asarray(vec, dtype=np.complex128).reshape(dim)
+        clean: dict[_Label, np.ndarray] = {}
+        for label, vec in acc.items():
             if not np.linalg.norm(vec) < PROB_FLOOR:  # keeps NaN for the check below
                 vec.setflags(write=False)
                 clean[label] = vec
@@ -87,10 +94,8 @@ class HybridState:
         terms: Iterable[tuple[_Label, complex, StateVector | None]],
     ) -> "HybridState":
         """Accumulate (label, amplitude, payload) terms; payload None means the scalar unit."""
-        dim = 1 << payload_qubits
-        acc: dict[_Label, np.ndarray] = {}
+        pairs = []
         for label, amp, payload in terms:
-            label = _check_label(label)
             if payload is None:
                 if payload_qubits != 0:
                     raise ValueError("scalar payload only valid when payload_qubits is 0")
@@ -101,10 +106,8 @@ class HybridState:
                         f"payload has {payload.num_qubits} qubits, expected {payload_qubits}"
                     )
                 vec = payload.amplitudes
-            if label not in acc:
-                acc[label] = np.zeros(dim, dtype=np.complex128)
-            acc[label] += complex(amp) * vec
-        return cls(payload_qubits, acc)
+            pairs.append((label, complex(amp) * vec))
+        return cls(payload_qubits, pairs)
 
     # -- inspection ---------------------------------------------------------
 
@@ -159,14 +162,14 @@ class HybridState:
 
     def map_labels(self, fn: Callable[[_Label], _Label]) -> "HybridState":
         """Relabel branches; colliding images accumulate amplitudes."""
-        dim = 1 << self.payload_qubits
-        acc: dict[_Label, np.ndarray] = {}
-        for label, vec in self._branches.items():
-            new = _check_label(fn(label))
-            if new not in acc:
-                acc[new] = np.zeros(dim, dtype=np.complex128)
-            acc[new] += vec
-        return HybridState(self.payload_qubits, acc)
+        return HybridState(
+            self.payload_qubits, [(fn(label), vec) for label, vec in self._branches.items()]
+        )
+
+    def _collapse(self, kept: list[tuple[_Label, np.ndarray]]) -> "HybridState":
+        """Post-measurement state: the kept branches, renormalized."""
+        total = np.sqrt(sum(np.linalg.norm(v) ** 2 for _, v in kept))
+        return HybridState(self.payload_qubits, [(l, v / total) for l, v in kept])
 
     def measure_labels(
         self, rng: np.random.Generator, positions: Sequence[int] | None = None
@@ -183,10 +186,9 @@ class HybridState:
             groups[key] = groups.get(key, 0.0) + float(np.linalg.norm(vec) ** 2)
         keys = sorted(groups, key=_label_sort_key)
         observed = keys[born_sample(np.array([groups[k] for k in keys]), rng)]
-        kept = {l: v for l, v in self._branches.items() if proj(l) == observed}
-        total = np.sqrt(sum(np.linalg.norm(v) ** 2 for v in kept.values()))
-        kept = {l: v / total for l, v in kept.items()}
-        return observed, HybridState(self.payload_qubits, kept)
+        return observed, self._collapse(
+            [(l, v) for l, v in self._branches.items() if proj(l) == observed]
+        )
 
     def measure_payload(self, rng: np.random.Generator) -> tuple[int, "HybridState"]:
         """Measure the whole payload register in the computational basis."""
@@ -197,14 +199,12 @@ class HybridState:
         for vec in self._branches.values():
             probs += np.abs(vec) ** 2
         outcome = born_sample(probs, rng)
-        kept: dict[_Label, np.ndarray] = {}
+        kept = []
         for label, vec in self._branches.items():
             new = np.zeros(dim, dtype=np.complex128)
             new[outcome] = vec[outcome]
-            kept[label] = new
-        total = np.sqrt(sum(np.linalg.norm(v) ** 2 for v in kept.values()))
-        kept = {l: v / total for l, v in kept.items()}
-        return outcome, HybridState(self.payload_qubits, kept)
+            kept.append((label, new))
+        return outcome, self._collapse(kept)
 
     # -- conversion ---------------------------------------------------------
 
@@ -216,12 +216,10 @@ class HybridState:
         for label, vec in self._branches.items():
             if len(label) != len(label_widths):
                 raise ValueError("label length does not match widths")
-            idx = 0
             for width, part in zip(label_widths, label):
-                if not isinstance(part, int) or not 0 <= part < (1 << width):
+                if not isinstance(part, int):
                     raise ValueError(f"label component {part!r} does not fit in {width} bits")
-                idx = (idx << width) | part
-            base = idx << self.payload_qubits
+            base = _label_to_index(label_widths, label) << self.payload_qubits
             amps[base : base + (1 << self.payload_qubits)] = vec
         return StateVector(n, amps)
 

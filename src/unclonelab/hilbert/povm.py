@@ -26,7 +26,6 @@ __all__ = [
     "ProjImp",
     "projective_implementation",
     "mixture_povm",
-    "measure_projimp",
     "threshold_measure",
     "apply_op_to_register",
     "measure_register_projective",
@@ -46,6 +45,14 @@ def _as_operator(mat, dim_hint=None) -> np.ndarray:
     if not np.allclose(mat, mat.conj().T, atol=EIG_TOL, rtol=0.0):
         raise ValueError("operator is not Hermitian")
     return mat
+
+
+def _as_projector(mat, dim: int, error: str) -> np.ndarray:
+    """A Hermitian idempotent operator of the given dimension; else ValueError(error)."""
+    proj = _as_operator(mat, dim)
+    if not np.allclose(proj @ proj, proj, atol=EIG_TOL, rtol=0.0):
+        raise ValueError(error)
+    return proj
 
 
 @dataclass(frozen=True)
@@ -88,9 +95,7 @@ class ProjImp:
         total = np.zeros((dim, dim), dtype=np.complex128)
         frozen = []
         for proj in self.projectors:
-            proj = _as_operator(proj, dim).copy()
-            if not np.allclose(proj @ proj, proj, atol=EIG_TOL, rtol=0.0):
-                raise ValueError("projector is not idempotent")
+            proj = _as_projector(proj, dim, "projector is not idempotent").copy()
             total += proj
             proj.setflags(write=False)
             frozen.append(proj)
@@ -144,39 +149,8 @@ def mixture_povm(dist: Sequence[tuple[float, np.ndarray]]) -> BinaryPovm:
     dim = np.asarray(dist[0][1]).shape[0]
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for p, proj in dist:
-        proj = _as_operator(proj, dim)
-        if not np.allclose(proj @ proj, proj, atol=EIG_TOL, rtol=0.0):
-            raise ValueError("mixture component is not a projector")
-        acc += p * proj
+        acc += p * _as_projector(proj, dim, "mixture component is not a projector")
     return BinaryPovm(acc)
-
-
-def _projimp_probabilities(pi: ProjImp, state: StateVector | DensityOperator) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return np.array(
-            [float(np.linalg.norm(proj @ state.amplitudes) ** 2) for proj in pi.projectors]
-        )
-    return np.array([float(np.trace(proj @ state.matrix).real) for proj in pi.projectors])
-
-
-def measure_projimp(
-    pi: ProjImp, state: StateVector | DensityOperator, rng: np.random.Generator
-) -> tuple[int, float, StateVector | DensityOperator]:
-    """Measure the projective implementation: (outcome index, eigenvalue, post state)."""
-    dim = state.dim if isinstance(state, StateVector) else state.dim
-    if dim != pi.dim:
-        raise ValueError("state and measurement dimensions differ")
-    idx = born_sample(_projimp_probabilities(pi, state), rng)
-    proj = pi.projectors[idx]
-    if isinstance(state, StateVector):
-        v = proj @ state.amplitudes
-        post: StateVector | DensityOperator = StateVector(
-            state.num_qubits, v / np.linalg.norm(v)
-        )
-    else:
-        m = proj @ state.matrix @ proj
-        post = DensityOperator(state.dim, m / np.trace(m).real)
-    return idx, pi.eigenvalues[idx], post
 
 
 def threshold_measure(
@@ -188,10 +162,22 @@ def threshold_measure(
     """Threshold implementation: 1 iff the sampled eigenvalue is >= threshold.
 
     Measures the projective implementation of the POVM, so the post state sits
-    in one eigenspace and re-running returns the same bit.
+    in one eigenspace and re-running returns the same bit. A pure state is the
+    one-register case of threshold_measure_register.
     """
-    _, eigenvalue, post = measure_projimp(projective_implementation(povm), state, rng)
-    return int(eigenvalue >= threshold), post
+    if state.dim != povm.dim:
+        raise ValueError("state and measurement dimensions differ")
+    if isinstance(state, StateVector):
+        bit, post = threshold_measure_register(
+            povm, threshold, state.amplitudes, (state.dim,), 0, rng
+        )
+        return bit, StateVector(state.num_qubits, post)
+    pi = projective_implementation(povm)
+    probs = np.array([float(np.trace(proj @ state.matrix).real) for proj in pi.projectors])
+    idx = born_sample(probs, rng)
+    m = pi.projectors[idx] @ state.matrix @ pi.projectors[idx]
+    post = DensityOperator(state.dim, m / np.trace(m).real)
+    return int(pi.eigenvalues[idx] >= threshold), post
 
 
 # -- register-local application on joint states ------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "superpose",
     "tensor",
     "inner",
-    "reg_qubits",
     "apply_oracle",
     "born_probabilities",
     "born_sample",
@@ -142,14 +141,6 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
-
-
-def reg_qubits(layout: Sequence[int], reg: int) -> list[int]:
-    """Qubit positions of register `reg` under the given layout."""
-    if not all(w >= 1 for w in layout):
-        raise ValueError("register widths must be positive")
-    start = sum(layout[:reg])
-    return list(range(start, start + layout[reg]))
 
 
 def _label_to_index(layout: Sequence[int], label: tuple[int, ...]) -> int:

@@ -50,11 +50,23 @@ class MiniBanknote:
     note: StateVector
 
 
-def subspace_from_randomness(n: int, randomness: bytes) -> Subspace:
+def randomness_len(n: int) -> int:
+    """Randomness bytes that subspace_from_randomness reads for an n-qubit note;
+    n is checked first, so no caller draws randomness for a note it cannot mint."""
     if n % 2 or not 2 <= n <= MAX_AMBIENT_BITS:
         raise ValueError(f"n must be even and in [2, {MAX_AMBIENT_BITS}]")
     half = n // 2
-    need = (half * half + 7) // 8
+    return (half * half + 7) // 8
+
+
+def sn_len(n: int) -> int:
+    """Serial-number bytes of an n-qubit note: n, then half rows of n bits."""
+    return 1 + (n // 2) * ((n + 7) // 8)
+
+
+def subspace_from_randomness(n: int, randomness: bytes) -> Subspace:
+    need = randomness_len(n)
+    half = n // 2
     if len(randomness) < need:
         raise ValueError(f"need at least {need} randomness bytes")
     # the first half * half bits, MSB-first, are R's rows in order
@@ -89,7 +101,7 @@ def subspace_from_sn(blob: bytes) -> Subspace:
         raise ValueError("serial number has invalid ambient size")
     half = n // 2
     width = (n + 7) // 8
-    if len(blob) != 1 + half * width:
+    if len(blob) != sn_len(n):
         raise ValueError("serial number has wrong length")
     rows = [
         int.from_bytes(blob[1 + i * width : 1 + (i + 1) * width], "big")

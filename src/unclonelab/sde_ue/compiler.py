@@ -58,22 +58,19 @@ _PPRF_KEY_LEN = 35  # fixed serialization width
 
 MAX_MESSAGE_BITS = 16
 
+PRF_INPUT_BITS = 64
+# the inner encryption consumes exactly 16 randomness bytes
+PRF_OUTPUT_BITS = 128
+
 
 @dataclass(frozen=True)
 class SdeConfig:
     message_bits: int = 4
     mini_n: int = 8
-    prf_input_bits: int = 64
-    # the inner encryption consumes exactly 16 randomness bytes
-    prf_output_bits: int = 128
 
     def __post_init__(self):
         if not 1 <= self.message_bits <= MAX_MESSAGE_BITS:
             raise ValueError(f"message_bits must be in [1, {MAX_MESSAGE_BITS}]")
-        if not 1 <= self.prf_input_bits <= 64:
-            raise ValueError("prf_input_bits must be in [1, 64]")
-        if self.prf_output_bits != 128:
-            raise ValueError("prf_output_bits must be 128")
 
     @property
     def msg_len(self) -> int:
@@ -228,7 +225,7 @@ def sde_enc(sde: Sde, pk: bytes, m, rng: np.random.Generator) -> bytes:
     m = message_to_bytes(config, m)
     if rng is None:
         raise ValueError("sde_enc needs an rng")
-    prf = pprf_gen(config.prf_input_bits, config.prf_output_bits, rng)
+    prf = pprf_gen(PRF_INPUT_BITS, PRF_OUTPUT_BITS, rng)
     x = ReInput(
         m=m,
         key=pprf_key_to_bytes(prf),

@@ -48,6 +48,7 @@ from typing import Callable
 import numpy as np
 
 from ..hilbert import (
+    MAX_STATE_AMPLITUDES,
     measure_register_projective,
     mixture_povm,
     threshold_measure_register,
@@ -92,8 +93,6 @@ class DeskDecryptors:
     decoders: tuple[Callable, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "state",
-                           np.asarray(self.state, dtype=np.complex128))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "decoders", tuple(self.decoders))
         if len(self.dims) != len(self.decoders):
@@ -104,7 +103,17 @@ class DeskDecryptors:
                     f"register dims must be powers of two at most "
                     f"{1 << MAX_DECRYPTOR_QUBITS}"
                 )
-        if self.state.shape != (int(np.prod(self.dims)),):
+        # checked before the state is converted, so an oversized joint state
+        # is never copied
+        size = math.prod(self.dims)
+        if size > MAX_STATE_AMPLITUDES:
+            raise ValueError(
+                f"joint state of {size} amplitudes exceeds the dense cap of "
+                f"{MAX_STATE_AMPLITUDES}"
+            )
+        object.__setattr__(self, "state",
+                           np.asarray(self.state, dtype=np.complex128))
+        if self.state.shape != (size,):
             raise ValueError("state length must match the register dims")
         if not abs(np.linalg.norm(self.state) - 1.0) <= _NORM_ATOL:  # and NaN too
             raise ValueError("state must be normalized")

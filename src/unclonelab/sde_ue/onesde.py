@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hilbert import StateVector
-from ..minischeme import mini_verify, note_state, sn_bytes, subspace_from_randomness
+from ..minischeme import (
+    mini_verify,
+    note_state,
+    randomness_len,
+    sn_bytes,
+    sn_len,
+    subspace_from_randomness,
+)
 from ..primitives import expand_stream, sha256
 from .fail import FAIL
 
@@ -46,10 +53,6 @@ class MockOneSde:
     one_pk: bytes
     one_sk: tuple[StateVector, bytes]
     tag: bytes
-
-
-def sn_len(n: int) -> int:
-    return 1 + (n // 2) * ((n + 7) // 8)
 
 
 def one_pk_len(n: int) -> int:
@@ -78,10 +81,8 @@ def one_setup(n: int, randomness: bytes) -> MockOneSde:
     """Derive a full instance from explicit randomness, deterministically."""
     if len(randomness) < MIN_SETUP_RANDOMNESS:
         raise ValueError(f"setup randomness must be >= {MIN_SETUP_RANDOMNESS} bytes")
-    half = n // 2
-    sub_bytes = max((half * half + 7) // 8, 1)
     stream = expand_stream(sha256(b"onekey" + randomness),
-                           TAG_LEN + _TOKEN_LEN + sub_bytes)
+                           TAG_LEN + _TOKEN_LEN + randomness_len(n))
     tag = stream[:TAG_LEN]
     token = stream[TAG_LEN:TAG_LEN + _TOKEN_LEN]
     space = subspace_from_randomness(n, stream[TAG_LEN + _TOKEN_LEN:])

@@ -82,6 +82,14 @@ class TestExitCodes:
             assert "payload limited" in err
             assert peak < 4 << 20, q
 
+    def test_oversize_note_exits_1_without_drawing(self, capsys):
+        # an n = 20000 note would need 12.5 MB of randomness
+        argv = ["mini", "demo", "--n", "20000", "--seed", "1"]
+        (code, out, err), peak = peak_traced_bytes(_capture, capsys, argv)
+        assert (code, out) == (1, "")
+        assert "n must be even" in err
+        assert peak < 1 << 20
+
     def test_zero_trials_is_a_usage_error(self, capsys):
         for argv in (["prs", "srd"], ["prs", "overlap"], ["coin", "demo"]):
             code, out, err = _capture(capsys, argv + ["--trials", "0",

@@ -157,6 +157,14 @@ def test_densify_larger_payloads():
     assert abs(np.linalg.norm(a.densify([8]).amplitudes) - 1.0) < 1e-9
 
 
+def test_densify_rejects_labels_that_do_not_encode():
+    # bytes and str parts, ints outside the width, and wrong label lengths
+    for label in ((b"\x01",), ("a",), (4,), (-1,), (1, 0)):
+        s = HybridState.from_terms(0, [(label, 1.0, None)])
+        with pytest.raises(ValueError):
+            s.densify([2])
+
+
 def test_canonical_bytes_order_independent():
     terms = [
         ((3,), 0.6, basis_state(1, 1)),

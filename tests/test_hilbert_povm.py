@@ -160,6 +160,14 @@ def test_threshold_on_density_operator():
     assert bit2 == bit
 
 
+def test_threshold_dimension_mismatch():
+    povm = BinaryPovm(np.eye(4) / 2)
+    rng = make_rng(16)
+    for state in (haar_sample(1, rng), DensityOperator(2, np.eye(2) / 2)):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            threshold_measure(povm, 0.5, state, rng)
+
+
 # -- register-local measurement ----------------------------------------------
 
 

@@ -17,6 +17,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import peak_traced_bytes
+
 from unclonelab.hilbert import StateVector
 from unclonelab.minischeme import accept_probability, subspace_from_sn
 from unclonelab.primitives import (
@@ -420,10 +422,6 @@ class TestSde:
             SdeConfig(message_bits=0)
         with pytest.raises(ValueError):
             SdeConfig(message_bits=17)
-        with pytest.raises(ValueError):
-            SdeConfig(prf_output_bits=64)
-        with pytest.raises(ValueError):
-            SdeConfig(prf_input_bits=65)
 
 
 class TestUe:
@@ -667,6 +665,19 @@ class TestGameValidation:
             DeskDecryptors(np.ones(2), (2,), (ok,))
         with pytest.raises(ValueError, match="per decoder"):
             DeskDecryptors(np.ones(2), (2,), (ok, ok))
+
+    def test_joint_state_capped_before_conversion(self):
+        # four 64-dim registers: 2^24 amplitudes, over the dense cap; the
+        # broadcast view costs no memory unless the state is converted
+        ok = lambda ct, z: 0
+        state = np.broadcast_to(np.complex128(2.0 ** -12), (1 << 24,))
+
+        def build():
+            with pytest.raises(ValueError, match="dense cap"):
+                DeskDecryptors(state, (64,) * 4, (ok,) * 4)
+
+        _, peak = peak_traced_bytes(build)
+        assert peak < 1 << 20
 
     def test_nan_state_rejected(self):
         ok = lambda ct, z: 0
