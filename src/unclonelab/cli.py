@@ -541,14 +541,20 @@ def _load_config_file(path: str) -> dict[str, str]:
         # unlike OSError, the decoder's message does not name the file
         raise UsageError(f"cannot read config file: {path}: {exc}") from None
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}  # by flag name: n-x and n_x are one key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace("-", "_")
+        if name in first_line:
+            raise UsageError(f"{path}:{lineno}: {key!r} repeats the key "
+                             f"set on line {first_line[name]}")
+        first_line[name] = lineno
+        values[key] = value
     return values
 
 

@@ -147,20 +147,28 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
 # Verified-link store, one per verify key, in the manner of SPHINCS path
 # reuse. It maps a tree node, by its integer id prefix | 1 << depth, to the
 # parent key and the link bytes that passed ots_verify there; the leaf check
-# (y, isig) is node m | 1 << n. A hit is confirmed in place: the stored parent
-# must equal vk_root at depth 0, else the blob's on-path child key of the link
-# before, and the stored link the blob at its offset. So a hit stands for a
-# check with exactly those inputs; only a miss slices and calls ots_verify.
+# (y, isig) is node m | 1 << n. Entries are write-once and chained: a call
+# stores a node only into an empty slot below the cap, and only while every
+# level above it in this call matched its stored link or was stored by this
+# call. So each stored node's parent key is the on-path child key inside its
+# parent node's stored link (vk_root at depth 0). While every level so far
+# has matched, a hit is one in-place compare of the stored link against the
+# blob, since the parent is implied; after the first level that did not, a
+# hit also compares the stored parent against the blob's on-path child key.
+# A hit stands for a check with exactly those inputs; only a miss slices the
+# parent, message and preimages from the blob and calls ots_verify.
 def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
+    """Whether sig, a TreeSignature or any bytes-like blob, signs m under vk.
+
+    Any other type of sig raises TypeError.
+    """
     n = vk.n
     if not 0 <= m < (1 << n):
         return False
     vk_len = ots_vk_len(vk.digest_bits)
     sig_len = ots_sig_len(vk.digest_bits)
     tag_len = vk.tag_bits // 8
-    if isinstance(sig, (bytes, bytearray)):
-        sig = bytes(sig)
-    else:
+    if isinstance(sig, TreeSignature):
         # check every field: joined, mis-sized fields could shift into a
         # blob of valid length
         if (len(sig.links) != n
@@ -169,31 +177,33 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
                 or len(sig.y) != tag_len or len(sig.isig) != sig_len):
             return False
         sig = sig.to_bytes()
+    elif not isinstance(sig, bytes):
+        # memoryview raises TypeError for anything that is not bytes-like
+        sig = memoryview(sig).tobytes()
     if len(sig) != signature_len(n, vk.digest_bits, vk.tag_bits):
         return False
     store = vk._verified
     step = 2 * vk_len + sig_len
-    parent_at = -1  # offset of the parent key in sig; -1 stands for vk_root
+    leaf = m | 1 << n  # the node id at depth t is leaf >> (n - t)
+    chained = True  # every level so far matched its stored link or was stored
     for t in range(n + 1):
         off = t * step
-        node = m >> (n - t) | 1 << t
+        node = leaf >> (n - t)
         hit = store.get(node)
-        if (hit is None
-                or not (hit[0] == vk.vk_root if parent_at < 0
-                        else sig.startswith(hit[0], parent_at))
-                or not sig.startswith(hit[1], off)):
-            parent = (vk.vk_root if parent_at < 0
-                      else sig[parent_at : parent_at + vk_len])
-            if t < n:
-                link, split = sig[off : off + step], 2 * vk_len
-            else:
-                link, split = sig[off:], tag_len
-            if not ots_verify(parent, link[:split], link[split:], vk.digest_bits):
+        # the parent key is vk_root at depth 0, else m's child key in link
+        # t - 1; only a hit after the chain broke needs to compare it
+        if (hit is None or not sig.startswith(hit[1], off) or not chained
+                and not sig.startswith(hit[0], off - step + (node & 1) * vk_len)):
+            parent_at = off - step + (node & 1) * vk_len
+            parent = vk.vk_root if t == 0 else sig[parent_at : parent_at + vk_len]
+            split = off + (2 * vk_len if t < n else tag_len)
+            end = split + sig_len
+            if not ots_verify(parent, sig[off:split], sig[split:end],
+                              vk.digest_bits):
                 return False
-            if len(store) < STORE_CAP:
-                store[node] = (parent, link)
-        if t < n:
-            parent_at = off + (m >> (n - 1 - t) & 1) * vk_len
+            chained = chained and hit is None and len(store) < STORE_CAP
+            if chained:
+                store[node] = (parent, sig[off:end])
     return True
 
 

@@ -253,6 +253,22 @@ class TestConfigFile:
         assert code == 1
         assert "key=value" in err
 
+    @pytest.mark.parametrize("second", ("n=9", "n = 8", "  n=9  "))
+    def test_repeated_key_rejected_with_both_lines(self, capsys, tmp_path,
+                                                   second):
+        cfg = self._write(tmp_path, f"n=8\n# comment\nseed=2\n{second}\n")
+        code, out, err = _capture(capsys, ["purify", "typedist",
+                                           "--config", cfg])
+        assert code == 1
+        assert out == ""
+        assert f"{cfg}:4:" in err and "line 1" in err
+
+    def test_spellings_of_one_flag_are_one_key(self, capsys, tmp_path):
+        cfg = self._write(tmp_path, "mini-n=6\nmini_n=8\n")
+        code, _, err = _capture(capsys, ["coin", "demo", "--config", cfg])
+        assert code == 1
+        assert f"{cfg}:2:" in err and "line 1" in err
+
     def test_bad_choice_rejected(self, capsys, tmp_path):
         cfg = self._write(tmp_path, "variant=bogus\n")
         code, _, err = _capture(capsys, ["coin", "demo", "--config", cfg,

@@ -5,13 +5,23 @@ import dataclasses
 import functools
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from unclonelab import detsig
 from unclonelab.hilbert import HybridState
-from unclonelab.primitives import hashes, ots_setup_from_seed, ots_sig_len, ots_verify, ots_vk_len, pprf_eval
+from unclonelab.primitives import (
+    hashes,
+    ots_gen,
+    ots_setup_from_seed,
+    ots_sig_len,
+    ots_sign,
+    ots_verify,
+    ots_vk_len,
+    pprf_eval,
+)
 from unclonelab.primitives import ots as ots_module
 from unclonelab.rng import make_rng
 
@@ -123,6 +133,26 @@ class TestSignVerify:
         for m in range(16):
             for fill in (0, m, 255):
                 assert not detsig.verify(vk, m, bytes([fill]) * size)
+        assert not vk._verified
+
+    def test_any_bytes_like_blob(self):
+        vk, sk = detsig.setup(4, 16, make_rng(33), digest_bits=8)
+        blob = detsig.sign(sk, 7).to_bytes()
+        bad = _flip(blob, 8 * len(blob) - 1)
+        for kind in (bytes, bytearray, memoryview,
+                     lambda b: memoryview(bytearray(b)),
+                     lambda b: np.frombuffer(b, np.uint8)):
+            assert detsig.verify(dataclasses.replace(vk), 7, kind(blob))
+            assert detsig.verify(vk, 7, kind(blob))
+            assert not detsig.verify(vk, 7, kind(bad))
+            assert not detsig.verify(vk, 6, kind(blob))
+
+    @pytest.mark.parametrize("sig", ("ab" * 1000, None, [0] * 1000, 7),
+                             ids=("str", "None", "list", "int"))
+    def test_not_bytes_like_raises_type_error(self, sig):
+        vk, _ = detsig.setup(4, 16, make_rng(33), digest_bits=8)
+        with pytest.raises(TypeError):
+            detsig.verify(vk, 7, sig)
         assert not vk._verified
 
     def test_every_message_bit_flip_rejected(self):
@@ -429,6 +459,77 @@ class TestTamperProperty:
         assert not detsig.verify(warm, m, _flip(blobs[m], bit))
         assert warm._verified == honest
         assert detsig.verify(warm, m, blobs[m])
+
+
+@functools.cache
+def _store_rule_fixture():
+    # at digest width 4 one flipped bit in a signed message passes with
+    # probability 1/16, and a child key that passes its parent's check is
+    # cheap to find, so different links that pass meet occupied slots. The
+    # forgery replaces m's on-path key below the root, as in
+    # test_link_under_replaced_parent_key_rejected, by a key of our own and
+    # signs the next link with it: it passes at every level
+    vk, sk = detsig.setup(4, 16, make_rng(40), digest_bits=4)
+    sigs = [detsig.sign(sk, m) for m in range(16)]
+    m = 0b1010
+    pl0, _, sigpl = sigs[m].links[0]
+    rng = make_rng(41)
+    while True:
+        own = ots_gen(4, rng)
+        if ots_verify(vk.vk_root, pl0 + own.vk_bytes(), sigpl, 4):
+            break
+    c0, c1, _ = sigs[m].links[1]
+    forged = _with_link(_with_link(sigs[m], 0, (pl0, own.vk_bytes(), sigpl)),
+                        1, (c0, c1, ots_sign(own, c0 + c1)))
+    return vk, sigs, (m, forged)
+
+
+_STORE_OPS = st.lists(st.tuples(
+    st.sampled_from(("honest", "flip", "moved", "message", "forged")),
+    st.integers(0, 15), st.integers(0, 8 * detsig.signature_len(4, 4, 16) - 1)),
+    max_size=12)
+
+
+def _store_case(sigs, forged, kind, m, x):
+    if kind == "honest":
+        return m, sigs[m]
+    if kind == "flip":
+        return m, _flip(sigs[m].to_bytes(), x)
+    if kind == "moved":
+        t, other = x % 4, x // 4 % 16
+        return m, _with_link(sigs[m], t, sigs[other].links[t])
+    if kind == "message":
+        return m ^ 1 << x % 4, sigs[m]
+    return forged
+
+
+class TestStoreRule:
+    """Entries are write-once, and each stored node's parent key is the
+    on-path child key in its parent node's stored link, whatever mix of
+    honest, tampered and forged signatures the key has seen."""
+
+    @given(ops=_STORE_OPS)
+    def test_store_stays_chained(self, ops):
+        vk, sigs, forged = _store_rule_fixture()
+        vk = dataclasses.replace(vk)
+        vk_len = ots_vk_len(vk.digest_bits)
+        for op in ops:
+            m, sig = _store_case(sigs, forged, *op)
+            before = dict(vk._verified)
+            got = detsig.verify(vk, m, sig)
+            assert got == detsig.verify(dataclasses.replace(vk), m, sig)
+            store = vk._verified
+            assert before.items() <= store.items()
+            for node, (parent, _) in store.items():
+                if node == 1:
+                    assert parent == vk.vk_root
+                    continue
+                # node t's parent node is node >> 1, and its bit picks the
+                # on-path child key in that node's link
+                above = store.get(node >> 1)
+                assert above is not None
+                side = node & 1
+                assert parent == above[1][side * vk_len : (side + 1) * vk_len]
 
 
 def _honest_pairs(oracle, messages):

@@ -7,6 +7,8 @@ import itertools
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unclonelab.primitives import (
     PprfKey,
@@ -331,6 +333,25 @@ class TestPuncturedCorrectness:
             for x in range(256):
                 if x not in s:
                     assert pprf_eval(pk, x) == full[x]
+
+    @given(data=st.data(), bits=st.integers(1, 64), out_bits=st.integers(1, 64),
+           seed=st.binary(min_size=32, max_size=32))
+    def test_punctured_key_property(self, data, bits, out_bits, seed):
+        # off S, the neighbours x - 1 and x + 1 of every point included, the
+        # punctured key agrees with the full key; on S it raises; and its
+        # encoding round-trips
+        inputs = st.integers(0, (1 << bits) - 1)
+        s = data.draw(st.lists(inputs, min_size=1, max_size=64, unique=True))
+        others = data.draw(st.lists(inputs, max_size=16))
+        key = PprfKey(seed, bits, out_bits)
+        pk = pprf_puncture(key, s)
+        near = {y for x in s for y in (x - 1, x + 1) if 0 <= y < 1 << bits}
+        off = sorted((near | set(others)) - set(s))
+        assert [pprf_eval(pk, x) for x in off] == pprf_eval_many(key, off)
+        for x in s:
+            with pytest.raises(PuncturedPointError):
+                pprf_eval(pk, x)
+        assert punctured_key_from_bytes(punctured_key_to_bytes(pk)) == pk
 
 
 class TestSerialization:
