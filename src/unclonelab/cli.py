@@ -25,6 +25,7 @@ any future parallel backend must preserve that ordering.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -228,6 +229,8 @@ def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("detsig vectors", "signature vectors", *_SIG_FLAGS,
              Param("count", int, 8, help="number of signed messages"))
 def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    if cfg.params["count"] < 1:
+        raise ValueError("count must be positive")
     p, _, vk, sk = _detsig_keys(cfg)
     width = _hex_width(p["n"])
     vectors = []
@@ -265,6 +268,8 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("payload_qubits", int, 1), Param("tol", float, 1e-9))
 def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
+    if not (math.isfinite(p["tol"]) and p["tol"] >= 0):
+        raise ValueError("tol must be finite and non-negative")
     q = p["payload_qubits"]
 
     def generator(z: bytes, rand: bytes):
@@ -342,6 +347,8 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("message_bits", int, 4), Param("keys", int, 2))
 def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
+    if p["keys"] < 1:
+        raise ValueError("keys must be positive")
     rng = make_rng(cfg.seed)
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
     sks = [sde_kg(sde, sde.msk, rng) for _ in range(p["keys"])]

@@ -144,6 +144,24 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
     return TreeSignature(tuple(links), y, isig)
 
 
+def _first_departure(sig: bytes, off: int, link: bytes, msg_len: int,
+                     L: int) -> int:
+    """The first preimage at which sig, read from off, departs from a stored
+    link whose message (its first msg_len bytes) sig repeats; 0 if sig's
+    message differs."""
+    link = memoryview(link)
+    if not sig.startswith(link[:msg_len], off):
+        return 0
+    lo, hi = 0, L  # sig repeats the link's first lo preimages, not its first hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sig.startswith(link[: msg_len + 32 * mid], off):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 # Verified-link store, one per verify key, in the manner of SPHINCS path
 # reuse. It maps a tree node, by its integer id prefix | 1 << depth, to the
 # parent key and the link bytes that passed ots_verify there; the leaf check
@@ -156,7 +174,13 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
 # blob, since the parent is implied; after the first level that did not, a
 # hit also compares the stored parent against the blob's on-path child key.
 # A hit stands for a check with exactly those inputs; only a miss slices the
-# parent, message and preimages from the blob and calls ots_verify.
+# parent, message and preimages from the blob and calls ots_verify. When a
+# miss meets a stored node and the blob repeats that link's message, the
+# blob's preimages differ from the stored ones, which passed (or only its
+# parent differs), so ots_verify checks first the preimage where the blob
+# departs from the stored link. That orders the checks and skips none: an
+# accept still hashes all L preimages, and the verdict is the AND of the
+# same checks.
 def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
     """Whether sig, a TreeSignature or any bytes-like blob, signs m under vk.
 
@@ -198,8 +222,10 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
             parent = vk.vk_root if t == 0 else sig[parent_at : parent_at + vk_len]
             split = off + (2 * vk_len if t < n else tag_len)
             end = split + sig_len
+            first = 0 if hit is None else _first_departure(
+                sig, off, hit[1], split - off, vk.digest_bits)
             if not ots_verify(parent, sig[off:split], sig[split:end],
-                              vk.digest_bits):
+                              vk.digest_bits, first):
                 return False
             chained = chained and hit is None and len(store) < STORE_CAP
             if chained:

@@ -80,14 +80,26 @@ def ots_sign(keypair: OtsKeypair, message: bytes) -> bytes:
     return b"".join(keypair.sk[bit][i] for i, bit in enumerate(bits))
 
 
-def ots_verify(vk_bytes: bytes, message: bytes, sig: bytes, L: int) -> bool:
-    if (not 1 <= L <= 256 or len(vk_bytes) != ots_vk_len(L)
-            or len(sig) != ots_sig_len(L)):
+def ots_verify(vk_bytes: bytes, message: bytes, sig: bytes, L: int,
+               first: int = 0) -> bool:
+    """Whether sig signs message under vk_bytes: every one of the L
+    preimages hashes to its vk entry.
+
+    first only orders the checks: preimage first is checked first, then
+    0, 1, ... in turn, so a caller that knows which preimage is likely bad
+    can reject it at once. The verdict does not depend on it; a first
+    outside [0, L) raises ValueError.
+    """
+    if not 1 <= L <= 256:
+        return False
+    if not 0 <= first < L:
+        raise ValueError("first preimage to check must be in [0, L)")
+    if len(vk_bytes) != ots_vk_len(L) or len(sig) != ots_sig_len(L):
         return False
     # position i's bit is digest bit 255 - i; read each as it is needed and
     # stop at the first preimage that does not hash to its vk entry
     digest = int.from_bytes(sha256(message), "big")
-    for i in range(L):
+    for i in (first, *range(first), *range(first + 1, L)):
         at = 32 * ((digest >> (255 - i) & 1) * L + i)
         if not vk_bytes.startswith(sha256(sig[32 * i : 32 * i + 32]), at):
             return False

@@ -97,6 +97,28 @@ class TestExitCodes:
             assert (code, out) == (1, ""), argv
             assert "trials must be positive" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sde", "demo", "--keys", "0"], "keys must be positive"),
+        (["sde", "demo", "--keys", "-2"], "keys must be positive"),
+        (["detsig", "vectors", "--count", "0"], "count must be positive"),
+        (["detsig", "vectors", "--count", "-3"], "count must be positive"),
+        (["purify", "compiler", "--tol", "nan"], "tol must be finite"),
+        (["purify", "compiler", "--tol", "inf"], "tol must be finite"),
+        (["purify", "compiler", "--tol", "-0.5"], "tol must be finite"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = _capture(capsys, argv + ["--seed", "1"])
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_smallest_valid_values_run(self, capsys):
+        for argv in (["sde", "demo", "--keys", "1"],
+                     ["detsig", "vectors", "--count", "1", "--n", "2"],
+                     ["purify", "compiler", "--tol", "0"]):
+            code, out, err = _capture(capsys, argv + ["--seed", "1"])
+            assert code in (0, 2), (argv, err)
+            json.loads(out)
+
     def test_threshold_failure_is_exit_2(self, capsys):
         sign = _json_report(capsys, ["detsig", "sign", "--n", "4",
                                      "--seed", "5", "--message", "a"])

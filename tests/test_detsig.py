@@ -339,7 +339,9 @@ class TestVerifiedLinkStore:
 class TestVerifyWork:
     """Hash and one-time-check counts of verify; they do not depend on the
     hardware. A warm store confirms honest links without hashing, and a
-    tampered link costs one ots_verify that stops at its first bad preimage."""
+    tampered link costs one ots_verify that stops at its first bad preimage;
+    on a stored link with its message intact, that preimage is checked
+    first."""
 
     n, digest_bits, tag_bits = 4, 24, 16
 
@@ -352,9 +354,9 @@ class TestVerifyWork:
             hashed.append(data)
             return real_sha(data)
 
-        def ots_verify(*args):
+        def ots_verify(*args, **kwargs):
             checks.append(args)
-            return real_check(*args)
+            return real_check(*args, **kwargs)
 
         monkeypatch.setattr(hashes, "sha256", sha256)
         monkeypatch.setattr(ots_module, "sha256", sha256)
@@ -368,13 +370,12 @@ class TestVerifyWork:
         return [(t * step, 2 * vk_len) for t in range(self.n)] + \
             [(self.n * step, self.tag_bits // 8)]
 
-    def _first_bad(self, message, tampered_message, preimage):
-        # the first position whose digest bit changed, or the flipped preimage
+    def _first_bad(self, message, tampered_message):
+        # the first position whose digest bit changed
         old = int.from_bytes(hashlib.sha256(message).digest(), "big")
         new = int.from_bytes(hashlib.sha256(tampered_message).digest(), "big")
-        changed = [i for i in range(self.digest_bits)
-                   if (old ^ new) >> (255 - i) & 1]
-        return min(changed + ([preimage] if preimage is not None else []))
+        return min(i for i in range(self.digest_bits)
+                   if (old ^ new) >> (255 - i) & 1)
 
     def test_warm_honest_verify_hashes_nothing(self, counted):
         hashed, checks = counted
@@ -413,14 +414,42 @@ class TestVerifyWork:
                 checks.clear()
                 assert not detsig.verify(vk, m, tampered)
                 assert len(checks) == 1
-                parent, message, sig, width = checks[0]
+                parent, message, sig, width, first = checks[0]
                 assert parent == parents[t]
                 assert message + sig == tampered[off:end]
                 assert width == self.digest_bits
-                first_bad = self._first_bad(blob[off : off + msg_len], message,
-                                            preimage)
-                assert len(hashed) == 1 + first_bad + 1
+                if preimage is None:
+                    # the stored link's message differs: checks in order
+                    first_bad = self._first_bad(blob[off : off + msg_len],
+                                                message)
+                    assert first == 0
+                    assert len(hashed) == 1 + first_bad + 1
+                else:
+                    # the message, then the flipped preimage, checked first
+                    assert first == preimage
+                    assert len(hashed) == 2
         assert vk._verified == before
+
+    def test_flipped_preimage_checked_first_only_on_a_stored_link(self, counted):
+        hashed, checks = counted
+        vk, sk = detsig.setup(self.n, self.tag_bits, make_rng(33),
+                              digest_bits=self.digest_bits)
+        m = 0b1001
+        blob = detsig.sign(sk, m).to_bytes()
+        warm = dataclasses.replace(vk)
+        assert detsig.verify(warm, m, blob)
+        # a level above the tampered one costs 1 + L hashes on a fresh key
+        honest_level = 1 + self.digest_bits
+        for t, (off, msg_len) in enumerate(self._layout()):
+            for i in range(self.digest_bits):
+                tampered = _flip(blob, 8 * (off + msg_len + 32 * i) + 5)
+                for key, want in ((warm, 2),
+                                  (dataclasses.replace(vk),
+                                   t * honest_level + 1 + i + 1)):
+                    hashed.clear()
+                    checks.clear()
+                    assert not detsig.verify(key, m, tampered)
+                    assert len(hashed) == want, (t, i, key is warm)
 
 
 @functools.cache

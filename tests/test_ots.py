@@ -4,6 +4,8 @@ exhaustive bit-tamper rejection, and the documented byte layout."""
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unclonelab.primitives import (
     ots_gen,
@@ -25,6 +27,19 @@ GOLDEN_SIG_SHA256 = "8a4ea13b298dd9686c208026cc38a9e4c18649a48fe737a7135099667ba
 def _digest_bits(message, bits):
     h = hashlib.sha256(message).digest()
     return [(h[i // 8] >> (7 - i % 8)) & 1 for i in range(bits)]
+
+
+@st.composite
+def _tamper_cases(draw):
+    # a keypair, a message, and the preimages and message bytes to flip
+    L = draw(st.integers(1, 32))
+    seed = draw(st.binary(min_size=32, max_size=32))
+    message = draw(st.binary(max_size=48))
+    preimages = draw(st.sets(st.integers(0, L - 1)))
+    message_bytes = (draw(st.sets(st.integers(0, len(message) - 1)))
+                     if message else set())
+    mask = draw(st.integers(1, 255))
+    return L, seed, message, preimages, message_bytes, mask
 
 
 class TestSetup:
@@ -175,3 +190,54 @@ class TestSignVerify:
         calls.clear()
         assert ots_verify(kp.vk_bytes(), b"msg", sig, 24)
         assert len(calls) == 1 + 24
+
+    def test_first_preimage_checked_first(self, monkeypatch):
+        # first = j: the message digest, then preimage j; an accept still
+        # hashes every preimage
+        calls = []
+        real = ots_module.sha256
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(ots_module, "sha256", counting)
+        kp = ots_gen(24, make_rng(14))
+        sig = ots_sign(kp, b"msg")
+        for j in range(24):
+            bad = bytearray(sig)
+            bad[32 * j + 31] ^= 0x80
+            calls.clear()
+            assert not ots_verify(kp.vk_bytes(), b"msg", bytes(bad), 24, j)
+            assert calls[1:] == [bytes(bad[32 * j : 32 * j + 32])]
+            calls.clear()
+            assert ots_verify(kp.vk_bytes(), b"msg", sig, 24, j)
+            assert len(calls) == 1 + 24
+
+    def test_first_outside_range_raises(self):
+        kp = ots_gen(8, make_rng(15))
+        sig = ots_sign(kp, b"msg")
+        for first in (-1, 8, 9, 256):
+            with pytest.raises(ValueError):
+                ots_verify(kp.vk_bytes(), b"msg", sig, 8, first)
+
+    @given(case=_tamper_cases())
+    def test_first_never_changes_the_verdict(self, case):
+        L, seed, message, preimages, message_bytes, mask = case
+        kp = ots_setup_from_seed(L, seed)
+        sig = bytearray(ots_sign(kp, message))
+        for i in preimages:
+            sig[32 * i + mask % 32] ^= mask
+        tampered = bytearray(message)
+        for j in message_bytes:
+            tampered[j] ^= mask
+        sig, tampered = bytes(sig), bytes(tampered)
+        # a changed message whose first L digest bits agree is signed alike;
+        # at L = 32 that has probability 2**-32
+        want = (not preimages
+                and _digest_bits(tampered, L) == _digest_bits(message, L))
+        untouched = not preimages and not message_bytes
+        assert want == untouched or L < 32
+        vk = kp.vk_bytes()
+        for first in range(L):
+            assert ots_verify(vk, tampered, sig, L, first) == want
