@@ -9,13 +9,12 @@ schema described in report.py, and exits with
   1  usage error: bad flags, bad config file, invalid parameters
 
 Each experiment declares its flags once, in the ``@_experiment``
-registry entry on its handler: name, type, default, choices and help.
-build_parser() generates every subcommand from that table, and run()
-checks a config against it, so the parser and the API cannot disagree.
-
-Configuration is flag-driven. A ``--config FILE`` of ``key=value``
-lines supplies defaults for the chosen subcommand; explicit flags win,
-unknown keys are rejected, and no environment variables are read.
+registry entry on its handler: name, type, default, choices, help and
+least value. build_parser() generates every subcommand from that table,
+and run() checks each config value against it before the handler runs,
+so the command line, a ``--config FILE`` of ``key=value`` lines (read
+as ``--key=value`` flags before the command line's, which win) and the
+API meet one check. No environment variables are read.
 Reruns with the same parameters and seed produce byte-identical report
 bodies (the wall_time_s field aside), so report files can be diffed as
 golden artifacts. Trials run sequentially as an ordered reduction;
@@ -26,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -62,11 +63,17 @@ from .sde_ue import (
 _TOL = 1e-12
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags, bad config file, or invalid parameter values."""
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -N and -N.N as numbers, not -1e-9 or -inf
+        self._negative_number_matcher = re.compile(
+            r"^-(\d*\.?\d+(e[-+]?\d+)?|inf)$", re.I)
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
@@ -94,6 +101,7 @@ class Param(NamedTuple):
     default: object = None
     choices: Sequence | None = None
     help: str | None = None
+    low: float | None = None  # the least value an int or float allows
 
 
 class Experiment(NamedTuple):
@@ -121,24 +129,17 @@ def _experiment(name: str, help_: str, *flags: Param):
     return register
 
 
-def _parse_hex(text: str, label: str) -> int:
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise ValueError(f"{label} must be a hex string") from None
-
-
 def _hex_width(bits: int) -> int:
     return (bits + 3) // 4
 
 
 @_experiment("coin demo", "counterfeit game demo",
              Param("variant", default="eqsup", choices=("prs", "eqsup")),
-             Param("id_bits", int, 4),
-             Param("mini_n", int, 8),
+             Param("id_bits", int, 4, low=1),
+             Param("mini_n", int, 8, low=2),
              Param("attack", default="zero-pad", choices=sorted(ATTACKS)),
-             Param("coins", int, 1, help="coins issued per trial"),
-             Param("trials", int, 100))
+             Param("coins", int, 1, help="coins issued per trial", low=0),
+             Param("trials", int, 100, low=1))
 def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     params = CoinParams(id_bits=p["id_bits"], mini_n=p["mini_n"])
@@ -159,8 +160,9 @@ def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-_SIG_FLAGS = (Param("n", int, 8, help="message bits"),
-              Param("tag_bits", int, 16), Param("digest_bits", int, 16))
+_SIG_FLAGS = (Param("n", int, 8, help="message bits", low=1),
+              Param("tag_bits", int, 16, low=8),
+              Param("digest_bits", int, 16, low=1))
 _MESSAGE = Param("message", help="hex message (demo/sign default: sampled)")
 
 
@@ -168,7 +170,10 @@ def _detsig_message(p: dict, rng) -> int:
     limit = 1 << p["n"]
     if p["message"] is None:
         return int.from_bytes(rng.bytes(8), "big") % limit
-    m = _parse_hex(p["message"], "--message")
+    try:
+        m = int(p["message"], 16)
+    except ValueError:
+        raise ValueError("--message must be a hex string") from None
     if not 0 <= m < limit:
         raise ValueError(f"message exceeds {p['n']} bits")
     return m
@@ -227,10 +232,8 @@ def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("detsig vectors", "signature vectors", *_SIG_FLAGS,
-             Param("count", int, 8, help="number of signed messages"))
+             Param("count", int, 8, help="number of signed messages", low=1))
 def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    if cfg.params["count"] < 1:
-        raise ValueError("count must be positive")
     p, _, vk, sk = _detsig_keys(cfg)
     width = _hex_width(p["n"])
     vectors = []
@@ -254,7 +257,7 @@ def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("purify typedist", "exact type-state vs Haar-average distance",
-             Param("n", int, 4), Param("t", int, 2))
+             Param("n", int, 4, low=0), Param("t", int, 2, low=0))
 def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     out = purify.type_vs_haar_distance(p["n"], p["t"])
@@ -264,12 +267,11 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("purify compiler", "purified-compiler equivalence gap",
-             Param("n", int, 3), Param("t", int, 2),
-             Param("payload_qubits", int, 1), Param("tol", float, 1e-9))
+             Param("n", int, 3, low=0), Param("t", int, 2, low=1),
+             Param("payload_qubits", int, 1, low=0),
+             Param("tol", float, 1e-9, low=0))
 def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
-    if not (math.isfinite(p["tol"]) and p["tol"] >= 0):
-        raise ValueError("tol must be finite and non-negative")
     q = p["payload_qubits"]
 
     def generator(z: bytes, rand: bytes):
@@ -283,7 +285,7 @@ def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-@_experiment("prs demo", "phase-state digest", Param("n", int, 4))
+@_experiment("prs demo", "phase-state digest", Param("n", int, 4, low=1))
 def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     key = prs_setup(p["n"], make_rng(cfg.seed))
@@ -297,8 +299,9 @@ def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("prs overlap", "small-range overlap experiment",
-             Param("k", int, 2), Param("ell", int, 32),
-             Param("domain_bits", int, 6), Param("trials", int, 200))
+             Param("k", int, 2, low=1), Param("ell", int, 32, low=1),
+             Param("domain_bits", int, 6, low=0),
+             Param("trials", int, 200, low=1))
 def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     out = purify.small_range_experiment(p["k"], p["ell"], p["domain_bits"],
@@ -309,8 +312,9 @@ def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("prs srd", "classical small-range distinguisher",
-             Param("k", int, 2), Param("ell", int, 32),
-             Param("domain", int, 4096), Param("trials", int, 500))
+             Param("k", int, 2, low=0), Param("ell", int, 32, low=1),
+             Param("domain", int, 4096, low=1),
+             Param("trials", int, 500, low=1))
 def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     out = purify.classical_srd_experiment(p["k"], p["ell"], p["domain"],
@@ -321,7 +325,7 @@ def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("mini demo", "mint, verify, and zero-pad forgery odds",
-             Param("n", int, 8))
+             Param("n", int, 8, low=2))
 def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     n = p["n"]
@@ -344,11 +348,10 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("sde demo", "round trips plus foreign reject",
-             Param("message_bits", int, 4), Param("keys", int, 2))
+             Param("message_bits", int, 4, low=1),
+             Param("keys", int, 2, low=1))
 def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
-    if p["keys"] < 1:
-        raise ValueError("keys must be positive")
     rng = make_rng(cfg.seed)
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
     sks = [sde_kg(sde, sde.msk, rng) for _ in range(p["keys"])]
@@ -376,7 +379,7 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("ue demo", "round trips, determinism, ek=dk wrapper",
-             Param("message_bits", int, 4))
+             Param("message_bits", int, 4, low=1))
 def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -416,16 +419,15 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 @_experiment("game run", "run one game with an adversary",
              Param("name", choices=GAMES),
-             Param("q", int, 2),
-             Param("gamma", float, 0.1),
+             Param("q", int, 2, low=1),
+             Param("gamma", float, 0.1, low=math.ulp(0.0)),  # gamma > 0
              Param("adversary", default="honest-forwarder",
                    choices=sorted(ADVERSARIES)),
-             Param("trials", int, 1),
-             Param("samples", int, 8, help="challenge samples per test"))
+             Param("trials", int, 1, low=1),
+             Param("samples", int, 8, help="challenge samples per test",
+                   low=1))
 def _game_run(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
-    if p["name"] is None:
-        raise ValueError("game run needs --name")
     out = run_game(p["name"], p["adversary"], p["q"], p["gamma"],
                    make_rng(cfg.seed), trials=cfg.trials,
                    challenge_samples=p["samples"])
@@ -461,6 +463,26 @@ def _vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, True
 
 
+def _check(experiment: str, flag: Param, value) -> None:
+    """Raise UsageError, naming the flag, unless flag allows value."""
+    # a float flag takes an int too; a bool is an int, but never a count
+    kind = {int: numbers.Integral, float: numbers.Real}.get(flag.type, str)
+    if flag.choices is not None and value not in flag.choices:
+        rule = f"one of {', '.join(flag.choices)}"
+    elif value is None and flag.default is None:
+        return  # an optional flag left unset
+    elif isinstance(value, bool) or not isinstance(value, kind):
+        rule = (flag.type or str).__name__
+    elif flag.low is not None and not flag.low <= value < math.inf:
+        rule = {0: "non-negative", 1: "positive", math.ulp(0.0): "positive"
+                }.get(flag.low, f"at least {flag.low}")
+        rule = f"finite and {rule}" if flag.type is float else rule
+    else:
+        return
+    raise UsageError(f"{experiment}: --{flag.name.replace('_', '-')} must "
+                     f"be {rule}, got {value!r}")
+
+
 def run(config: ExperimentConfig) -> int:
     """Run one experiment and emit its report; returns the exit code."""
     spec = EXPERIMENTS.get(config.experiment)
@@ -477,6 +499,10 @@ def run(config: ExperimentConfig) -> int:
         raise UsageError(f"{config.experiment} needs trials")
     if config.seed is None:
         raise UsageError(f"{config.experiment} needs --seed")
+    # unchecked (None): out, config and seed, which make_rng checks
+    values = dict(config.params, trials=config.trials, format=config.fmt)
+    for flag in spec.flags + _COMMON_FLAGS:
+        _check(config.experiment, flag, values.get(flag.name))
     start = time.perf_counter()
     results, ok = spec.handler(config)
     wall = time.perf_counter() - start
@@ -512,14 +538,13 @@ _MODULE_HELP = {
 }
 
 
-def build_parser() -> tuple[_Parser, dict]:
-    """The top parser and one leaf per experiment, generated from
+def build_parser() -> _Parser:
+    """The top parser with one leaf per experiment, generated from
     EXPERIMENTS; "module action" names nest, one-word names stay top-level."""
     parser = _Parser(prog="unclonelab",
                      description="experiment runner and report emitter")
     top = parser.add_subparsers(dest="_module", metavar="COMMAND")
     modules = {}
-    leaves: dict[str, _Parser] = {}
     for name, spec in EXPERIMENTS.items():
         module, _, action = name.partition(" ")
         owner = top
@@ -535,11 +560,11 @@ def build_parser() -> tuple[_Parser, dict]:
             leaf.add_argument("--" + flag.name.replace("_", "-"),
                               type=flag.type, default=flag.default,
                               choices=flag.choices, help=flag.help)
-        leaves[name] = leaf
-    return parser, leaves
+    return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, experiment: str) -> list[str]:
+    """The key=value lines of a config file as --key=value flags."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -547,7 +572,8 @@ def _load_config_file(path: str) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         # unlike OSError, the decoder's message does not name the file
         raise UsageError(f"cannot read config file: {path}: {exc}") from None
-    values: dict[str, str] = {}
+    known = {f.name for f in EXPERIMENTS[experiment].flags + _COMMON_FLAGS}
+    flags = []
     first_line: dict[str, int] = {}  # by flag name: n-x and n_x are one key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -557,33 +583,14 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         name = key.replace("-", "_")
+        if name == "config" or name not in known:
+            raise UsageError(f"unknown parameter {key!r} in config file")
         if name in first_line:
             raise UsageError(f"{path}:{lineno}: {key!r} repeats the key "
                              f"set on line {first_line[name]}")
         first_line[name] = lineno
-        values[key] = value
-    return values
-
-
-def _apply_config_file(leaf: _Parser, path: str) -> None:
-    actions = {a.dest: a for a in leaf._actions}
-    for key, raw in _load_config_file(path).items():
-        dest = key.replace("-", "_")
-        if dest in ("help", "config", "_experiment") or dest not in actions:
-            raise UsageError(f"unknown parameter {key!r} in config file")
-        action = actions[dest]
-        try:
-            value = (action.type or str)(raw)
-        except ValueError:
-            raise UsageError(
-                f"config file value for {key!r} is invalid: {raw!r}"
-            ) from None
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(
-                f"config file value for {key!r} must be one of "
-                f"{', '.join(map(str, action.choices))}"
-            )
-        leaf.set_defaults(**{dest: value})
+        flags.append(f"--{name.replace('_', '-')}={value}")
+    return flags
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -598,7 +605,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser, leaves = build_parser()
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         experiment = getattr(args, "_experiment", None)
@@ -606,8 +614,10 @@ def main(argv=None) -> int:
             raise UsageError("unclonelab: a subcommand is required "
                              "(see --help)")
         if args.config:
-            _apply_config_file(leaves[experiment], args.config)
-            args = parser.parse_args(argv)
+            # the file's flags go before the command line's, which win
+            flags = _load_config_file(args.config, experiment)
+            words = len(experiment.split())
+            args = parser.parse_args(argv[:words] + flags + argv[words:])
         return run(_config_from_args(args))
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -31,6 +31,7 @@ from .primitives import (
     pprf_eval,
     pprf_eval_many,
     pprf_gen,
+    xor_bytes,
 )
 
 MAX_MESSAGE_BITS = 56  # prefix encoding prepends a length byte
@@ -81,6 +82,8 @@ def signature_len(n: int, digest_bits: int, tag_bits: int) -> int:
 
 
 def signature_from_bytes(blob: bytes, n: int, digest_bits: int, tag_bits: int) -> TreeSignature:
+    if n < 1 or digest_bits < 1 or tag_bits < 8 or tag_bits % 8:
+        raise ValueError("signature widths out of range")
     if len(blob) != signature_len(n, digest_bits, tag_bits):
         raise ValueError("signature blob has wrong length")
     vk_len = ots_vk_len(digest_bits)
@@ -261,7 +264,7 @@ class SigningOracle:
         def xor_sig(label):
             m, w = label
             sig = sign(self._sk, m).to_bytes()
-            return (m, bytes(a ^ b for a, b in zip(w, sig, strict=True)))
+            return (m, xor_bytes(w, sig))
 
         return state.map_labels(xor_sig)
 
@@ -275,7 +278,6 @@ class SigningOracle:
 
 
 def bz_game_harness(adversary, k: int, rng: np.random.Generator, *,
-                    n: int = 3, digest_bits: int = 4, tag_bits: int = 8,
                     query_budget: int | None = None) -> bool:
     """Run the plus-one forgery game: k oracle queries, k+1 pairs to win.
 
@@ -286,11 +288,7 @@ def bz_game_harness(adversary, k: int, rng: np.random.Generator, *,
     lets tests hand an honest signer enough queries to demonstrate the
     verification path.
     """
-    if n > 4:
-        raise ValueError("toy game only supports n <= 4")
-    if digest_bits > 8:
-        raise ValueError("toy game only supports digest_bits <= 8")
-    vk, sk = setup(n, tag_bits, rng, digest_bits=digest_bits)
+    vk, sk = setup(3, 8, rng, digest_bits=4)
     oracle = SigningOracle(sk, k if query_budget is None else query_budget)
     pairs = adversary(vk, oracle, rng)
     if len(pairs) != k + 1:

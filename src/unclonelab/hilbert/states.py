@@ -86,7 +86,8 @@ class StateVector:
         arr = _frozen_array(self.amplitudes, np.complex128)
         if arr.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got {arr.shape}")
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):  # huge amplitudes: norm is inf
+            norm = float(np.linalg.norm(arr))
         if not abs(norm - 1.0) <= 1e-7:  # also rejects NaN and inf
             raise ValueError(f"state not normalized: |amp| = {norm}")
         object.__setattr__(self, "amplitudes", arr)

@@ -19,6 +19,7 @@ __all__ = [
     "prg_child",
     "expand_stream",
     "ots_preimage",
+    "xor_bytes",
 ]
 
 TAG_LEFT = b"\x00"
@@ -42,6 +43,11 @@ def expand_stream(seed: bytes, num_bytes: int) -> bytes:
     for counter in range((num_bytes + 31) // 32):
         blocks.append(sha256(TAG_EXPAND + seed + struct.pack("<I", counter)))
     return b"".join(blocks)[:num_bytes]
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """a XOR b, byte by byte; unequal lengths raise ValueError."""
+    return bytes(x ^ y for x, y in zip(a, b, strict=True))
 
 
 def ots_preimage(seed: bytes, bit: int, position: int) -> bytes:

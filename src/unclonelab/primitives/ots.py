@@ -85,10 +85,10 @@ def ots_verify(vk_bytes: bytes, message: bytes, sig: bytes, L: int,
     """Whether sig signs message under vk_bytes: every one of the L
     preimages hashes to its vk entry.
 
-    first only orders the checks: preimage first is checked first, then
-    0, 1, ... in turn, so a caller that knows which preimage is likely bad
-    can reject it at once. The verdict does not depend on it; a first
-    outside [0, L) raises ValueError.
+    first only orders the checks: preimages first, first + 1, ..., L - 1,
+    then 0, ..., first - 1, so a caller that knows which preimage is
+    likely bad can reject it at once. The verdict does not depend on it;
+    a first outside [0, L) raises ValueError.
     """
     if not 1 <= L <= 256:
         return False
@@ -99,7 +99,8 @@ def ots_verify(vk_bytes: bytes, message: bytes, sig: bytes, L: int,
     # position i's bit is digest bit 255 - i; read each as it is needed and
     # stop at the first preimage that does not hash to its vk entry
     digest = int.from_bytes(sha256(message), "big")
-    for i in (first, *range(first), *range(first + 1, L)):
+    for i in range(first, first + L):
+        i %= L
         at = 32 * ((digest >> (255 - i) & 1) * L + i)
         if not vk_bytes.startswith(sha256(sig[32 * i : 32 * i + 32]), at):
             return False

@@ -66,8 +66,8 @@ class SmallRangeParams:
     domain_bits: int
 
 
-def small_range_size(accuracy: float, k: int, c_osrd: float = C_OSRD_DEFAULT) -> int:
-    return int(math.ceil(c_osrd * accuracy**2 * k**3))
+def small_range_size(accuracy: float, k: int) -> int:
+    return int(math.ceil(C_OSRD_DEFAULT * accuracy**2 * k**3))
 
 
 def purified_state(spec: GenStateSpec, prs_key: PrsKey, pprf_key: PprfKey) -> HybridState:
@@ -150,8 +150,8 @@ def compiler_equivalence_check(spec: GenStateSpec, n: int, t: int,
     The product-state route conditioned on that label set must equal the
     symmetrized simulator state times the transcript's phase product.
     """
-    if n > 4 or t > 3:
-        raise ValueError("equivalence check runs at n <= 4, t <= 3")
+    if n > 4 or not 1 <= t <= min(3, 1 << n):
+        raise ValueError("equivalence check runs at n <= 4, 1 <= t <= min(3, 2^n)")
     size = 1 << n
     phases = 1.0 - 2.0 * rng.integers(0, 2, size=size)
     rand_bytes = (spec.randomness_bits + 7) // 8
@@ -335,8 +335,7 @@ def small_range_experiment(k: int, ell: int, domain_bits: int, trials: int,
 
 
 def classical_srd_experiment(k: int, ell: int, domain: int, trials: int,
-                             rng: np.random.Generator,
-                             c_srd: float = C_SRD_DEFAULT) -> dict:
+                             rng: np.random.Generator) -> dict:
     """Collision-finding distinguisher between a fresh random function and
     a range-compressed one, each queried at k distinct points."""
     if k > domain:
@@ -357,7 +356,7 @@ def classical_srd_experiment(k: int, ell: int, domain: int, trials: int,
         "k": k, "ell": ell, "domain": domain, "trials": trials,
         "p_collision_full": p_full, "p_collision_small": p_small,
         "advantage": abs(p_small - p_full),
-        "envelope": c_srd * k**3 / ell,
+        "envelope": C_SRD_DEFAULT * k**3 / ell,
         "stderr": math.sqrt(max(p_small * (1 - p_small), p_full * (1 - p_full))
                             / trials),
     }

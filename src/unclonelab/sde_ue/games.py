@@ -291,8 +291,8 @@ _RUNNERS = {
 
 
 def run_game(game: str, adversary, q: int, gamma: float,
-             rng: np.random.Generator, *, config: SdeConfig | None = None,
-             trials: int = 1, challenge_samples: int = 8) -> dict:
+             rng: np.random.Generator, *, trials: int = 1,
+             challenge_samples: int = 8) -> dict:
     """Run a game for some trials; report rates plus the last transcript."""
     if game not in _RUNNERS:
         raise ValueError(f"unknown game {game!r}; choose from {', '.join(GAMES)}")
@@ -315,7 +315,7 @@ def run_game(game: str, adversary, q: int, gamma: float,
         raise ValueError("challenge_samples must be positive")
     if rng is None:
         raise ValueError("run_game needs an rng")
-    config = config or SdeConfig()
+    config = SdeConfig()
 
     runner = _RUNNERS[game]
     wins = 0

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..primitives import expand_stream, sha256
+from ..primitives import expand_stream, sha256, xor_bytes
 from .fail import FAIL
 
 _NONCE_LEN = 16
@@ -79,7 +79,7 @@ def fe_enc(fe: MockFe, pk: bytes, x: bytes, rng: np.random.Generator) -> bytes:
     if rng is None:
         raise ValueError("fe_enc needs an rng")
     nonce = rng.bytes(_NONCE_LEN)
-    body = bytes(a ^ b for a, b in zip(x, _keystream(fe._seal_key, nonce, len(x))))
+    body = xor_bytes(x, _keystream(fe._seal_key, nonce, len(x)))
     mac = hmac.new(fe._seal_key, nonce + body, "sha256").digest()[:_MAC_LEN]
     return nonce + body + mac
 
@@ -100,6 +100,6 @@ def fe_dec(fe: MockFe, fsk: bytes, ct: bytes):
     want = hmac.new(fe._seal_key, nonce + body, "sha256").digest()[:_MAC_LEN]
     if not hmac.compare_digest(mac, want):
         return FAIL
-    x = bytes(a ^ b for a, b in zip(body, _keystream(fe._seal_key, nonce, len(body))))
+    x = xor_bytes(body, _keystream(fe._seal_key, nonce, len(body)))
     _, fn = fe.issued_keys[fsk]
     return fn(x)

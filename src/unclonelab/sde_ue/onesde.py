@@ -37,7 +37,7 @@ from ..minischeme import (
     sn_len,
     subspace_from_randomness,
 )
-from ..primitives import expand_stream, sha256
+from ..primitives import expand_stream, sha256, xor_bytes
 from .fail import FAIL
 
 TAG_LEN = 16
@@ -102,7 +102,7 @@ def one_enc(pk: bytes, m: bytes, randomness: bytes) -> bytes:
         raise ValueError(f"encryption randomness must be {_ENC_R_LEN} bytes")
     token = _token_of_pk(pk)
     stream = expand_stream(sha256(b"onectr" + token + randomness), len(m))
-    body = bytes(a ^ b for a, b in zip(m, stream))
+    body = xor_bytes(m, stream)
     mac = hmac.new(token, randomness + body, "sha256").digest()[:_MAC_LEN]
     return randomness + body + mac
 
@@ -130,4 +130,4 @@ def one_dec(one_sk: tuple[StateVector, bytes], ct: bytes, *,
     if not hmac.compare_digest(mac, want):
         return FAIL
     stream = expand_stream(sha256(b"onectr" + token + r), len(body))
-    return bytes(a ^ b for a, b in zip(body, stream))
+    return xor_bytes(body, stream)

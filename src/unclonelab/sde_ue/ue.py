@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..primitives import xor_bytes
 from .compiler import (
     Sde,
     SdeConfig,
@@ -48,12 +49,6 @@ class UeCiphertext:
     masked: bytes
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def _random_message(config: SdeConfig, rng: np.random.Generator) -> bytes:
     value = int.from_bytes(rng.bytes(config.msg_len), "big")
     return (value & ((1 << config.message_bits) - 1)).to_bytes(config.msg_len, "big")
@@ -73,14 +68,14 @@ def ue_enc(sde: Sde, ek: tuple[bytes, bytes], m,
     msk, s = ek
     m = message_to_bytes(sde.config, m)
     sk = sde_kg(sde, msk, rng, randomness=kg_randomness)
-    return UeCiphertext(sde_sk=sk, masked=_xor(m, s))
+    return UeCiphertext(sde_sk=sk, masked=xor_bytes(m, s))
 
 
 def ue_dec(sde: Sde, dk: bytes, ct: UeCiphertext):
     s = sde_dec(sde, ct.sde_sk, dk)
     if s is FAIL:
         return FAIL
-    return _xor(ct.masked, s)
+    return xor_bytes(ct.masked, s)
 
 
 # -- identical encryption and decryption keys ---------------------------------
@@ -110,12 +105,12 @@ class EkdkUe:
             raise ValueError(f"key must be {self.pad_len} bytes")
         keys = ue_kg(self.sde, rng)
         inner = ue_enc(self.sde, keys.ek, m, rng)
-        return EkdkCiphertext(inner=inner, pad=_xor(keys.dk, ek_prime))
+        return EkdkCiphertext(inner=inner, pad=xor_bytes(keys.dk, ek_prime))
 
     def dec(self, dk_prime: bytes, ct: EkdkCiphertext):
         if len(dk_prime) != self.pad_len:
             raise ValueError(f"key must be {self.pad_len} bytes")
-        dk = _xor(dk_prime, ct.pad)
+        dk = xor_bytes(dk_prime, ct.pad)
         return ue_dec(self.sde, dk, ct.inner)
 
 

@@ -10,6 +10,7 @@ test checks the ``python -m`` entry point.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -139,6 +140,115 @@ class TestExitCodes:
                      "--signature", sign["results"]["signature"]])
         assert code == 0
         assert json.loads(out)["results"]["verified"] is True
+
+
+# flags that let each other flag's least value yield a report on its own
+# (coins=0 needs the null attack, n=0 a single copy, domain=1 one query)
+_GATE_BASE = {
+    "coin demo": ["--attack", "null", "--trials", "2"],
+    "detsig verify": ["--message", "0", "--signature", "00"],
+    "purify typedist": ["--t", "1"],
+    "purify compiler": ["--t", "1"],
+    "prs overlap": ["--trials", "2"],
+    "prs srd": ["--k", "1", "--trials", "2"],
+    "game run": ["--name", "identical-challenge"],
+}
+_NUMBER_FLAGS = [(name, flag) for name, spec in EXPERIMENTS.items()
+                 for flag in spec.flags if flag.type in (int, float)]
+
+
+class TestValueGate:
+    """run() checks every value against its Param before the handler runs."""
+
+    @pytest.mark.parametrize(
+        "name, flag", _NUMBER_FLAGS,
+        ids=[f"{name} --{flag.name}" for name, flag in _NUMBER_FLAGS])
+    def test_least_value_runs_and_one_below_is_refused(self, capsys, name,
+                                                       flag):
+        assert flag.low is not None
+        dash = "--" + flag.name.replace("_", "-")
+        below = (flag.low - 1 if flag.type is int
+                 else math.nextafter(flag.low, -math.inf))
+        argv = name.split() + ["--seed", "1"] + _GATE_BASE.get(name, [])
+        code, out, err = _capture(capsys, argv + [dash, repr(flag.low)])
+        assert code in (0, 2), err
+        json.loads(out)
+        # a value token, also in exponent form (-5e-324 for --tol)
+        code, out, err = _capture(capsys, argv + [dash, repr(below)])
+        assert (code, out) == (1, "")
+        assert f"{name}: {dash} must be" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["purify", "compiler", "--tol", "-1e-9", "--seed", "1"],
+         "--tol must be finite and non-negative"),
+        (["purify", "compiler", "--tol", "-inf", "--seed", "1"],
+         "--tol must be finite and non-negative"),
+        (["game", "run", "--name", "strong-search", "--gamma", "-1e-3",
+          "--seed", "1"], "--gamma must be finite and positive"),
+    ])
+    def test_negative_values_reach_the_range_check(self, capsys, argv,
+                                                   message):
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_copies_beyond_the_label_space_name_n_and_t(self, capsys):
+        # n = 0 is in range, but has one label for the default t = 2 copies
+        code, out, err = _capture(capsys, ["purify", "compiler", "--n", "0",
+                                           "--seed", "1"])
+        assert (code, out) == (1, "")
+        assert "t <= min(3, 2^n)" in err
+
+    @pytest.mark.parametrize("experiment, params, trials, message", [
+        ("coin demo", {"variant": "eqsup", "id_bits": 4, "mini_n": 8,
+                       "attack": "bogus", "coins": 1}, 2, "--attack must be"),
+        ("coin demo", {"variant": "eqsup", "id_bits": "4", "mini_n": 8,
+                       "attack": "null", "coins": 1}, 2, "--id-bits must be"),
+        ("coin demo", {"variant": "eqsup", "id_bits": True, "mini_n": 8,
+                       "attack": "null", "coins": 1}, 2, "--id-bits must be"),
+        ("coin demo", {"variant": "eqsup", "id_bits": 4, "mini_n": 8,
+                       "attack": "null", "coins": 1}, 0, "--trials must be"),
+        ("purify compiler", {"n": 3, "t": 0, "payload_qubits": 1,
+                             "tol": 1e-9}, None, "--t must be positive"),
+        ("purify compiler", {"n": 3, "t": 2, "payload_qubits": 1,
+                             "tol": float("nan")}, None, "--tol must be"),
+        ("detsig sign", {"n": 4, "tag_bits": 16, "digest_bits": 16,
+                         "message": 10}, None, "--message must be"),
+        ("game run", {"name": None, "q": 2, "gamma": 0.1,
+                      "adversary": "junk", "samples": 4}, 1, "--name must be"),
+    ])
+    def test_api_refuses_before_the_handler(self, monkeypatch, capsys,
+                                            experiment, params, trials,
+                                            message):
+        def handler(cfg):
+            raise AssertionError("the handler ran")
+
+        spec = EXPERIMENTS[experiment]
+        monkeypatch.setitem(EXPERIMENTS, experiment,
+                            spec._replace(handler=handler))
+        with pytest.raises(UsageError, match=message):
+            run(ExperimentConfig(experiment=experiment, params=params,
+                                 seed=1, trials=trials))
+        assert capsys.readouterr().out == ""
+
+    def test_api_takes_an_int_for_a_float(self, capsys):
+        code = run(ExperimentConfig(
+            experiment="purify compiler", seed=1,
+            params={"n": 2, "t": 1, "payload_qubits": 0, "tol": 0}))
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == 0
+
+    def test_config_file_values_meet_the_same_check(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed=1\ntol=-1e-9\n")
+        code, out, err = _capture(capsys, ["purify", "compiler",
+                                           "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert "--tol must be finite and non-negative" in err
+        # the command line still wins over the file
+        rep = _json_report(capsys, ["purify", "compiler", "--config",
+                                    str(path), "--tol", "0"])
+        assert rep["config"]["tol"] == 0.0
 
 
 class TestReportShape:
@@ -363,7 +473,7 @@ class TestRunApi:
 
 class TestParserMatchesRegistry:
     def test_every_leaf_yields_the_registered_parameters(self):
-        parser, _ = build_parser()
+        parser = build_parser()
         takes_trials = set()
         for name, spec in EXPERIMENTS.items():
             argv = name.split() + ["--seed", "1"]

@@ -312,6 +312,13 @@ class TestCompilerEquivalence:
         with pytest.raises(ValueError):
             compiler_equivalence_check(spec, 3, 4, make_rng(0))
 
+    def test_copy_count_must_fit_the_label_space(self):
+        spec = GenStateSpec(b"", 8, 1, _seeded_haar_generator(1))
+        for n, t in ((3, 0), (0, 2), (1, 3)):
+            with pytest.raises(ValueError, match=r"1 <= t <= min\(3, 2\^n\)"):
+                compiler_equivalence_check(spec, n, t, make_rng(0))
+        assert compiler_equivalence_check(spec, 0, 1, make_rng(0))["t"] == 1
+
     def test_payload_cap_applies_before_any_sampling(self):
         def check(q):
             with pytest.raises(ValueError, match="payload limited"):
@@ -407,8 +414,8 @@ class TestSmallRangeExperiment:
                 small_range_experiment(2, 32, 6, trials, make_rng(0))
 
     def test_range_size_helper(self):
-        assert small_range_size(2.0, 2, 16.0) == 512
-        assert small_range_size(1.0, 1, 1.0) == 1
+        assert small_range_size(2.0, 2) == 512
+        assert small_range_size(1.0, 1) == 16
 
 
 class TestClassicalSRD:
