@@ -15,6 +15,9 @@ and run() checks each config value against it before the handler runs,
 so the command line, a ``--config FILE`` of ``key=value`` lines (read
 as ``--key=value`` flags before the command line's, which win) and the
 API meet one check. No environment variables are read.
+Library modules load on first use: each handler imports the modules it
+drives, so a run loads only its own experiment's stack, and the flag
+tables name their choices literally (tests pin them to the library's).
 Reruns with the same parameters and seed produce byte-identical report
 bodies (the wall_time_s field aside), so report files can be diffed as
 golden artifacts. Trials run sequentially as an ordered reduction;
@@ -33,30 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from . import detsig, minischeme, purify
-from .coin import ATTACKS, CoinParams, counterfeit_game
-from .hilbert import state_to_bytes
-from .primitives import pprf_eval, pprf_gen, pprf_key_to_bytes, sha256
-from .prs import prs_setup, prs_state
 from .report import build_report, render
 from .rng import make_rng
-from .sde_ue import (
-    ADVERSARIES,
-    FAIL,
-    GAMES,
-    SdeConfig,
-    one_setup,
-    run_game,
-    sde_ct_len,
-    sde_dec,
-    sde_enc,
-    sde_kg,
-    sde_setup,
-    ue_dec,
-    ue_ekdk_transform,
-    ue_enc,
-    ue_kg,
-)
 
 # statistical thresholds compare against +/- 3 standard errors; the
 # epsilon absorbs float rounding when stderr is exactly zero
@@ -133,14 +114,25 @@ def _hex_width(bits: int) -> int:
     return (bits + 3) // 4
 
 
+# the library's choice tables, spelled out so that building the parser
+# loads neither coin nor sde_ue; tests/test_imports.py pins them
+_ATTACKS = ("measure-clone", "null", "zero-pad")  # sorted(coin.ATTACKS)
+_GAMES = ("strong-anti-piracy", "strong-search", "identical-challenge",
+          "multi-challenge-ue", "multi-copy-ue")  # sde_ue.GAMES
+_ADVERSARIES = ("ghz-guessers", "honest-forwarder", "junk",
+                "perfect-decryptors")  # sorted(sde_ue.ADVERSARIES)
+
+
 @_experiment("coin demo", "counterfeit game demo",
              Param("variant", default="eqsup", choices=("prs", "eqsup")),
              Param("id_bits", int, 4, low=1),
              Param("mini_n", int, 8, low=2),
-             Param("attack", default="zero-pad", choices=sorted(ATTACKS)),
+             Param("attack", default="zero-pad", choices=_ATTACKS),
              Param("coins", int, 1, help="coins issued per trial", low=0),
              Param("trials", int, 100, low=1))
 def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from .coin import CoinParams, counterfeit_game
+
     p = cfg.params
     params = CoinParams(id_bits=p["id_bits"], mini_n=p["mini_n"])
     out = counterfeit_game(p["variant"], p["coins"], p["attack"],
@@ -181,6 +173,8 @@ def _detsig_message(p: dict, rng) -> int:
 
 def _detsig_keys(cfg: ExperimentConfig):
     """(params, rng, vk, sk): the key setup every detsig leaf starts with."""
+    from . import detsig
+
     p = cfg.params
     rng = make_rng(cfg.seed)
     vk, sk = detsig.setup(p["n"], p["tag_bits"], rng,
@@ -190,6 +184,8 @@ def _detsig_keys(cfg: ExperimentConfig):
 
 def _detsig_signed(cfg: ExperimentConfig):
     """(vk, message, signature bytes, sign report) for one signed message."""
+    from . import detsig
+
     p, rng, vk, sk = _detsig_keys(cfg)
     m = _detsig_message(p, rng)
     sig = detsig.sign(sk, m).to_bytes()
@@ -204,6 +200,8 @@ def _detsig_signed(cfg: ExperimentConfig):
 
 @_experiment("detsig demo", "signature demo", *_SIG_FLAGS, _MESSAGE)
 def _detsig_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import detsig
+
     vk, m, sig, signed = _detsig_signed(cfg)
     verified = detsig.verify(vk, m, sig)
     return {"n": cfg.params["n"], **signed, "verified": verified}, verified
@@ -217,11 +215,17 @@ def _detsig_sign(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("detsig verify", "signature verify", *_SIG_FLAGS, _MESSAGE,
              Param("signature", help="hex signature blob"))
 def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import detsig
+
     p, rng, vk, _ = _detsig_keys(cfg)
     if p["message"] is None or p["signature"] is None:
         raise ValueError("verify needs --message and --signature")
     m = _detsig_message(p, rng)
-    blob = bytes.fromhex(p["signature"])
+    try:
+        blob = bytes.fromhex(p["signature"])
+    except ValueError:
+        raise ValueError("--signature must be a hex string of whole bytes"
+                         ) from None
     verified = detsig.verify(vk, m, blob)
     results = {
         "vk_root": vk.vk_root.hex(),
@@ -234,6 +238,8 @@ def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("detsig vectors", "signature vectors", *_SIG_FLAGS,
              Param("count", int, 8, help="number of signed messages", low=1))
 def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import detsig
+
     p, _, vk, sk = _detsig_keys(cfg)
     width = _hex_width(p["n"])
     vectors = []
@@ -259,6 +265,8 @@ def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("purify typedist", "exact type-state vs Haar-average distance",
              Param("n", int, 4, low=0), Param("t", int, 2, low=0))
 def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import purify
+
     p = cfg.params
     out = purify.type_vs_haar_distance(p["n"], p["t"])
     ok = out["td_estimate"] <= out["bound"] + _TOL
@@ -271,6 +279,8 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("payload_qubits", int, 1, low=0),
              Param("tol", float, 1e-9, low=0))
 def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import purify
+
     p = cfg.params
     q = p["payload_qubits"]
 
@@ -287,6 +297,10 @@ def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 @_experiment("prs demo", "phase-state digest", Param("n", int, 4, low=1))
 def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from .hilbert import state_to_bytes
+    from .primitives import sha256
+    from .prs import prs_setup, prs_state
+
     p = cfg.params
     key = prs_setup(p["n"], make_rng(cfg.seed))
     state = prs_state(key)
@@ -303,6 +317,8 @@ def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("domain_bits", int, 6, low=0),
              Param("trials", int, 200, low=1))
 def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import purify
+
     p = cfg.params
     out = purify.small_range_experiment(p["k"], p["ell"], p["domain_bits"],
                                         cfg.trials, make_rng(cfg.seed))
@@ -316,6 +332,8 @@ def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("domain", int, 4096, low=1),
              Param("trials", int, 500, low=1))
 def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import purify
+
     p = cfg.params
     out = purify.classical_srd_experiment(p["k"], p["ell"], p["domain"],
                                           cfg.trials, make_rng(cfg.seed))
@@ -327,6 +345,8 @@ def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("mini demo", "mint, verify, and zero-pad forgery odds",
              Param("n", int, 8, low=2))
 def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import minischeme
+
     p = cfg.params
     n = p["n"]
     rng = make_rng(cfg.seed)
@@ -351,6 +371,10 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("message_bits", int, 4, low=1),
              Param("keys", int, 2, low=1))
 def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from .primitives import sha256
+    from .sde_ue import (FAIL, SdeConfig, sde_ct_len, sde_dec, sde_enc,
+                         sde_kg, sde_setup)
+
     p = cfg.params
     rng = make_rng(cfg.seed)
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
@@ -381,6 +405,9 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("ue demo", "round trips, determinism, ek=dk wrapper",
              Param("message_bits", int, 4, low=1))
 def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from .sde_ue import (SdeConfig, sde_setup, ue_dec, ue_ekdk_transform,
+                         ue_enc, ue_kg)
+
     p = cfg.params
     rng = make_rng(cfg.seed)
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
@@ -418,15 +445,17 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("game run", "run one game with an adversary",
-             Param("name", choices=GAMES),
+             Param("name", choices=_GAMES),
              Param("q", int, 2, low=1),
              Param("gamma", float, 0.1, low=math.ulp(0.0)),  # gamma > 0
              Param("adversary", default="honest-forwarder",
-                   choices=sorted(ADVERSARIES)),
+                   choices=_ADVERSARIES),
              Param("trials", int, 1, low=1),
              Param("samples", int, 8, help="challenge samples per test",
                    low=1))
 def _game_run(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from .sde_ue import run_game
+
     p = cfg.params
     out = run_game(p["name"], p["adversary"], p["q"], p["gamma"],
                    make_rng(cfg.seed), trials=cfg.trials,
@@ -436,6 +465,12 @@ def _game_run(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 @_experiment("vectors", "cross-module golden vectors")
 def _vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    from . import detsig, minischeme
+    from .hilbert import state_to_bytes
+    from .primitives import pprf_eval, pprf_gen, pprf_key_to_bytes, sha256
+    from .prs import prs_setup, prs_state
+    from .sde_ue import one_setup
+
     rng = make_rng(cfg.seed)
     prf_key = pprf_gen(8, 128, rng)
     vk, sk = detsig.setup(4, 8, rng, digest_bits=8)
@@ -499,8 +534,9 @@ def run(config: ExperimentConfig) -> int:
         raise UsageError(f"{config.experiment} needs trials")
     if config.seed is None:
         raise UsageError(f"{config.experiment} needs --seed")
-    # unchecked (None): out, config and seed, which make_rng checks
-    values = dict(config.params, trials=config.trials, format=config.fmt)
+    # unchecked (None): out and config
+    values = dict(config.params, trials=config.trials, seed=config.seed,
+                  format=config.fmt)
     for flag in spec.flags + _COMMON_FLAGS:
         _check(config.experiment, flag, values.get(flag.name))
     start = time.perf_counter()
@@ -519,7 +555,7 @@ def run(config: ExperimentConfig) -> int:
 
 
 _COMMON_FLAGS = (
-    Param("seed", int, help="experiment seed (required)"),
+    Param("seed", int, help="experiment seed (required)", low=0),
     Param("out", help="report file path (default: stdout)"),
     Param("format", default="json", choices=("json", "csv"),
           help="report format"),

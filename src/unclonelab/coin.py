@@ -251,7 +251,8 @@ def counterfeit_game(variant: str, t: int, attack, rng: np.random.Generator,
         attack, "__name__", "custom")
     attack_fn = ATTACKS[attack] if isinstance(attack, str) else attack
     vk, sk = coin_setup(variant, params, rng)
-    coins = [gen_banknote(sk).state for _ in range(t)]
+    # gen_banknote is deterministic: derive the state once, issue it t times
+    coins = [gen_banknote(sk).state] * t if t else []
     successes = 0
     last_probs: list[float] = []
     for _ in range(trials):

@@ -15,10 +15,10 @@ produce one more distinct valid message/signature pair than its query budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hilbert import HybridState
 from .primitives import (
     OtsKeypair,
     PprfKey,
@@ -33,6 +33,9 @@ from .primitives import (
     pprf_gen,
     xor_bytes,
 )
+
+if TYPE_CHECKING:
+    from .hilbert import HybridState
 
 MAX_MESSAGE_BITS = 56  # prefix encoding prepends a length byte
 
@@ -273,7 +276,10 @@ class SigningOracle:
         return sign(self._sk, m).to_bytes()
 
     def fresh_register(self, m: int) -> HybridState:
-        # |m> with an all-zero signature register, ready for one query
+        # |m> with an all-zero signature register, ready for one query;
+        # signing and verifying alone never load hilbert
+        from .hilbert import HybridState
+
         return HybridState.from_terms(0, [((m, bytes(self.sig_bytes)), 1.0, None)])
 
 

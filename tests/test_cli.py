@@ -131,6 +131,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["results"]["verified"] is False
 
+    @pytest.mark.parametrize("signature", ["zz", "abc"])
+    def test_bad_signature_names_the_flag(self, capsys, signature):
+        code, out, err = _capture(
+            capsys, ["detsig", "verify", "--n", "4", "--seed", "5",
+                     "--message", "a", "--signature", signature])
+        assert (code, out) == (1, "")
+        assert "--signature must be a hex string" in err
+
     def test_verify_round_trip_is_exit_0(self, capsys):
         sign = _json_report(capsys, ["detsig", "sign", "--n", "4",
                                      "--seed", "5", "--message", "a"])
@@ -177,6 +185,14 @@ class TestValueGate:
         code, out, err = _capture(capsys, argv + [dash, repr(below)])
         assert (code, out) == (1, "")
         assert f"{name}: {dash} must be" in err
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_negative_seed_is_refused(self, capsys, name):
+        # also by purify typedist, whose handler draws no randomness
+        argv = name.split() + _GATE_BASE.get(name, []) + ["--seed", "-1"]
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert f"{name}: --seed must be non-negative, got -1" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["purify", "compiler", "--tol", "-1e-9", "--seed", "1"],

@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unclonelab import detsig
+from unclonelab import coin, detsig
 from unclonelab.coin import (
     ATTACKS,
     Coin,
@@ -210,6 +212,19 @@ class TestVerify:
             assert (bit, p) == (1, 1.0)
             assert post.allclose(state)
 
+    @settings(max_examples=20)
+    @given(variant=st.sampled_from(["prs", "eqsup"]),
+           id_bits=st.integers(1, 3), mini_n=st.sampled_from([2, 4, 6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_honest_acceptance_is_exact(self, variant, id_bits, mini_n,
+                                        seed):
+        vk, sk = coin_setup(variant, CoinParams(id_bits, mini_n),
+                            make_rng(seed))
+        state = gen_banknote(sk).state
+        bit, post, p = coin_verify(vk, state)
+        assert (bit, p) == (1, 1.0)
+        assert post.allclose(state)
+
 
 class TestCounterfeitGame:
     def test_zero_pad_rate_near_envelope(self):
@@ -242,6 +257,21 @@ class TestCounterfeitGame:
         assert out["trials"] == 4
         assert 0.0 <= out["success_rate"] <= 1.0
         assert out["stderr"] >= 0.0
+
+    @pytest.mark.parametrize("t, attack, calls", [(4, "zero-pad", 1),
+                                                  (0, "null", 0)])
+    def test_coin_state_derived_once(self, monkeypatch, t, attack, calls):
+        derived = []
+
+        def counting(sk):
+            derived.append(sk)
+            return gen_banknote(sk)
+
+        monkeypatch.setattr(coin, "gen_banknote", counting)
+        out = counterfeit_game("eqsup", t, attack, make_rng(109),
+                               params=CoinParams(1, 2), trials=3)
+        assert len(derived) == calls
+        assert len(out["accept_probabilities"]) == t + 1
 
     def test_custom_attack_must_return_t_plus_one(self):
         def lazy(vk, coins, rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_binary_povm, random_projector
 
@@ -147,6 +149,34 @@ def test_threshold_repeatable_on_post_state():
         bit2, post2 = threshold_measure(povm, t, post, rng)
         assert bit2 == bit
         assert np.allclose(post2.amplitudes, post.amplitudes, atol=1e-9)
+
+
+@given(dim=st.integers(2, 8), weights=st.lists(st.integers(1, 8), min_size=1,
+                                               max_size=4),
+       diagonal=st.booleans(), mixed=st.booleans(),
+       threshold=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_threshold_repeatable_over_mixture_povms(dim, weights, diagonal, mixed,
+                                                 threshold, seed):
+    # diagonal components share eigenspaces, so eigenvalues repeat
+    rng = make_rng(seed)
+    dist = []
+    for w in weights:
+        rank = int(rng.integers(0, dim + 1))
+        proj = (np.diag(rng.permutation(dim) < rank).astype(float) if diagonal
+                else random_projector(dim, rank, rng))
+        dist.append((w / sum(weights), proj))
+    povm = mixture_povm(dist)
+    qubits = dim.bit_length() - 1
+    if mixed or dim != 1 << qubits:
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        state = DensityOperator(dim, rho / np.trace(rho).real)
+    else:
+        state = haar_sample(qubits, rng)
+    bit, post = threshold_measure(povm, threshold, state, rng)
+    for _ in range(3):
+        again, post = threshold_measure(povm, threshold, post, rng)
+        assert again == bit
 
 
 def test_threshold_on_density_operator():
