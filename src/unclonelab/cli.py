@@ -118,9 +118,9 @@ def _hex_width(bits: int) -> int:
 # loads neither coin nor sde_ue; tests/test_imports.py pins them
 _ATTACKS = ("measure-clone", "null", "zero-pad")  # sorted(coin.ATTACKS)
 _GAMES = ("strong-anti-piracy", "strong-search", "identical-challenge",
-          "multi-challenge-ue", "multi-copy-ue")  # sde_ue.GAMES
+          "multi-challenge-ue", "multi-copy-ue")  # sde_ue.games.GAMES
 _ADVERSARIES = ("ghz-guessers", "honest-forwarder", "junk",
-                "perfect-decryptors")  # sorted(sde_ue.ADVERSARIES)
+                "perfect-decryptors")  # sorted(sde_ue.games.ADVERSARIES)
 
 
 @_experiment("coin demo", "counterfeit game demo",
@@ -297,8 +297,8 @@ def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 @_experiment("prs demo", "phase-state digest", Param("n", int, 4, low=1))
 def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    from .hilbert import state_to_bytes
-    from .primitives import sha256
+    from .hilbert.states import state_to_bytes
+    from .primitives.hashes import sha256
     from .prs import prs_setup, prs_state
 
     p = cfg.params
@@ -371,9 +371,10 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("message_bits", int, 4, low=1),
              Param("keys", int, 2, low=1))
 def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    from .primitives import sha256
-    from .sde_ue import (FAIL, SdeConfig, sde_ct_len, sde_dec, sde_enc,
-                         sde_kg, sde_setup)
+    from .primitives.hashes import sha256
+    from .sde_ue.compiler import (SdeConfig, sde_ct_len, sde_dec, sde_enc,
+                                  sde_kg, sde_setup)
+    from .sde_ue.fail import FAIL
 
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -405,8 +406,8 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("ue demo", "round trips, determinism, ek=dk wrapper",
              Param("message_bits", int, 4, low=1))
 def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    from .sde_ue import (SdeConfig, sde_setup, ue_dec, ue_ekdk_transform,
-                         ue_enc, ue_kg)
+    from .sde_ue.compiler import SdeConfig, sde_setup
+    from .sde_ue.ue import ue_dec, ue_ekdk_transform, ue_enc, ue_kg
 
     p = cfg.params
     rng = make_rng(cfg.seed)
@@ -454,7 +455,7 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("samples", int, 8, help="challenge samples per test",
                    low=1))
 def _game_run(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    from .sde_ue import run_game
+    from .sde_ue.games import run_game
 
     p = cfg.params
     out = run_game(p["name"], p["adversary"], p["q"], p["gamma"],
@@ -466,10 +467,11 @@ def _game_run(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("vectors", "cross-module golden vectors")
 def _vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import detsig, minischeme
-    from .hilbert import state_to_bytes
-    from .primitives import pprf_eval, pprf_gen, pprf_key_to_bytes, sha256
+    from .hilbert.states import state_to_bytes
+    from .primitives.hashes import sha256
+    from .primitives.pprf import pprf_eval, pprf_gen, pprf_key_to_bytes
     from .prs import prs_setup, prs_state
-    from .sde_ue import one_setup
+    from .sde_ue.onesde import one_setup
 
     rng = make_rng(cfg.seed)
     prf_key = pprf_gen(8, 128, rng)

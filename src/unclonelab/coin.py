@@ -32,11 +32,13 @@ from typing import Callable
 import numpy as np
 
 from . import detsig
-from .hilbert import HybridState, StateVector, basis_state, measure
+from .hilbert import measure
+from .hilbert.hybrid import HybridState
+from .hilbert.states import StateVector, basis_state
 from .minischeme import mini_gen, note_state, randomness_len, subspace_from_sn
 # pprf_eval stays bound here as coin.pprf_eval, a binding that
 # perfbench/tests/test_tracing.py checks the tracer restores
-from .primitives import PprfKey, pprf_eval, pprf_eval_many, pprf_gen  # noqa: F401
+from .primitives.pprf import PprfKey, pprf_eval, pprf_eval_many, pprf_gen  # noqa: F401
 from .prs import PrsKey, prs_amplitudes, prs_setup
 
 MAX_ID_BITS = 6

@@ -19,23 +19,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .primitives import (
+from .primitives.hashes import xor_bytes
+from .primitives.ots import (
     OtsKeypair,
-    PprfKey,
     ots_gen,
     ots_setup_from_seed,
     ots_sig_len,
     ots_sign,
     ots_verify,
     ots_vk_len,
-    pprf_eval,
-    pprf_eval_many,
-    pprf_gen,
-    xor_bytes,
 )
+from .primitives.pprf import PprfKey, pprf_eval, pprf_eval_many, pprf_gen
 
 if TYPE_CHECKING:
-    from .hilbert import HybridState
+    from .hilbert.hybrid import HybridState
 
 MAX_MESSAGE_BITS = 56  # prefix encoding prepends a length byte
 
@@ -278,7 +275,7 @@ class SigningOracle:
     def fresh_register(self, m: int) -> HybridState:
         # |m> with an all-zero signature register, ready for one query;
         # signing and verifying alone never load hilbert
-        from .hilbert import HybridState
+        from .hilbert.hybrid import HybridState
 
         return HybridState.from_terms(0, [((m, bytes(self.sig_bytes)), 1.0, None)])
 

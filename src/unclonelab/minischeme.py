@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector
-from .hilbert.states import measure
+from .hilbert.states import StateVector, measure
 
 MAX_AMBIENT_BITS = 12
 

@@ -1,73 +1,1 @@
 """Classical building blocks: puncturable PRF, k-wise functions, one-time signatures."""
-
-from .hashes import (
-    TAG_EXPAND,
-    TAG_LEFT,
-    TAG_OTS,
-    TAG_RIGHT,
-    expand_stream,
-    ots_preimage,
-    prg_child,
-    sha256,
-    xor_bytes,
-)
-from .kwise import REDUCTION_POLYS, KwiseFunction, gf_mul, kwise_eval, kwise_gen
-from .ots import (
-    OtsKeypair,
-    ots_gen,
-    ots_setup_from_seed,
-    ots_sig_len,
-    ots_sign,
-    ots_verify,
-    ots_vk_len,
-)
-from .pprf import (
-    MAX_INPUT_BITS,
-    PprfKey,
-    PuncturedKey,
-    PuncturedPointError,
-    pprf_eval,
-    pprf_eval_many,
-    pprf_gen,
-    pprf_key_from_bytes,
-    pprf_key_to_bytes,
-    pprf_puncture,
-    punctured_key_from_bytes,
-    punctured_key_to_bytes,
-)
-
-__all__ = [
-    "MAX_INPUT_BITS",
-    "REDUCTION_POLYS",
-    "TAG_EXPAND",
-    "TAG_LEFT",
-    "TAG_OTS",
-    "TAG_RIGHT",
-    "KwiseFunction",
-    "OtsKeypair",
-    "PprfKey",
-    "PuncturedKey",
-    "PuncturedPointError",
-    "expand_stream",
-    "gf_mul",
-    "kwise_eval",
-    "kwise_gen",
-    "ots_gen",
-    "ots_preimage",
-    "ots_setup_from_seed",
-    "ots_sig_len",
-    "ots_sign",
-    "ots_verify",
-    "ots_vk_len",
-    "pprf_eval",
-    "pprf_eval_many",
-    "pprf_gen",
-    "pprf_key_from_bytes",
-    "pprf_key_to_bytes",
-    "pprf_puncture",
-    "prg_child",
-    "punctured_key_from_bytes",
-    "punctured_key_to_bytes",
-    "sha256",
-    "xor_bytes",
-]

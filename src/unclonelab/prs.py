@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import MAX_STATE_AMPLITUDES, StateVector
-from .primitives import KwiseFunction, PprfKey, kwise_eval, kwise_gen, pprf_eval_many, pprf_gen
+from .hilbert.states import MAX_STATE_AMPLITUDES, StateVector
+from .primitives.kwise import KwiseFunction, kwise_eval, kwise_gen
+from .primitives.pprf import PprfKey, pprf_eval_many, pprf_gen
 
 MAX_QUBITS = MAX_STATE_AMPLITUDES.bit_length() - 1
 

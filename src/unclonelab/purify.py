@@ -26,9 +26,16 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import StateVector, HybridState, haar_sample, tensor, type_state
-from .primitives import PprfKey, pprf_eval_many
-from .prs import PrsKey, prs_amplitudes
+from .hilbert.hybrid import HybridState
+from .hilbert.states import (
+    MAX_STATE_AMPLITUDES,
+    StateVector,
+    haar_sample,
+    tensor,
+    type_state,
+)
+from .primitives.pprf import PprfKey, pprf_eval_many
+from .prs import MAX_QUBITS, PrsKey, prs_amplitudes
 
 C_SRD_DEFAULT = 1.0
 C_OSRD_DEFAULT = 16.0
@@ -314,12 +321,24 @@ def small_range_overlap_mass(query_probs: list[np.ndarray], index_map: np.ndarra
     raise ValueError("closed form implemented for k <= 3")
 
 
+def _refuse_long(**lengths: int) -> None:
+    """Raise before allocating an array longer than MAX_STATE_AMPLITUDES."""
+    for name, length in lengths.items():
+        if length > MAX_STATE_AMPLITUDES:
+            raise ValueError(f"{name} must be at most {MAX_STATE_AMPLITUDES}")
+
+
 def small_range_experiment(k: int, ell: int, domain_bits: int, trials: int,
                            rng: np.random.Generator) -> dict:
     """Mean overlap between full and distinct-index states over random
     index maps, for uniform queries; reports estimate, stderr, bound."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if k > 3:
+        raise ValueError("closed form implemented for k <= 3")
+    if domain_bits > MAX_QUBITS:
+        raise ValueError(f"domain_bits must be at most {MAX_QUBITS}")
+    _refuse_long(ell=ell, trials=trials)
     size = 1 << domain_bits
     uniform = [np.full(size, 1.0 / size) for _ in range(k)]
     overlaps = np.empty(trials)
@@ -342,6 +361,7 @@ def classical_srd_experiment(k: int, ell: int, domain: int, trials: int,
         raise ValueError("need k distinct query points in the domain")
     if trials < 1:
         raise ValueError("trials must be positive")
+    _refuse_long(k=k, ell=ell)
     hits_full = 0
     hits_small = 0
     for _ in range(trials):

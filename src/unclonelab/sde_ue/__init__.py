@@ -8,111 +8,3 @@ encryption scheme whose ciphertexts carry the quantum keys, and the
 anti-piracy game harnesses that drive all of it with real threshold
 measurements.
 """
-
-from .compiler import (
-    MAX_MESSAGE_BITS,
-    ReInput,
-    Sde,
-    SdeConfig,
-    SdeSecretKey,
-    message_to_bytes,
-    re_eval,
-    re_input_from_bytes,
-    re_input_to_bytes,
-    sde_ct_len,
-    sde_dec,
-    sde_enc,
-    sde_kg,
-    sde_setup,
-)
-from .fail import FAIL
-from .games import (
-    ADVERSARIES,
-    GAMES,
-    MAX_DECRYPTOR_QUBITS,
-    MAX_Q,
-    DeskDecryptors,
-    GameView,
-    ghz_guessers,
-    honest_forwarder,
-    junk_adversary,
-    perfect_decryptors,
-    run_game,
-)
-from .mockfe import MAX_ISSUED_KEYS, MockFe, fe_ct_len, fe_dec, fe_enc, fe_kg, fe_setup
-from .onesde import (
-    MockOneSde,
-    one_ct_len,
-    one_dec,
-    one_enc,
-    one_pk_len,
-    one_setup,
-    one_setup_rng,
-    sn_len,
-    sn_of_pk,
-    tag_of_pk,
-)
-from .ue import (
-    EkdkCiphertext,
-    EkdkUe,
-    UeCiphertext,
-    UeKeys,
-    ue_dec,
-    ue_ekdk_transform,
-    ue_enc,
-    ue_kg,
-)
-
-__all__ = [
-    "ADVERSARIES",
-    "FAIL",
-    "GAMES",
-    "MAX_DECRYPTOR_QUBITS",
-    "MAX_ISSUED_KEYS",
-    "MAX_MESSAGE_BITS",
-    "MAX_Q",
-    "DeskDecryptors",
-    "EkdkCiphertext",
-    "EkdkUe",
-    "GameView",
-    "MockFe",
-    "MockOneSde",
-    "ReInput",
-    "Sde",
-    "SdeConfig",
-    "SdeSecretKey",
-    "UeCiphertext",
-    "UeKeys",
-    "fe_ct_len",
-    "fe_dec",
-    "fe_enc",
-    "fe_kg",
-    "fe_setup",
-    "ghz_guessers",
-    "honest_forwarder",
-    "junk_adversary",
-    "message_to_bytes",
-    "one_ct_len",
-    "one_dec",
-    "one_enc",
-    "one_pk_len",
-    "one_setup",
-    "one_setup_rng",
-    "perfect_decryptors",
-    "re_eval",
-    "re_input_from_bytes",
-    "re_input_to_bytes",
-    "run_game",
-    "sde_ct_len",
-    "sde_dec",
-    "sde_enc",
-    "sde_kg",
-    "sde_setup",
-    "sn_len",
-    "sn_of_pk",
-    "tag_of_pk",
-    "ue_dec",
-    "ue_ekdk_transform",
-    "ue_enc",
-    "ue_kg",
-]

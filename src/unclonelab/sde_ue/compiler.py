@@ -32,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hilbert import StateVector
-from ..primitives import (
+from ..hilbert.states import StateVector
+from ..primitives.hashes import sha256
+from ..primitives.pprf import (
     PprfKey,
     pprf_eval,
     pprf_gen,
     pprf_key_from_bytes,
     pprf_key_to_bytes,
-    sha256,
 )
 from .fail import FAIL
 from .mockfe import MockFe, fe_ct_len, fe_dec, fe_enc, fe_kg, fe_setup

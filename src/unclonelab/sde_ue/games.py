@@ -47,12 +47,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..hilbert import (
-    MAX_STATE_AMPLITUDES,
+from ..hilbert.povm import (
     measure_register_projective,
     mixture_povm,
     threshold_measure_register,
 )
+from ..hilbert.states import MAX_STATE_AMPLITUDES
 from .compiler import (
     Sde,
     SdeConfig,

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..primitives import expand_stream, sha256, xor_bytes
+from ..primitives.hashes import expand_stream, sha256, xor_bytes
 from .fail import FAIL
 
 _NONCE_LEN = 16

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hilbert import StateVector
+from ..hilbert.states import StateVector
 from ..minischeme import (
     mini_verify,
     note_state,
@@ -37,7 +37,7 @@ from ..minischeme import (
     sn_len,
     subspace_from_randomness,
 )
-from ..primitives import expand_stream, sha256, xor_bytes
+from ..primitives.hashes import expand_stream, sha256, xor_bytes
 from .fail import FAIL
 
 TAG_LEN = 16

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..primitives import xor_bytes
+from ..primitives.hashes import xor_bytes
 from .compiler import (
     Sde,
     SdeConfig,

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from unclonelab.hilbert import BinaryPovm
+from unclonelab.hilbert.povm import BinaryPovm
 
 
 def random_hermitian(dim, rng):

@@ -19,8 +19,16 @@ from helpers import random_binary_povm
 from unclonelab import detsig, report
 from unclonelab.cli import EXPERIMENTS, ExperimentConfig, run
 from unclonelab.coin import CoinParams, coin_setup, coin_verify, counterfeit_game, gen_banknote
-from unclonelab.hilbert import haar_sample, projective_implementation, threshold_measure
-from unclonelab.primitives import pprf_eval, pprf_gen, pprf_key_from_bytes, pprf_key_to_bytes, pprf_puncture, sha256
+from unclonelab.hilbert.povm import projective_implementation, threshold_measure
+from unclonelab.hilbert.states import haar_sample
+from unclonelab.primitives.hashes import sha256
+from unclonelab.primitives.pprf import (
+    pprf_eval,
+    pprf_gen,
+    pprf_key_from_bytes,
+    pprf_key_to_bytes,
+    pprf_puncture,
+)
 from unclonelab.purify import (
     GenStateSpec,
     compiler_equivalence_check,
@@ -28,22 +36,18 @@ from unclonelab.purify import (
     type_vs_haar_distance,
 )
 from unclonelab.rng import make_rng
-from unclonelab.sde_ue import (
+from unclonelab.sde_ue.compiler import (
     ReInput,
     SdeConfig,
     message_to_bytes,
-    one_enc,
-    one_setup,
     re_eval,
     sde_dec,
     sde_enc,
     sde_kg,
     sde_setup,
-    ue_dec,
-    ue_ekdk_transform,
-    ue_enc,
-    ue_kg,
 )
+from unclonelab.sde_ue.onesde import one_enc, one_setup
+from unclonelab.sde_ue.ue import ue_dec, ue_ekdk_transform, ue_enc, ue_kg
 
 
 def test_criterion_01_type_state_bound():

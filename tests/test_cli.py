@@ -112,6 +112,23 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["prs", "overlap", "--domain-bits", "40"], "domain_bits must be at most"),
+        (["prs", "overlap", "--k", str(1 << 40), "--domain-bits", "40"],
+         "k <= 3"),
+        (["prs", "overlap", "--ell", str(1 << 40)], "ell must be at most"),
+        (["prs", "overlap", "--trials", str(1 << 40)], "trials must be at most"),
+        (["prs", "srd", "--ell", str(1 << 40)], "ell must be at most"),
+        (["prs", "srd", "--k", str(1 << 40), "--domain", str((1 << 40) + 1)],
+         "k must be at most"),
+    ])
+    def test_oversize_prs_arrays_are_a_usage_error(self, capsys, argv,
+                                                   message):
+        code, out, err = _capture(capsys, argv + ["--seed", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("unclonelab: ") and message in err
+        assert "Traceback" not in err
+
     def test_smallest_valid_values_run(self, capsys):
         for argv in (["sde", "demo", "--keys", "1"],
                      ["detsig", "vectors", "--count", "1", "--n", "2"],

@@ -24,9 +24,10 @@ from unclonelab.coin import (
     counterfeit_game,
     gen_banknote,
 )
-from unclonelab.hilbert import HybridState, basis_state
+from unclonelab.hilbert.hybrid import HybridState
+from unclonelab.hilbert.states import basis_state
 from unclonelab.minischeme import mini_gen
-from unclonelab.primitives import pprf_eval
+from unclonelab.primitives.pprf import pprf_eval
 from unclonelab.rng import make_rng
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from unclonelab import detsig, minischeme
 from unclonelab.cli import _load_config_file
-from unclonelab.hilbert import haar_sample, state_from_bytes, state_to_bytes
-from unclonelab.primitives import (
+from unclonelab.hilbert.states import haar_sample, state_from_bytes, state_to_bytes
+from unclonelab.primitives.pprf import (
     pprf_gen,
     pprf_key_from_bytes,
     pprf_key_to_bytes,
@@ -21,7 +21,7 @@ from unclonelab.primitives import (
     punctured_key_to_bytes,
 )
 from unclonelab.rng import make_rng
-from unclonelab.sde_ue import SdeConfig, re_input_from_bytes, re_input_to_bytes
+from unclonelab.sde_ue.compiler import SdeConfig, re_input_from_bytes, re_input_to_bytes
 
 _EDIT = st.tuples(st.sampled_from(("set", "insert", "delete", "cut", "extend")),
                   st.integers(0, 1 << 16), st.binary(min_size=1, max_size=4))

@@ -11,17 +11,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unclonelab import detsig
-from unclonelab.hilbert import HybridState
-from unclonelab.primitives import (
-    hashes,
+from unclonelab.hilbert.hybrid import HybridState
+from unclonelab.primitives import hashes
+from unclonelab.primitives.ots import (
     ots_gen,
     ots_setup_from_seed,
     ots_sig_len,
     ots_sign,
     ots_verify,
     ots_vk_len,
-    pprf_eval,
 )
+from unclonelab.primitives.pprf import pprf_eval
 from unclonelab.primitives import ots as ots_module
 from unclonelab.rng import make_rng
 

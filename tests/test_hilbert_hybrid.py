@@ -1,9 +1,15 @@
 """HybridState: canonical branches, measurement, and dense-route faithfulness."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from unclonelab.hilbert import HybridState, StateVector, basis_state, haar_sample, measure
+from unclonelab.hilbert import measure
+from unclonelab.hilbert.hybrid import HybridState
+from unclonelab.hilbert.states import StateVector, basis_state, haar_sample
 from unclonelab.rng import make_rng
 
 
@@ -192,3 +198,46 @@ def test_immutability():
     s = two_branch()
     with pytest.raises(AttributeError):
         s.payload_qubits = 3
+
+
+@st.composite
+def _unit_branches(draw):
+    """(payload qubits, [(label, payload vector)]) of total norm 1."""
+    q = draw(st.integers(0, 3))
+    labels = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=6, unique=True))
+    amp = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    vecs = [np.array(draw(st.lists(amp, min_size=1 << q, max_size=1 << q)))
+            for _ in labels]
+    total = math.sqrt(sum(np.linalg.norm(v) ** 2 for v in vecs))
+    return q, [(label, v / total) for label, v in zip(labels, vecs)]
+
+
+def _assert_unit(state):
+    assert abs(state.norm() - 1.0) <= 1e-9
+
+
+@given(branches=_unit_branches(), seed=st.integers(0, 2**32 - 1))
+def test_operations_preserve_norm(branches, seed):
+    q, pairs = branches
+    state = HybridState(q, pairs)
+    _assert_unit(state)
+    rng = make_rng(seed)
+    for positions in (None, [0], [1]):
+        _assert_unit(state.measure_labels(rng, positions=positions)[1])
+    # injective: the xor and the swap are both invertible
+    _assert_unit(state.map_labels(lambda label: (label[1], label[0] ^ 5, "x")))
+    if q:
+        _assert_unit(state.measure_payload(rng)[1])
+
+
+@given(branches=_unit_branches(), data=st.data())
+def test_nan_in_any_branch_is_rejected(branches, data):
+    q, pairs = branches
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    vec = pairs[i][1].copy()
+    vec[data.draw(st.integers(0, (1 << q) - 1))] = data.draw(
+        st.sampled_from((np.nan, complex(0.0, np.nan))))
+    pairs[i] = (pairs[i][0], vec)
+    with pytest.raises(ValueError):
+        HybridState(q, pairs)

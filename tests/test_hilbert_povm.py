@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from helpers import random_binary_povm, random_projector
 
-from unclonelab.hilbert import (
+from unclonelab.hilbert.povm import (
     BinaryPovm,
-    DensityOperator,
     ProjImp,
     apply_op_to_register,
-    basis_state,
-    haar_sample,
     measure_register_projective,
     mixture_povm,
     projective_implementation,
-    superpose,
     threshold_measure,
     threshold_measure_register,
+)
+from unclonelab.hilbert.states import (
+    DensityOperator,
+    basis_state,
+    haar_sample,
+    superpose,
 )
 from unclonelab.rng import make_rng
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import peak_traced_bytes
-from unclonelab.hilbert import (
+from unclonelab.hilbert import measure
+from unclonelab.hilbert.states import (
     DensityOperator,
     StateVector,
     apply_oracle,
@@ -14,12 +15,11 @@ from unclonelab.hilbert import (
     born_probabilities,
     haar_sample,
     inner,
-    measure,
+    sample_swap_test,
     state_from_bytes,
     state_to_bytes,
     superpose,
     swap_test,
-    sample_swap_test,
     tensor,
     trace_distance,
     type_state,

@@ -4,8 +4,11 @@
 CLI (and building its parser) costs no scheme module, and detsig reaches
 hilbert only when the plus-one game builds a register. The CLI spells the
 library's choice tables out; these tests pin them to the library's.
+Each name is imported from the module that defines it, so a package
+``__init__`` re-exports nothing and loading one submodule loads no sibling.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +18,10 @@ import unclonelab
 from unclonelab.cli import EXPERIMENTS
 
 _SRC = str(Path(unclonelab.__file__).resolve().parents[1])
+_PKG = Path(_SRC) / "unclonelab"
+# the one name a package __init__ defines is hilbert's measure dispatcher,
+# and these are the two imports it needs
+_INIT_IMPORTS = {("hilbert", "HybridState"), ("hilbert", "measure")}
 
 
 def _loaded_after(statement: str) -> set[str]:
@@ -57,7 +64,7 @@ def test_a_run_loads_its_own_stack():
 
 def test_choice_tables_match_the_library():
     from unclonelab.coin import ATTACKS
-    from unclonelab.sde_ue import ADVERSARIES, GAMES
+    from unclonelab.sde_ue.games import ADVERSARIES, GAMES
 
     choices = {(name, flag.name): flag.choices
                for name, spec in EXPERIMENTS.items() for flag in spec.flags}
@@ -65,3 +72,62 @@ def test_choice_tables_match_the_library():
     assert choices["game run", "name"] == GAMES
     assert choices["game run", "adversary"] == tuple(sorted(ADVERSARIES))
 
+
+
+def test_vectors_loads_only_what_it_drives():
+    loaded = _loaded_after("from unclonelab.cli import main\n"
+                           "main(['vectors', '--seed', '0'])")
+    assert "unclonelab.sde_ue.onesde" in loaded
+    assert not loaded & {"unclonelab.sde_ue.compiler", "unclonelab.sde_ue.games",
+                         "unclonelab.sde_ue.ue", "unclonelab.sde_ue.mockfe",
+                         "unclonelab.hilbert.povm"}
+
+
+def test_detsig_loads_no_kwise():
+    loaded = _loaded_after("import unclonelab.detsig")
+    assert "unclonelab.primitives.pprf" in loaded
+    assert "unclonelab.primitives.kwise" not in loaded
+
+
+def _module_path(dotted: str) -> Path:
+    path = Path(_SRC).joinpath(*dotted.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def _defined(path: Path) -> set[str]:
+    """Names a module's top level defines: defs, classes and assignments."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _library_imports():
+    """(file, module, name) for every `from <unclonelab module> import name`."""
+    for path in sorted(_PKG.rglob("*.py")):
+        package = path.relative_to(_SRC).with_suffix("").parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[:len(package) - node.level + 1] if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            if module.split(".")[0] == "unclonelab":
+                for alias in node.names:
+                    yield path, module, alias.name
+
+
+def test_each_name_is_imported_from_its_defining_module():
+    wrong = []
+    for path, module, name in _library_imports():
+        if path.name == "__init__.py":
+            ok = (path.parent.name, name) in _INIT_IMPORTS
+        else:
+            ok = (_module_path(f"{module}.{name}").exists()
+                  or name in _defined(_module_path(module)))
+        if not ok:
+            wrong.append(f"{path.relative_to(_SRC)}: from {module} import {name}")
+    assert not wrong

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from unclonelab.primitives import (
+from unclonelab.primitives.kwise import (
     REDUCTION_POLYS,
     KwiseFunction,
     gf_mul,

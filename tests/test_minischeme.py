@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unclonelab import minischeme as ms
-from unclonelab.hilbert import StateVector
+from unclonelab.hilbert.states import StateVector
 from unclonelab.rng import make_rng
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unclonelab.primitives import (
+from unclonelab.primitives.hashes import ots_preimage
+from unclonelab.primitives.ots import (
     ots_gen,
-    ots_preimage,
     ots_setup_from_seed,
     ots_sig_len,
     ots_sign,

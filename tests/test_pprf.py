@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unclonelab.primitives import (
+from unclonelab.primitives.pprf import (
     PprfKey,
     PuncturedKey,
     PuncturedPointError,

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from unclonelab.hilbert import swap_test
+from unclonelab.hilbert.states import swap_test
 from unclonelab.prs import prs_amplitudes, prs_setup, prs_setup_kwise, prs_state
-from unclonelab.primitives import kwise_eval, pprf_eval
+from unclonelab.primitives.kwise import kwise_eval
+from unclonelab.primitives.pprf import pprf_eval
 from unclonelab.rng import make_rng
 
 

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from helpers import peak_traced_bytes
-from unclonelab.hilbert import (
-    HybridState,
+from unclonelab.hilbert.hybrid import HybridState
+from unclonelab.hilbert.states import (
     StateVector,
     basis_state,
     haar_sample,
@@ -32,7 +32,7 @@ from unclonelab.hilbert import (
     tensor,
 )
 from unclonelab.minischeme import mini_gen
-from unclonelab.primitives import pprf_gen
+from unclonelab.primitives.pprf import pprf_gen
 from unclonelab.prs import prs_amplitudes, prs_setup
 from unclonelab.purify import (
     MAX_SYM_DIM,
@@ -413,6 +413,18 @@ class TestSmallRangeExperiment:
             with pytest.raises(ValueError, match="trials must be positive"):
                 small_range_experiment(2, 32, 6, trials, make_rng(0))
 
+    @pytest.mark.parametrize("k, ell, domain_bits, trials, message", [
+        (1 << 40, 32, 40, 1, r"k <= 3"),
+        (2, 32, 40, 1, "domain_bits must be at most 20"),
+        (2, 1 << 40, 6, 1, "ell must be at most 1048576"),
+        (2, 32, 6, 1 << 40, "trials must be at most 1048576"),
+    ])
+    def test_refuses_oversize_arrays_before_allocating(self, k, ell,
+                                                       domain_bits, trials,
+                                                       message):
+        with pytest.raises(ValueError, match=message):
+            small_range_experiment(k, ell, domain_bits, trials, make_rng(0))
+
     def test_range_size_helper(self):
         assert small_range_size(2.0, 2) == 512
         assert small_range_size(1.0, 1) == 16
@@ -445,3 +457,12 @@ class TestClassicalSRD:
     def test_needs_distinct_query_points(self):
         with pytest.raises(ValueError):
             classical_srd_experiment(5, 4, 3, 10, make_rng(0))
+
+    @pytest.mark.parametrize("k, ell, domain, message", [
+        (1 << 40, 32, (1 << 40) + 1, "k must be at most 1048576"),
+        (2, 1 << 40, 4096, "ell must be at most 1048576"),
+    ])
+    def test_refuses_oversize_arrays_before_allocating(self, k, ell, domain,
+                                                       message):
+        with pytest.raises(ValueError, match=message):
+            classical_srd_experiment(k, ell, domain, 1, make_rng(0))

@@ -19,51 +19,44 @@ import pytest
 
 from helpers import peak_traced_bytes
 
-from unclonelab.hilbert import StateVector
+from unclonelab.hilbert.states import StateVector
 from unclonelab.minischeme import accept_probability, subspace_from_sn
-from unclonelab.primitives import (
+from unclonelab.primitives.hashes import sha256
+from unclonelab.primitives.pprf import (
     pprf_eval,
     pprf_gen,
     pprf_key_from_bytes,
     pprf_key_to_bytes,
-    sha256,
 )
 from unclonelab.rng import make_rng
-from unclonelab.sde_ue import (
-    ADVERSARIES,
-    FAIL,
-    GAMES,
-    DeskDecryptors,
+from unclonelab.sde_ue.compiler import (
     ReInput,
     SdeConfig,
-    fe_dec,
-    fe_enc,
-    fe_kg,
-    fe_setup,
     message_to_bytes,
+    re_eval,
+    re_input_from_bytes,
+    re_input_to_bytes,
+    sde_ct_len,
+    sde_dec,
+    sde_enc,
+    sde_kg,
+    sde_setup,
+)
+from unclonelab.sde_ue.fail import FAIL
+from unclonelab.sde_ue.games import ADVERSARIES, GAMES, DeskDecryptors, run_game
+from unclonelab.sde_ue.mockfe import fe_dec, fe_enc, fe_kg, fe_setup
+from unclonelab.sde_ue.onesde import (
     one_ct_len,
     one_dec,
     one_enc,
     one_pk_len,
     one_setup,
     one_setup_rng,
-    re_eval,
-    re_input_from_bytes,
-    re_input_to_bytes,
-    run_game,
-    sde_ct_len,
-    sde_dec,
-    sde_enc,
-    sde_kg,
-    sde_setup,
     sn_len,
     sn_of_pk,
     tag_of_pk,
-    ue_dec,
-    ue_ekdk_transform,
-    ue_enc,
-    ue_kg,
 )
+from unclonelab.sde_ue.ue import ue_dec, ue_ekdk_transform, ue_enc, ue_kg
 
 CFG = SdeConfig()
 
