@@ -235,12 +235,22 @@ def _detsig_verify(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return results, verified
 
 
+# signature bytes one vectors report may hold; the report carries them
+# as hex, so it is about twice this size
+_VECTORS_MAX_BYTES = 1 << 22
+
+
 @_experiment("detsig vectors", "signature vectors", *_SIG_FLAGS,
              Param("count", int, 8, help="number of signed messages", low=1))
 def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import detsig
 
-    p, _, vk, sk = _detsig_keys(cfg)
+    p = cfg.params
+    sig_len = detsig.signature_len(p["n"], p["digest_bits"], p["tag_bits"])
+    if p["count"] * sig_len > _VECTORS_MAX_BYTES:
+        raise ValueError(f"--count {p['count']} signatures of {sig_len} bytes "
+                         f"exceed the {_VECTORS_MAX_BYTES}-byte vectors budget")
+    _, _, vk, sk = _detsig_keys(cfg)
     width = _hex_width(p["n"])
     vectors = []
     for i in range(p["count"]):
@@ -255,8 +265,7 @@ def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
         "tag_bits": p["tag_bits"],
         "digest_bits": p["digest_bits"],
         "vk_root": vk.vk_root.hex(),
-        "signature_len": detsig.signature_len(p["n"], p["digest_bits"],
-                                              p["tag_bits"]),
+        "signature_len": sig_len,
         "vectors": vectors,
     }
     return results, True

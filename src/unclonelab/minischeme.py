@@ -127,12 +127,10 @@ def mini_gen(n: int, randomness: bytes) -> MiniBanknote:
 def hadamard_all(state: StateVector) -> StateVector:
     a = state.amplitudes.copy()
     n = state.num_qubits
-    a = a.reshape((2,) * n)
     for axis in range(n):
-        a = np.moveaxis(a, axis, 0)
-        a = np.stack([a[0] + a[1], a[0] - a[1]])
-        a = np.moveaxis(a, 0, axis)
-    return StateVector(n, a.reshape(-1) * 2.0 ** (-n / 2))
+        v = a.reshape(1 << axis, 2, -1)  # v[:, b]: qubit axis (MSB first) is b
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
+    return StateVector(n, a * 2.0 ** (-n / 2))
 
 
 def _project_measure(amps: np.ndarray, keep: np.ndarray, rng: np.random.Generator):

@@ -47,7 +47,10 @@ def expand_stream(seed: bytes, num_bytes: int) -> bytes:
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """a XOR b, byte by byte; unequal lengths raise ValueError."""
-    return bytes(x ^ y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"xor of unequal lengths {len(a)} and {len(b)}")
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return x.to_bytes(len(a), "big")
 
 
 def ots_preimage(seed: bytes, bit: int, position: int) -> bytes:

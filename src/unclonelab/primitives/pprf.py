@@ -26,6 +26,7 @@ from .hashes import expand_stream, prg_child
 
 __all__ = [
     "MAX_INPUT_BITS",
+    "MAX_OUTPUT_BITS",
     "PprfKey",
     "PuncturedKey",
     "PuncturedPointError",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 MAX_INPUT_BITS = 64
+MAX_OUTPUT_BITS = 0xFFFF  # both key encodings pack output_bits as uint16
 
 
 class PuncturedPointError(ValueError):
@@ -49,8 +51,8 @@ class PuncturedPointError(ValueError):
 def _check_params(input_bits: int, output_bits: int) -> None:
     if not 1 <= input_bits <= MAX_INPUT_BITS:
         raise ValueError(f"input_bits must be in [1, {MAX_INPUT_BITS}]")
-    if output_bits < 1:
-        raise ValueError("output_bits must be positive")
+    if not 1 <= output_bits <= MAX_OUTPUT_BITS:
+        raise ValueError(f"output_bits must be in [1, {MAX_OUTPUT_BITS}]")
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ from typing import Callable
 import numpy as np
 
 from ..hilbert.povm import (
+    BinaryPovm,
     measure_register_projective,
-    mixture_povm,
     threshold_measure_register,
 )
 from ..hilbert.states import MAX_STATE_AMPLITUDES
@@ -151,16 +151,16 @@ def _measure_register_basis(vec, dims, idx, rng):
 
 def _challenge_povm(sde, decoder, dim, challenges, rng):
     """Equal-weight mixture over the drawn (message, expected answer) pairs
-    of the projector onto the basis indices whose decoded answer to a fresh
-    encryption of the message is the expected one."""
-    projectors = []
+    of the projector onto the z whose decoded answer to a fresh encryption
+    is the expected one, summed as its diagonal in mixture_povm's order."""
+    indicators = []
     for m, expected in challenges:
         ct = sde_enc(sde, sde.pk, m, rng)
-        projectors.append(
-            np.diag([float(decoder(ct, z) == expected) for z in range(dim)])
-        )
-    weight = 1.0 / len(projectors)
-    return mixture_povm([(weight, proj) for proj in projectors])
+        indicators.append([decoder(ct, z) == expected for z in range(dim)])
+    acc = np.zeros(dim, dtype=np.complex128)
+    for weighted in np.array(indicators) / len(indicators):
+        acc += weighted
+    return BinaryPovm(np.diag(acc))
 
 
 def _decode_test(decs, challenge, expected, rng):

@@ -129,6 +129,23 @@ class TestExitCodes:
         assert err.startswith("unclonelab: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # the PPRF key encodings hold at most 0xFFFF tag bits
+        (["detsig", "sign", "--tag-bits", "524288"], "output_bits must be in"),
+        # 2^40 signatures are refused before a key is made
+        (["detsig", "vectors", "--count", "1099511627776", "--n", "4"],
+         "--count 1099511627776"),
+        (["detsig", "vectors", "--count", "200"], "vectors budget"),
+    ])
+    def test_oversize_signature_output_is_a_usage_error(self, capsys, argv,
+                                                        message):
+        argv = argv + ["--seed", "1"]
+        (code, out, err), peak = peak_traced_bytes(_capture, capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("unclonelab: ") and message in err
+        assert "Traceback" not in err
+        assert peak < 4 << 20
+
     def test_smallest_valid_values_run(self, capsys):
         for argv in (["sde", "demo", "--keys", "1"],
                      ["detsig", "vectors", "--count", "1", "--n", "2"],

@@ -27,6 +27,8 @@ from unclonelab.coin import (
 from unclonelab.hilbert.hybrid import HybridState
 from unclonelab.hilbert.states import basis_state
 from unclonelab.minischeme import mini_gen
+from unclonelab.primitives import hashes
+from unclonelab.primitives import ots as ots_module
 from unclonelab.primitives.pprf import pprf_eval
 from unclonelab.rng import make_rng
 
@@ -112,6 +114,24 @@ class TestGenBanknote:
         _, _, coin = prs_instance
         for _, amp, _ in coin.state.branch_items():
             assert abs(amp) == 0.25
+
+    @pytest.mark.parametrize("variant, calls", [("eqsup", 113_076),
+                                                ("prs", 113_122)])
+    def test_sha256_work_count(self, monkeypatch, variant, calls):
+        # a hardware-independent cost of one coin under the current key
+        # format; prs hashes more for its phase-state amplitudes
+        _, sk = coin_setup(variant, CoinParams(), make_rng(0))
+        hashed = []
+        real = hashes.sha256
+
+        def sha256(data):
+            hashed.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(hashes, "sha256", sha256)
+        monkeypatch.setattr(ots_module, "sha256", sha256)
+        gen_banknote(sk)
+        assert len(hashed) == calls
 
 
 def _sn_msg(sn: bytes) -> int:

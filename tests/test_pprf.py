@@ -17,6 +17,7 @@ from unclonelab.primitives.pprf import (
     pprf_eval,
     pprf_eval_many,
     pprf_gen,
+    pprf_key_from_bytes,
     pprf_key_to_bytes,
     pprf_puncture,
     punctured_key_from_bytes,
@@ -105,6 +106,17 @@ class TestGen:
             pprf_gen(65, 8, rng)
         with pytest.raises(ValueError):
             pprf_gen(8, 0, rng)
+
+    def test_output_width_fits_the_uint16_encodings(self):
+        # both key encodings pack output_bits as uint16
+        with pytest.raises(ValueError, match="output_bits"):
+            pprf_gen(4, 1 << 16, make_rng(0))
+        key = pprf_gen(4, 0xFFFF, make_rng(0))
+        assert pprf_key_from_bytes(pprf_key_to_bytes(key)) == key
+        pk = pprf_puncture(key, [5])
+        assert punctured_key_from_bytes(punctured_key_to_bytes(pk)) == pk
+        assert pprf_eval(pk, 6) == pprf_eval(key, 6)
+        assert len(pprf_eval(key, 6)) == 0x10000 // 8
 
     def test_deterministic_under_seed(self):
         a = pprf_gen(8, 64, make_rng(42))
