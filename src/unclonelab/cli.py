@@ -174,8 +174,13 @@ def _detsig_message(p: dict, rng) -> int:
 def _detsig_keys(cfg: ExperimentConfig):
     """(params, rng, vk, sk): the key setup every detsig leaf starts with."""
     from . import detsig
+    from .primitives.pprf import MAX_OUTPUT_BITS
 
     p = cfg.params
+    limit = MAX_OUTPUT_BITS - MAX_OUTPUT_BITS % 8  # whole tag bytes
+    if p["tag_bits"] > limit:
+        raise ValueError(f"--tag-bits must be at most {limit}: the tag PRF's "
+                         f"output_bits must be in [1, {MAX_OUTPUT_BITS}]")
     rng = make_rng(cfg.seed)
     vk, sk = detsig.setup(p["n"], p["tag_bits"], rng,
                           digest_bits=p["digest_bits"])

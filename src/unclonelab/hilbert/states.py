@@ -326,10 +326,7 @@ def type_state(xs: Sequence[int], num_qubits: int) -> StateVector:
 
 def state_to_bytes(state: StateVector) -> bytes:
     """Little-endian layout: u32 num_qubits, then (re, im) f64 pairs in basis order."""
-    parts = [struct.pack("<I", state.num_qubits)]
-    for amp in state.amplitudes:
-        parts.append(struct.pack("<dd", amp.real, amp.imag))
-    return b"".join(parts)
+    return struct.pack("<I", state.num_qubits) + state.amplitudes.astype("<c16").tobytes()
 
 
 def state_from_bytes(data: bytes) -> StateVector:

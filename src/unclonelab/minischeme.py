@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert.states import StateVector, measure
+from .hilbert.states import StateVector, basis_state, measure
 
 MAX_AMBIENT_BITS = 12
 
@@ -124,16 +124,22 @@ def mini_gen(n: int, randomness: bytes) -> MiniBanknote:
     return MiniBanknote(sn_bytes(space), note_state(space))
 
 
-def hadamard_all(state: StateVector) -> StateVector:
-    a = state.amplitudes.copy()
-    n = state.num_qubits
+def _hadamard(a: np.ndarray, n: int) -> np.ndarray:
+    """H on every qubit of the amplitudes a, as a new array."""
+    a = a.copy()
     for axis in range(n):
         v = a.reshape(1 << axis, 2, -1)  # v[:, b]: qubit axis (MSB first) is b
         v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
-    return StateVector(n, a * 2.0 ** (-n / 2))
+    return a * 2.0 ** (-n / 2)
 
 
-def _project_measure(amps: np.ndarray, keep: np.ndarray, rng: np.random.Generator):
+def hadamard_all(state: StateVector) -> StateVector:
+    return StateVector(state.num_qubits, _hadamard(state.amplitudes, state.num_qubits))
+
+
+def _project_measure(amps: np.ndarray, support: list[int], rng: np.random.Generator):
+    keep = np.zeros(len(amps), dtype=bool)
+    keep[support] = True
     p = float(np.sum(np.abs(amps[keep]) ** 2))
     accept = rng.random() < p
     post = amps.copy()
@@ -149,34 +155,14 @@ def _project_measure(amps: np.ndarray, keep: np.ndarray, rng: np.random.Generato
 def mini_verify(sn: bytes, note: StateVector,
                 rng: np.random.Generator) -> tuple[int, StateVector]:
     space = subspace_from_sn(sn)
-    if note.num_qubits != space.n:
+    n = space.n
+    if note.num_qubits != n:
         raise ValueError("note dimension does not match serial number")
-    dim = 1 << space.n
-    in_a = np.zeros(dim, dtype=bool)
-    in_a[space.elements()] = True
-    ok1, post = _project_measure(note.amplitudes, in_a, rng)
+    ok1, post = _project_measure(note.amplitudes, space.elements(), rng)
     if not ok1:
-        return 0, StateVector(space.n, post)
-    rotated = hadamard_all(StateVector(space.n, post))
-    in_dual = np.zeros(dim, dtype=bool)
-    in_dual[space.dual_elements()] = True
-    ok2, post = _project_measure(rotated.amplitudes, in_dual, rng)
-    return int(ok2), hadamard_all(StateVector(space.n, post))
-
-
-def accept_operator(space: Subspace) -> np.ndarray:
-    """Dense matrix of the composed verification: project, rotate, project
-    on the dual, rotate back. Equals |A><A| up to float error."""
-    dim = 1 << space.n
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    had = np.array([[1.0]])
-    for _ in range(space.n):
-        had = np.kron(had, h)
-    pa = np.zeros((dim, dim))
-    pa[space.elements(), space.elements()] = 1.0
-    pd = np.zeros((dim, dim))
-    pd[space.dual_elements(), space.dual_elements()] = 1.0
-    return pa @ had @ pd @ had @ pa
+        return 0, StateVector(n, post)
+    ok2, post = _project_measure(_hadamard(post, n), space.dual_elements(), rng)
+    return int(ok2), StateVector(n, _hadamard(post, n))
 
 
 def accept_probability(sn: bytes, note: StateVector) -> float:
@@ -189,19 +175,13 @@ def mini_counterfeit(strategy: str, note: StateVector,
                      rng: np.random.Generator) -> tuple[StateVector, StateVector]:
     n = note.num_qubits
     if strategy == "zero-pad":
-        zero = np.zeros(1 << n, dtype=complex)
-        zero[0] = 1.0
-        return note, StateVector(n, zero)
+        return note, basis_state(n, 0)
     if strategy == "measure-clone":
         outcome, _ = measure(note, range(n), rng)
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[outcome] = 1.0
-        clone = StateVector(n, amps)
+        clone = basis_state(n, outcome)
         return clone, clone
     if strategy == "hadamard-clone":
         outcome, _ = measure(hadamard_all(note), range(n), rng)
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[outcome] = 1.0
-        clone = hadamard_all(StateVector(n, amps))
+        clone = hadamard_all(basis_state(n, outcome))
         return clone, clone
     raise ValueError(f"unknown counterfeit strategy: {strategy}")

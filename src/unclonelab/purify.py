@@ -10,8 +10,7 @@ from one shared randomness transcript and reports the exact vector gap.
 type_vs_haar_distance realizes the t-copy closeness bound between averaged
 distinct type states and the Haar average, exactly by its closed form in
 the symmetric multiset basis or by Monte Carlo in the full product space.
-haar_average_exact and type_average_exact build the two dense averages
-in that basis, for checking the closed form.
+The dense averages that check the closed form live with the tests.
 
 small_range_states and the surrounding experiments quantify how much an
 oracle with only ell distinct outputs can be told apart from a fresh one.
@@ -19,6 +18,7 @@ oracle with only ell distinct outputs can be told apart from a fresh one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +43,6 @@ C_OSRD_DEFAULT = 16.0
 MAX_LABEL_BITS = 12
 MAX_PAYLOAD_QUBITS = 6
 MAX_COPIES = 6
-MAX_SYM_DIM = 4096
 MAX_FULL_QUBITS = 10
 
 
@@ -110,9 +109,7 @@ def symmetrized_state(labels: list[int], payloads: list[StateVector]) -> HybridS
     terms = []
     for perm in itertools.permutations(range(t)):
         label = tuple(labels[i] for i in perm)
-        joint = payloads[perm[0]]
-        for i in perm[1:]:
-            joint = tensor(joint, payloads[i])
+        joint = functools.reduce(tensor, (payloads[i] for i in perm))
         terms.append((label, scale, joint))
     return HybridState.from_terms(q * t, terms)
 
@@ -140,9 +137,7 @@ def _distinct_product_conditional(phases: np.ndarray, payloads: list[StateVector
     terms = []
     for perm in itertools.permutations(chosen):
         amp = scale * float(np.prod([phases[x] for x in perm]))
-        joint = payloads[perm[0]]
-        for x in perm[1:]:
-            joint = tensor(joint, payloads[x])
+        joint = functools.reduce(tensor, (payloads[x] for x in perm))
         terms.append((tuple(perm), amp, joint))
     return HybridState.from_terms(q * t, terms)
 
@@ -182,30 +177,6 @@ def compiler_equivalence_check(spec: GenStateSpec, n: int, t: int,
         gap_sq += float(np.linalg.norm(va - sign * vb) ** 2)
     gap = math.sqrt(gap_sq)
     return {"n": n, "t": t, "chosen_labels": list(chosen), "exact_gap": float(gap)}
-
-
-def haar_average_exact(n: int, t: int) -> tuple[np.ndarray, int]:
-    """Haar t-copy average in the symmetric multiset basis: I / dim."""
-    d = 1 << n
-    dim = math.comb(d + t - 1, t)
-    if dim > MAX_SYM_DIM:
-        raise ValueError("symmetric subspace dimension over cap")
-    return np.eye(dim) / dim, dim
-
-
-def type_average_exact(n: int, t: int) -> np.ndarray:
-    """Average of (|type_S><type_S|) over distinct t-subsets S, written in
-    the same multiset basis: each distinct multiset IS a type state."""
-    d = 1 << n
-    dim = math.comb(d + t - 1, t)
-    if dim > MAX_SYM_DIM:
-        raise ValueError("symmetric subspace dimension over cap")
-    rho = np.zeros((dim, dim))
-    count = math.comb(d, t)
-    for idx, multiset in enumerate(itertools.combinations_with_replacement(range(d), t)):
-        if len(set(multiset)) == t:
-            rho[idx, idx] = 1.0 / count
-    return rho
 
 
 def _trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> float:
@@ -280,9 +251,7 @@ def small_range_states(params: SmallRangeParams, query_amplitudes: list[np.ndarr
         if amp == 0:
             continue
         images = [int(index_map[x]) for x in tup]
-        joint = sample_states[images[0]]
-        for i in images[1:]:
-            joint = tensor(joint, sample_states[i])
+        joint = functools.reduce(tensor, (sample_states[i] for i in images))
         full_terms.append((tup, amp, joint))
         if len(set(images)) == k:
             distinct_terms.append((tup, amp, joint))

@@ -146,6 +146,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert peak < 4 << 20
 
+    @pytest.mark.parametrize("leaf", ["demo", "sign", "verify", "vectors"])
+    def test_too_wide_tag_names_the_flag(self, capsys, leaf):
+        code, out, err = _capture(capsys, ["detsig", leaf, "--tag-bits",
+                                           "65536", "--seed", "1"])
+        assert (code, out) == (1, "")
+        assert "--tag-bits must be at most 65528" in err
+
+    def test_widest_tag_still_reports(self, capsys):
+        out = _json_report(capsys, ["detsig", "sign", "--n", "1",
+                                    "--tag-bits", "65528", "--seed", "1"])
+        # one 8,191-byte tag in the signature, written as hex
+        assert out["results"]["signature_len"] > 65528 // 8
+        assert len(out["results"]["signature"]) == 2 * out["results"]["signature_len"]
+
     def test_smallest_valid_values_run(self, capsys):
         for argv in (["sde", "demo", "--keys", "1"],
                      ["detsig", "vectors", "--count", "1", "--n", "2"],

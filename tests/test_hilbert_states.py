@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import peak_traced_bytes
 from unclonelab.hilbert import measure
@@ -275,6 +277,38 @@ def test_serialization_round_trip_bit_exact():
         back = state_from_bytes(state_to_bytes(psi))
         assert back.num_qubits == psi.num_qubits
         assert np.array_equal(back.amplitudes, psi.amplitudes)
+
+
+def _struct_layout(state):
+    # one (re, im) pair at a time, as the layout is documented
+    return struct.pack("<I", state.num_qubits) + b"".join(
+        struct.pack("<dd", amp.real, amp.imag) for amp in state.amplitudes)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_serialization_matches_struct_layout(n, seed):
+    rng = np.random.default_rng(seed)
+    re, im = rng.normal(size=(2, 1 << n))
+    # signed zeros in some real and imaginary parts; one entry stays nonzero
+    re[1:][rng.random((1 << n) - 1) < 0.3] = -0.0
+    im[rng.random(1 << n) < 0.3] = -0.0
+    im[rng.random(1 << n) < 0.2] = 0.0
+    amps = np.empty(1 << n, dtype=complex)
+    amps.real, amps.imag = re, im
+    psi = StateVector(n, amps / np.linalg.norm(amps))
+    blob = state_to_bytes(psi)
+    assert blob == _struct_layout(psi)
+    back = state_from_bytes(blob)
+    assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+
+def test_serialization_keeps_signed_zeros():
+    psi = StateVector(1, np.array([complex(-0.0, -0.0), complex(1.0, -0.0)]))
+    blob = state_to_bytes(psi)
+    assert blob == _struct_layout(psi)
+    assert np.signbit(state_from_bytes(blob).amplitudes.view(float)).tolist() == [
+        True, True, False, True]
 
 
 def test_serialization_golden_plus():

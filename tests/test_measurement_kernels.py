@@ -1,8 +1,8 @@
-"""The two structured measurements against their dense references, bit
-for bit, since reports are compared as golden bytes: hadamard_all's
-in-place butterflies against the moveaxis-and-stack transform, and the
-decryptor test's diagonal mixture against mixture_povm over the dense
-projectors."""
+"""The structured measurements against their dense references, bit for
+bit, since reports are compared as golden bytes: hadamard_all's in-place
+butterflies against the moveaxis-and-stack transform, mini_verify on bare
+amplitudes against a chain of four StateVectors, and the decryptor test's
+diagonal mixture against mixture_povm over the dense projectors."""
 
 from types import SimpleNamespace
 
@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unclonelab import minischeme as ms
 from unclonelab.hilbert.povm import mixture_povm
-from unclonelab.hilbert.states import StateVector
+from unclonelab.hilbert.states import StateVector, basis_state
 from unclonelab.minischeme import hadamard_all
+from unclonelab.rng import make_rng
 from unclonelab.sde_ue import games
 
 
@@ -40,6 +42,62 @@ def test_hadamard_all_matches_moveaxis_transform(n, seed):
     assert np.array_equal(hadamard_all(state).amplitudes,
                           _moveaxis_hadamard(state))
     assert np.array_equal(state.amplitudes, before)
+
+
+def _mask_project(amps, keep, rng):
+    p = float(np.sum(np.abs(amps[keep]) ** 2))
+    accept = rng.random() < p
+    post = amps.copy()
+    if accept:
+        post[~keep] = 0
+        post /= np.sqrt(p)
+    else:
+        post[keep] = 0
+        post /= np.sqrt(max(1 - p, 1e-300))
+    return accept, post
+
+
+def _four_state_verify(sn, note, rng):
+    # project on A, H, project on the dual, H, with a StateVector between
+    # every two steps
+    space = ms.subspace_from_sn(sn)
+    n = space.n
+    in_a = np.zeros(1 << n, dtype=bool)
+    in_a[space.elements()] = True
+    ok1, post = _mask_project(note.amplitudes, in_a, rng)
+    if not ok1:
+        return 0, StateVector(n, post)
+    rotated = StateVector(n, _moveaxis_hadamard(StateVector(n, post)))
+    in_dual = np.zeros(1 << n, dtype=bool)
+    in_dual[space.dual_elements()] = True
+    ok2, post = _mask_project(rotated.amplitudes, in_dual, rng)
+    return int(ok2), StateVector(n, _moveaxis_hadamard(StateVector(n, post)))
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2**32 - 1),
+       start=st.sampled_from(["random", "note", "basis"]))
+def test_mini_verify_matches_four_state_chain(n, seed, start):
+    draw = np.random.default_rng(seed)
+    bn = ms.mini_gen(n, draw.bytes(ms.randomness_len(n)))
+    if start == "note":
+        state = bn.note
+    elif start == "basis":
+        state = basis_state(n, int(draw.integers(1 << n)))
+    else:
+        # tilted toward the note by a random weight, so both projections
+        # accept with a spread of probabilities
+        noise = draw.normal(size=1 << n) + 1j * draw.normal(size=1 << n)
+        amps = draw.uniform(0, 3) * bn.note.amplitudes + noise / np.linalg.norm(noise)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+    ours, ref = make_rng(seed), make_rng(seed)
+    got = want = state
+    for _ in range(3):
+        bit, got = ms.mini_verify(bn.sn, got, ours)
+        ref_bit, want = _four_state_verify(bn.sn, want, ref)
+        assert bit == ref_bit
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert ours.bytes(8) == ref.bytes(8)
 
 
 @st.composite

@@ -4,6 +4,7 @@ verification, serial-number codec, and naive counterfeit envelopes."""
 import numpy as np
 import pytest
 
+from helpers import accept_operator
 from unclonelab import minischeme as ms
 from unclonelab.hilbert.states import StateVector
 from unclonelab.rng import make_rng
@@ -181,6 +182,26 @@ class TestVerify:
         else:
             pytest.fail("acceptance never occurred at overlap 0.81")
 
+    def test_one_state_vector_per_call(self, monkeypatch):
+        # the chain runs on bare amplitudes; only its result is a StateVector
+        bn = ms.mini_gen(6, bytes(2))
+        outside = min(set(range(64)) - set(ms.subspace_from_sn(bn.sn).elements()))
+        starts = [(bn.note, 1), (_basis_state(6, outside), 0), (_basis_state(6, 0), None)]
+        built = []
+        post_init = StateVector.__post_init__
+
+        def counting(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting)
+        rng = make_rng(16)
+        for note, want in starts:
+            built.clear()
+            bit, post = ms.mini_verify(bn.sn, note, rng)
+            assert want is None or bit == want
+            assert len(built) == 1 and built[0] is post
+
     def test_dimension_mismatch_raises(self):
         bn = ms.mini_gen(8, bytes(2))
         with pytest.raises(ValueError):
@@ -194,14 +215,14 @@ class TestAcceptOperator:
             bn = _random_banknote(n, rng)
             space = ms.subspace_from_sn(bn.sn)
             target = np.outer(bn.note.amplitudes, bn.note.amplitudes.conj())
-            assert np.max(np.abs(ms.accept_operator(space) - target)) < 1e-12
+            assert np.max(np.abs(accept_operator(space) - target)) < 1e-12
 
     def test_note_is_unique_top_eigenstate(self):
         rng = make_rng(11)
         for n in (2, 4, 6, 8):
             bn = _random_banknote(n, rng)
             space = ms.subspace_from_sn(bn.sn)
-            vals, vecs = np.linalg.eigh(ms.accept_operator(space))
+            vals, vecs = np.linalg.eigh(accept_operator(space))
             assert abs(vals[-1] - 1.0) < 1e-10
             assert np.max(np.abs(vals[:-1])) < 1e-10
             overlap = abs(np.vdot(vecs[:, -1], bn.note.amplitudes))

@@ -22,7 +22,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import peak_traced_bytes
+from helpers import (
+    MAX_SYM_DIM,
+    haar_average_exact,
+    peak_traced_bytes,
+    type_average_exact,
+)
 from unclonelab.hilbert.hybrid import HybridState
 from unclonelab.hilbert.states import (
     StateVector,
@@ -35,12 +40,10 @@ from unclonelab.minischeme import mini_gen
 from unclonelab.primitives.pprf import pprf_gen
 from unclonelab.prs import prs_amplitudes, prs_setup
 from unclonelab.purify import (
-    MAX_SYM_DIM,
     GenStateSpec,
     SmallRangeParams,
     classical_srd_experiment,
     compiler_equivalence_check,
-    haar_average_exact,
     purified_state,
     simulate_copies,
     small_range_experiment,
@@ -48,7 +51,6 @@ from unclonelab.purify import (
     small_range_size,
     small_range_states,
     symmetrized_state,
-    type_average_exact,
     type_vs_haar_distance,
 )
 from unclonelab.rng import make_rng
