@@ -386,8 +386,8 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("keys", int, 2, low=1))
 def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from .primitives.hashes import sha256
-    from .sde_ue.compiler import (SdeConfig, sde_ct_len, sde_dec, sde_enc,
-                                  sde_kg, sde_setup)
+    from .sde_ue.compiler import (SdeConfig, message_to_bytes, sde_ct_len,
+                                  sde_dec, sde_enc, sde_kg, sde_setup)
     from .sde_ue.fail import FAIL
 
     p = cfg.params
@@ -398,8 +398,7 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     for value in range(1 << p["message_bits"]):
         ct = sde_enc(sde, sde.pk, value, rng)
         for sk in sks:
-            if sde_dec(sde, sk, ct) != value.to_bytes(sde.config.msg_len,
-                                                      "big"):
+            if sde_dec(sde, sk, ct) != message_to_bytes(sde.config, value):
                 failures += 1
     foreign_rejected = sde_dec(sde, sks[0],
                                bytes(sde_ct_len(sde.config))) is FAIL
@@ -420,7 +419,7 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("ue demo", "round trips, determinism, ek=dk wrapper",
              Param("message_bits", int, 4, low=1))
 def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    from .sde_ue.compiler import SdeConfig, sde_setup
+    from .sde_ue.compiler import SdeConfig, message_to_bytes, sde_setup
     from .sde_ue.ue import ue_dec, ue_ekdk_transform, ue_enc, ue_kg
 
     p = cfg.params
@@ -428,11 +427,10 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
     keys = ue_kg(sde, rng)
     space = 1 << p["message_bits"]
-    msg_len = sde.config.msg_len
     failures = 0
     for value in range(space):
         ct = ue_enc(sde, keys.ek, value, rng)
-        if ue_dec(sde, keys.dk, ct) != value.to_bytes(msg_len, "big"):
+        if ue_dec(sde, keys.dk, ct) != message_to_bytes(sde.config, value):
             failures += 1
     shared = rng.bytes(32)
     a = ue_enc(sde, keys.ek, 1, kg_randomness=shared)
@@ -444,7 +442,7 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     ekdk_failures = 0
     for value in range(space):
         wct = wrapper.enc(ekp, value, rng)
-        if wrapper.dec(dkp, wct) != value.to_bytes(msg_len, "big"):
+        if wrapper.dec(dkp, wct) != message_to_bytes(sde.config, value):
             ekdk_failures += 1
     ok = failures == 0 and determined and ekdk_failures == 0 and ekp == dkp
     results = {

@@ -32,9 +32,8 @@ from typing import Callable
 import numpy as np
 
 from . import detsig
-from .hilbert import measure
 from .hilbert.hybrid import HybridState
-from .hilbert.states import StateVector, basis_state
+from .hilbert.states import basis_state
 from .minischeme import mini_gen, note_state, randomness_len, subspace_from_sn
 # pprf_eval stays bound here as coin.pprf_eval, a binding that
 # perfbench/tests/test_tracing.py checks the tracer restores
@@ -170,12 +169,10 @@ def coin_verify(vk: CoinVerifyKey, candidate: HybridState,
     kept = []
     prob = 0.0
     for label in candidate.labels():
-        if len(label) != 3:
+        if len(label) != 3 or not isinstance(label[0], int) \
+                or not all(isinstance(part, bytes) for part in label[1:]):
             raise ValueError("coin labels are (id, sn, sig) triples")
-        ident, sn, sig = label
-        if not isinstance(ident, int) or not isinstance(sn, bytes) \
-                or not isinstance(sig, bytes):
-            raise ValueError("coin labels are (id, sn, sig) triples")
+        _, sn, sig = label
         avec = _accept_vector(vk, sn, sig)
         if avec is None:
             continue
@@ -188,10 +185,8 @@ def coin_verify(vk: CoinVerifyKey, candidate: HybridState,
         return 0, None, 0.0
     bit = 1 if prob >= 1.0 - 1e-9 else 0
     scale = 1.0 / math.sqrt(prob)
-    post = HybridState.from_terms(vk.mini_n, [
-        (label, coef * scale, StateVector(vk.mini_n, avec))
-        for label, coef, avec in kept
-    ])
+    post = HybridState(vk.mini_n, [(label, coef * scale * avec)
+                                   for label, coef, avec in kept])
     return bit, post, float(min(prob, 1.0))
 
 
@@ -213,8 +208,7 @@ def _measure_clone_attack(vk: CoinVerifyKey, coins: list[HybridState],
     if not coins:
         raise ValueError("attack needs at least one issued coin")
     observed, collapsed = coins[0].measure_labels(rng)
-    payload = collapsed.branch_items()[0][2]
-    outcome, _ = measure(payload, list(range(payload.num_qubits)), rng)
+    outcome, _ = collapsed.measure_payload(rng)
     note = HybridState.from_terms(
         vk.mini_n, [(observed, 1.0, basis_state(vk.mini_n, outcome))])
     return [note, note] + coins[1:]

@@ -18,10 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import DensityOperator, StateVector, born_sample
+from .states import EIG_ATOL, DensityOperator, StateVector, born_sample
 
 __all__ = [
-    "EIG_TOL",
     "BinaryPovm",
     "ProjImp",
     "projective_implementation",
@@ -32,9 +31,6 @@ __all__ = [
     "threshold_measure_register",
 ]
 
-# Eigensolver tolerance: eigenvalue clustering, projector checks, reconstruction.
-EIG_TOL = 1e-8
-
 
 def _as_operator(mat, dim_hint=None) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
@@ -42,7 +38,7 @@ def _as_operator(mat, dim_hint=None) -> np.ndarray:
         raise ValueError("operator must be a square matrix")
     if dim_hint is not None and mat.shape[0] != dim_hint:
         raise ValueError(f"operator dimension {mat.shape[0]} != {dim_hint}")
-    if not np.allclose(mat, mat.conj().T, atol=EIG_TOL, rtol=0.0):
+    if not np.allclose(mat, mat.conj().T, atol=EIG_ATOL, rtol=0.0):
         raise ValueError("operator is not Hermitian")
     return mat
 
@@ -50,7 +46,7 @@ def _as_operator(mat, dim_hint=None) -> np.ndarray:
 def _as_projector(mat, dim: int, error: str) -> np.ndarray:
     """A Hermitian idempotent operator of the given dimension; else ValueError(error)."""
     proj = _as_operator(mat, dim)
-    if not np.allclose(proj @ proj, proj, atol=EIG_TOL, rtol=0.0):
+    if not np.allclose(proj @ proj, proj, atol=EIG_ATOL, rtol=0.0):
         raise ValueError(error)
     return proj
 
@@ -64,7 +60,7 @@ class BinaryPovm:
     def __post_init__(self):
         mat = _as_operator(self.operator).copy()
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -EIG_TOL or eigs.max() > 1.0 + EIG_TOL:
+        if eigs.min() < -EIG_ATOL or eigs.max() > 1.0 + EIG_ATOL:
             raise ValueError(f"spectrum [{eigs.min()}, {eigs.max()}] not within [0, 1]")
         mat.setflags(write=False)
         object.__setattr__(self, "operator", mat)
@@ -89,7 +85,7 @@ class ProjImp:
         if len(self.eigenvalues) != len(self.projectors) or not self.eigenvalues:
             raise ValueError("need one projector per eigenvalue")
         diffs = np.diff(self.eigenvalues)
-        if len(diffs) and diffs.max() > -EIG_TOL / 2:
+        if len(diffs) and diffs.max() > -EIG_ATOL / 2:
             raise ValueError("eigenvalues must be strictly decreasing")
         dim = self.projectors[0].shape[0]
         total = np.zeros((dim, dim), dtype=np.complex128)
@@ -99,11 +95,11 @@ class ProjImp:
             total += proj
             proj.setflags(write=False)
             frozen.append(proj)
-        if not np.allclose(total, np.eye(dim), atol=EIG_TOL, rtol=0.0):
+        if not np.allclose(total, np.eye(dim), atol=EIG_ATOL, rtol=0.0):
             raise ValueError("projectors do not resolve the identity")
         for i in range(len(frozen)):
             for j in range(i + 1, len(frozen)):
-                if np.abs(frozen[i] @ frozen[j]).max() > EIG_TOL:
+                if np.abs(frozen[i] @ frozen[j]).max() > EIG_ATOL:
                     raise ValueError("projectors are not mutually orthogonal")
         object.__setattr__(self, "eigenvalues", tuple(float(p) for p in self.eigenvalues))
         object.__setattr__(self, "projectors", tuple(frozen))
@@ -129,7 +125,7 @@ def projective_implementation(povm: BinaryPovm) -> ProjImp:
     projectors: list[np.ndarray] = []
     start = 0
     for i in range(1, len(eigs) + 1):
-        if i == len(eigs) or eigs[start] - eigs[i] > EIG_TOL:
+        if i == len(eigs) or eigs[start] - eigs[i] > EIG_ATOL:
             block = vecs[:, start:i]
             values.append(float(np.clip(np.mean(eigs[start:i]), 0.0, 1.0)))
             projectors.append(block @ block.conj().T)

@@ -46,7 +46,8 @@ __all__ = [
 MAX_STATE_AMPLITUDES = 2**20
 MAX_DENSITY_DIM = 2**10
 
-# Absolute numeric tolerance for state checks; eigensolver checks use 1e-8.
+# Absolute numeric tolerance for state checks. EIG_ATOL is the eigensolver
+# tolerance: eigenvalue clustering, projector and POVM checks, reconstruction.
 ATOL = 1e-9
 EIG_ATOL = 1e-8
 

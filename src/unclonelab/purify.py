@@ -6,6 +6,11 @@ pseudorandom phase amplitude and the payload generated from PRF randomness
 at x. The proof-side simulator prepares a symmetrized register state over
 t distinct labels. compiler_equivalence_check builds both endpoint states
 from one shared randomness transcript and reports the exact vector gap.
+The two routes share no construction: the product route enumerates every
+ordered label tuple of the t-fold product state and keeps those that
+realize the chosen label set, while the simulator route permutes the
+(label, payload) pairs, so a simulator whose payloads do not follow their
+labels, or whose orderings disagree in sign, shows a gap of order one.
 
 type_vs_haar_distance realizes the t-copy closeness bound between averaged
 distinct type states and the Haar average, exactly by its closed form in
@@ -129,17 +134,22 @@ def simulate_copies(samples: list[StateVector], n: int,
 
 def _distinct_product_conditional(phases: np.ndarray, payloads: list[StateVector],
                                   chosen: tuple[int, ...], n: int) -> HybridState:
-    # t-fold product of sum_x phase_x 2^{-n/2} |x>|payload_x>, restricted to
-    # ordered tuples realizing the chosen distinct label set, renormalized
+    # t-fold product of sum_x phase_x 2^{-n/2} |x>|payload_x>: every ordered
+    # label tuple whose labels are exactly the chosen set, weighted by the
+    # product of its per-copy amplitudes, renormalized by the kept mass
     t = len(chosen)
-    q = payloads[0].num_qubits
-    scale = 1.0 / math.sqrt(math.factorial(t))
+    target = sorted(chosen)
+    amp = 2.0 ** (-n / 2)
     terms = []
-    for perm in itertools.permutations(chosen):
-        amp = scale * float(np.prod([phases[x] for x in perm]))
-        joint = functools.reduce(tensor, (payloads[x] for x in perm))
-        terms.append((tuple(perm), amp, joint))
-    return HybridState.from_terms(q * t, terms)
+    for labels in itertools.product(range(1 << n), repeat=t):
+        if sorted(labels) == target:
+            weight = math.prod(phases[x] * amp for x in labels)
+            joint = functools.reduce(tensor, (payloads[x] for x in labels))
+            terms.append((labels, weight, joint))
+    mass = math.sqrt(sum(w * w for _, w, _ in terms))
+    return HybridState.from_terms(
+        payloads[0].num_qubits * t,
+        [(labels, w / mass, joint) for labels, w, joint in terms])
 
 
 def compiler_equivalence_check(spec: GenStateSpec, n: int, t: int,

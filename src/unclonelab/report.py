@@ -15,6 +15,10 @@ Two renderings exist: JSON (sorted keys, two-space indent) and CSV
 rerunning with the same config and seed reproduces the output exactly
 except for the wall_time_s entry, which strip_wall_time removes for
 comparisons.
+
+plain() converts whatever has a ``tolist`` method (numpy scalars and
+arrays, ``array.array``, ``memoryview``) through that method, so this
+module imports no numpy and building the CLI parser loads none.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import csv
 import io
 import json
 import re
-
-import numpy as np
 
 from . import __version__
 
@@ -42,16 +44,10 @@ def plain(value):
         return {str(k): plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [plain(v) for v in value.tolist()]
+    if hasattr(value, "tolist"):
+        return plain(value.tolist())
     if isinstance(value, (bytes, bytearray)):
         return value.hex()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (bool, int, float, str)) or value is None:

@@ -114,6 +114,12 @@ def message_to_bytes(config: SdeConfig, m) -> bytes:
     return value.to_bytes(config.msg_len, "big")
 
 
+def random_message(config: SdeConfig, rng: np.random.Generator) -> bytes:
+    """A uniform message of the configured width, as message bytes."""
+    value = int.from_bytes(rng.bytes(config.msg_len), "big")
+    return (value & ((1 << config.message_bits) - 1)).to_bytes(config.msg_len, "big")
+
+
 def re_input_to_bytes(x: ReInput, config: SdeConfig) -> bytes:
     if len(x.m) != config.msg_len:
         raise ValueError("message field has the wrong width")

@@ -52,31 +52,23 @@ from ..hilbert.povm import (
     measure_register_projective,
     threshold_measure_register,
 )
-from ..hilbert.states import MAX_STATE_AMPLITUDES
+from ..hilbert.states import ATOL, MAX_STATE_AMPLITUDES
 from .compiler import (
     Sde,
     SdeConfig,
     SdeSecretKey,
     message_to_bytes,
+    random_message,
     sde_dec,
     sde_enc,
     sde_kg,
     sde_setup,
 )
 from .fail import FAIL
-from .ue import UeCiphertext, _random_message, ue_dec, ue_enc, ue_kg
-
-GAMES = (
-    "strong-anti-piracy",
-    "strong-search",
-    "identical-challenge",
-    "multi-challenge-ue",
-    "multi-copy-ue",
-)
+from .ue import UeCiphertext, ue_dec, ue_enc, ue_kg
 
 MAX_Q = 3
 MAX_DECRYPTOR_QUBITS = 6
-_NORM_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class DeskDecryptors:
                            np.asarray(self.state, dtype=np.complex128))
         if self.state.shape != (size,):
             raise ValueError("state length must match the register dims")
-        if not abs(np.linalg.norm(self.state) - 1.0) <= _NORM_ATOL:  # and NaN too
+        if not abs(np.linalg.norm(self.state) - 1.0) <= ATOL:  # and NaN too
             raise ValueError("state must be normalized")
 
 
@@ -211,7 +203,7 @@ def _run_key_game(game, adversary, q, gamma, rng, config, samples):
     returned = f"{n} message pairs and " if pairs else ""
     transcript.append(f"step 3: adversary returned {returned}{n} decryptors")
     if game == "identical-challenge":
-        m = _random_message(config, rng)
+        m = random_message(config, rng)
         ct = sde_enc(sde, sde.pk, m, rng)
         transcript.append("step 4: challenge message sampled and encrypted once")
         return _test_registers(
@@ -228,7 +220,7 @@ def _run_key_game(game, adversary, q, gamma, rng, config, samples):
     else:
         def draw(i):
             return ((m, m) for _ in range(samples)
-                    for m in (_random_message(config, rng),))
+                    for m in (random_message(config, rng),))
 
         threshold = 1.0 / (1 << config.message_bits) + gamma
         line = "step 4: search test on decryptor {i}: pass={bit}"
@@ -247,7 +239,7 @@ def _run_ue_game(game, adversary, q, gamma, rng, config, samples):
         "step 1: key generation ran; security parameter sent",
         f"step 2: adversary sent 1^{q}",
     ]
-    m = _random_message(config, rng)
+    m = random_message(config, rng)
     if game == "multi-copy-ue":
         kg_randomness = rng.bytes(32)
         cts = tuple(
@@ -288,6 +280,7 @@ _RUNNERS = {
     "multi-challenge-ue": _run_ue_game,
     "multi-copy-ue": _run_ue_game,
 }
+GAMES = tuple(_RUNNERS)
 
 
 def run_game(game: str, adversary, q: int, gamma: float,
@@ -398,7 +391,7 @@ def junk_adversary(view: GameView):
     if view.game == "strong-anti-piracy":
         guesses = [int(view.rng.random() < 0.5) for _ in range(n)]
     else:
-        guesses = [_random_message(view.config, view.rng) for _ in range(n)]
+        guesses = [random_message(view.config, view.rng) for _ in range(n)]
     return _reply(view, tuple((lambda ch, z, g=g: g) for g in guesses))
 
 

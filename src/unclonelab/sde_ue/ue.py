@@ -26,9 +26,9 @@ import numpy as np
 from ..primitives.hashes import xor_bytes
 from .compiler import (
     Sde,
-    SdeConfig,
     SdeSecretKey,
     message_to_bytes,
+    random_message,
     sde_ct_len,
     sde_dec,
     sde_enc,
@@ -49,15 +49,10 @@ class UeCiphertext:
     masked: bytes
 
 
-def _random_message(config: SdeConfig, rng: np.random.Generator) -> bytes:
-    value = int.from_bytes(rng.bytes(config.msg_len), "big")
-    return (value & ((1 << config.message_bits) - 1)).to_bytes(config.msg_len, "big")
-
-
 def ue_kg(sde: Sde, rng: np.random.Generator) -> UeKeys:
     if rng is None:
         raise ValueError("ue_kg needs an rng")
-    s = _random_message(sde.config, rng)
+    s = random_message(sde.config, rng)
     dk = sde_enc(sde, sde.pk, s, rng)
     return UeKeys(ek=(sde.msk, s), dk=dk)
 

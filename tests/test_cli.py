@@ -14,8 +14,11 @@ import math
 import subprocess
 import sys
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import peak_traced_bytes
 from unclonelab import report
@@ -311,8 +314,8 @@ class TestValueGate:
         assert "--tol must be finite and non-negative" in err
         # the command line still wins over the file
         rep = _json_report(capsys, ["purify", "compiler", "--config",
-                                    str(path), "--tol", "0"])
-        assert rep["config"]["tol"] == 0.0
+                                    str(path), "--tol", "1e-9"])
+        assert rep["config"]["tol"] == 1e-9
 
 
 class TestReportShape:
@@ -563,7 +566,60 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["experiment"] == "mini demo"
 
 
+def _plain_by_numpy_type(value):
+    """report.plain as it was written with one branch per numpy type, the
+    reference the tolist conversion must reproduce."""
+    if isinstance(value, dict):
+        return {str(k): _plain_by_numpy_type(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain_by_numpy_type(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_plain_by_numpy_type(v) for v in value.tolist()]
+    if isinstance(value, (bytes, bytearray)):
+        return value.hex()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (bool, int, float, str)) or value is None:
+        return value
+    return repr(value)
+
+
+_NUMPY_DTYPES = (np.float64, np.float32, np.int64, np.bool_, np.complex128)
+_numpy_scalars = st.sampled_from(_NUMPY_DTYPES).flatmap(
+    lambda dtype: hnp.from_dtype(np.dtype(dtype)).map(dtype))
+_numpy_arrays = st.sampled_from(_NUMPY_DTYPES).flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=3,
+                                                     max_side=3)))
+_report_values = st.recursive(
+    st.one_of(_numpy_scalars, _numpy_arrays, st.integers(), st.text(),
+              st.binary(max_size=4), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=8)
+
+
+def _renderings(results):
+    return [report.render(results, fmt) for fmt in ("json", "csv")]
+
+
 class TestReportModule:
+    @settings(max_examples=200)
+    @given(value=_report_values, scalar=_numpy_scalars)
+    def test_plain_matches_per_type_conversion(self, value, scalar):
+        want = _renderings({"v": _plain_by_numpy_type(value)})
+        assert _renderings({"v": report.plain(value)}) == want
+        # a 0-d array converts as its scalar; the per-type branches could
+        # not iterate its tolist() and raised TypeError
+        assert _renderings({"v": report.plain(np.asarray(scalar))}) == \
+            _renderings({"v": _plain_by_numpy_type(scalar)})
+
     def test_plain_conversions(self):
         raw = {
             "i": np.int64(3),

@@ -24,8 +24,9 @@ from unclonelab.coin import (
     counterfeit_game,
     gen_banknote,
 )
+from unclonelab.hilbert import measure
 from unclonelab.hilbert.hybrid import HybridState
-from unclonelab.hilbert.states import basis_state
+from unclonelab.hilbert.states import StateVector, basis_state
 from unclonelab.minischeme import mini_gen
 from unclonelab.primitives import hashes
 from unclonelab.primitives import ots as ots_module
@@ -245,6 +246,106 @@ class TestVerify:
         bit, post, p = coin_verify(vk, state)
         assert (bit, p) == (1, 1.0)
         assert post.allclose(state)
+
+
+def _verify_through_state_vectors(vk, candidate):
+    """coin_verify with its post-state built the way it once was: each
+    accept vector wrapped in a StateVector for HybridState.from_terms."""
+    kept = []
+    prob = 0.0
+    for label in candidate.labels():
+        avec = coin._accept_vector(vk, label[1], label[2])
+        if avec is None:
+            continue
+        coef = complex(np.vdot(avec, candidate.branch_vector(label)))
+        if coef == 0:
+            continue
+        prob += abs(coef) ** 2
+        kept.append((label, coef, avec))
+    if not kept:
+        return 0, None, 0.0
+    scale = 1.0 / math.sqrt(prob)
+    post = HybridState.from_terms(vk.mini_n, [
+        (label, coef * scale, StateVector(vk.mini_n, avec))
+        for label, coef, avec in kept
+    ])
+    return int(prob >= 1.0 - 1e-9), post, float(min(prob, 1.0))
+
+
+def _measure_clone_through_dispatcher(vk, coins, rng):
+    """The measure-clone attack reading its payload through branch_items
+    and the hilbert.measure dispatcher, as it once did."""
+    observed, collapsed = coins[0].measure_labels(rng)
+    payload = collapsed.branch_items()[0][2]
+    outcome, _ = measure(payload, list(range(payload.num_qubits)), rng)
+    note = HybridState.from_terms(
+        vk.mini_n, [(observed, 1.0, basis_state(vk.mini_n, outcome))])
+    return [note, note] + coins[1:]
+
+
+@pytest.fixture(scope="module")
+def small_instances():
+    out = []
+    for variant in ("eqsup", "prs"):
+        vk, sk = coin_setup(variant, CoinParams(2, 4), make_rng(110))
+        out.append((vk, gen_banknote(sk).state))
+    return out
+
+
+def _random_candidate(vk, honest, rng):
+    """The honest coin's labels, some signatures flipped, each branch
+    carrying its honest payload, a basis state or a Gaussian vector."""
+    pairs = []
+    for label in honest.labels():
+        vec = honest.branch_vector(label)
+        if rng.random() < 0.25:
+            sig = label[2]
+            label = (label[0], label[1], bytes([sig[0] ^ 1]) + sig[1:])
+        kind = rng.integers(3)
+        if kind == 1:
+            vec = basis_state(vk.mini_n, int(rng.integers(1 << vk.mini_n))
+                              ).amplitudes * 0.5
+        elif kind == 2:
+            dim = 1 << vk.mini_n
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        pairs.append((label, vec))
+    total = math.sqrt(sum(np.linalg.norm(v) ** 2 for _, v in pairs))
+    return HybridState(vk.mini_n, [(lab, v / total) for lab, v in pairs])
+
+
+class TestOneRouteForPostStates:
+    @settings(max_examples=40)
+    @given(which=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_verify_matches_state_vector_route(self, small_instances, which,
+                                               seed):
+        vk, honest = small_instances[which]
+        candidate = _random_candidate(vk, honest, make_rng(seed))
+        bit, post, p = coin_verify(vk, candidate)
+        want_bit, want_post, want_p = _verify_through_state_vectors(
+            vk, candidate)
+        assert (bit, p) == (want_bit, want_p)
+        if want_post is None:
+            assert post is None
+            return
+        assert post.labels() == want_post.labels()
+        for label in post.labels():
+            assert np.array_equal(post.branch_vector(label),
+                                  want_post.branch_vector(label))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_measure_clone_matches_dispatcher_route(self, small_instances,
+                                                    which):
+        vk, honest = small_instances[which]
+        for seed in range(30):
+            coins = [honest] * (1 + seed % 3)
+            if seed % 2:
+                coins[0] = _random_candidate(vk, honest, make_rng(1000 + seed))
+            rng, want_rng = make_rng(seed), make_rng(seed)
+            notes = ATTACKS["measure-clone"](vk, list(coins), rng)
+            want = _measure_clone_through_dispatcher(vk, list(coins), want_rng)
+            assert [n.canonical_bytes() for n in notes] == \
+                [n.canonical_bytes() for n in want]
+            assert rng.bytes(8) == want_rng.bytes(8)
 
 
 class TestCounterfeitGame:

@@ -24,11 +24,11 @@ _PKG = Path(_SRC) / "unclonelab"
 _INIT_IMPORTS = {("hilbert", "HybridState"), ("hilbert", "measure")}
 
 
-def _loaded_after(statement: str) -> set[str]:
-    """The unclonelab modules a fresh interpreter holds after statement."""
+def _loaded_after(statement: str, package: str = "unclonelab") -> set[str]:
+    """The package's modules a fresh interpreter holds after statement."""
     code = (f"import sys\n{statement}\n"
             "print(*sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'unclonelab'))")
+            f" if m.split('.')[0] == {package!r}))")
     path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=60,
@@ -44,6 +44,16 @@ def test_cli_loads_no_scheme_module():
     scheme = ("unclonelab.coin", "unclonelab.minischeme", "unclonelab.prs",
               "unclonelab.purify", "unclonelab.sde_ue", "unclonelab.hilbert")
     assert not {m for m in loaded if m.startswith(scheme)}
+
+
+def test_cli_front_end_loads_no_numpy():
+    assert not _loaded_after("import unclonelab.cli as cli\n"
+                             "cli.build_parser()", "numpy")
+    # a usage error is refused before any handler runs
+    assert not _loaded_after(
+        "from unclonelab.cli import main\n"
+        "assert main(['coin', 'demo', '--trials', '0', '--seed', '1']) == 1",
+        "numpy")
 
 
 def test_detsig_loads_no_hilbert_module():

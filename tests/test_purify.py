@@ -16,6 +16,7 @@ Independent oracles used here:
   mass factorizes by linearity: (1 - 1/|X|) * (1 - 1/ell).
 """
 
+import functools
 import itertools
 import math
 
@@ -38,6 +39,7 @@ from unclonelab.hilbert.states import (
 )
 from unclonelab.minischeme import mini_gen
 from unclonelab.primitives.pprf import pprf_gen
+from unclonelab import purify
 from unclonelab.prs import prs_amplitudes, prs_setup
 from unclonelab.purify import (
     GenStateSpec,
@@ -306,6 +308,32 @@ class TestCompilerEquivalence:
             spec = GenStateSpec(b"", 16, q, _seeded_haar_generator(q))
             out = compiler_equivalence_check(spec, n, t, rng)
             assert out["exact_gap"] <= 1e-9, (n, t, q)
+
+    @pytest.mark.parametrize("mutation", ["unpermuted", "sign"])
+    def test_a_wrong_simulator_shows_a_gap(self, monkeypatch, mutation):
+        def unpermuted(labels, payloads):
+            # labels permute, payloads stay in drawn order
+            scale = 1.0 / math.sqrt(math.factorial(len(labels)))
+            joint = functools.reduce(tensor, payloads)
+            return HybridState.from_terms(
+                joint.num_qubits,
+                [(perm, scale, joint)
+                 for perm in itertools.permutations(labels)])
+
+        def sign(labels, payloads):
+            # one ordering's amplitude negated
+            state = symmetrized_state(labels, payloads)
+            first = state.labels()[0]
+            return HybridState(state.payload_qubits, [
+                (lab, -state.branch_vector(lab) if lab == first
+                 else state.branch_vector(lab)) for lab in state.labels()])
+
+        monkeypatch.setattr(purify, "symmetrized_state",
+                            {"unpermuted": unpermuted, "sign": sign}[mutation])
+        for t, seed in ((2, 7), (3, 8)):
+            spec = GenStateSpec(b"", 16, 1, _seeded_haar_generator(1))
+            out = compiler_equivalence_check(spec, 3, t, make_rng(seed))
+            assert out["exact_gap"] > 1e-3, (mutation, t)
 
     def test_config_caps(self):
         spec = GenStateSpec(b"", 8, 1, _seeded_haar_generator(1))
