@@ -131,9 +131,11 @@ _ADVERSARIES = ("ghz-guessers", "honest-forwarder", "junk",
              Param("coins", int, 1, help="coins issued per trial", low=0),
              Param("trials", int, 100, low=1))
 def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    from .coin import CoinParams, counterfeit_game
+    from .coin import MAX_COINS_ISSUED, CoinParams, counterfeit_game
 
     p = cfg.params
+    if p["coins"] > MAX_COINS_ISSUED:
+        raise ValueError(f"--coins must be in [0, {MAX_COINS_ISSUED}]")
     params = CoinParams(id_bits=p["id_bits"], mini_n=p["mini_n"])
     out = counterfeit_game(p["variant"], p["coins"], p["attack"],
                            make_rng(cfg.seed), params=params,
@@ -171,16 +173,26 @@ def _detsig_message(p: dict, rng) -> int:
     return m
 
 
-def _detsig_keys(cfg: ExperimentConfig):
-    """(params, rng, vk, sk): the key setup every detsig leaf starts with."""
-    from . import detsig
+def _check_sig_widths(p: dict) -> None:
+    """Refuse a tag or digest width that detsig.setup would refuse, naming
+    its flag; the Param table already holds the least values."""
+    from .primitives.ots import MAX_DIGEST_BITS
     from .primitives.pprf import MAX_OUTPUT_BITS
 
-    p = cfg.params
     limit = MAX_OUTPUT_BITS - MAX_OUTPUT_BITS % 8  # whole tag bytes
     if p["tag_bits"] > limit:
         raise ValueError(f"--tag-bits must be at most {limit}: the tag PRF's "
                          f"output_bits must be in [1, {MAX_OUTPUT_BITS}]")
+    if p["digest_bits"] > MAX_DIGEST_BITS:
+        raise ValueError(f"--digest-bits must be in [1, {MAX_DIGEST_BITS}]")
+
+
+def _detsig_keys(cfg: ExperimentConfig):
+    """(params, rng, vk, sk): the key setup every detsig leaf starts with."""
+    from . import detsig
+
+    p = cfg.params
+    _check_sig_widths(p)
     rng = make_rng(cfg.seed)
     vk, sk = detsig.setup(p["n"], p["tag_bits"], rng,
                           digest_bits=p["digest_bits"])
@@ -251,6 +263,7 @@ def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import detsig
 
     p = cfg.params
+    _check_sig_widths(p)
     sig_len = detsig.signature_len(p["n"], p["digest_bits"], p["tag_bits"])
     if p["count"] * sig_len > _VECTORS_MAX_BYTES:
         raise ValueError(f"--count {p['count']} signatures of {sig_len} bytes "
@@ -282,6 +295,9 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import purify
 
     p = cfg.params
+    for flag, cap in (("n", purify.MAX_TYPEDIST_N), ("t", purify.MAX_TYPEDIST_T)):
+        if p[flag] > cap:
+            raise ValueError(f"--{flag} must be at most {cap}")
     out = purify.type_vs_haar_distance(p["n"], p["t"])
     ok = out["td_estimate"] <= out["bound"] + _TOL
     out["within_bound"] = ok

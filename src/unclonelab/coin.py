@@ -229,6 +229,16 @@ ATTACKS: dict[str, Callable] = {
 }
 
 
+def _mint(variant: str, t: int, params: CoinParams | None,
+          rng: np.random.Generator) -> tuple[CoinVerifyKey, list[HybridState]]:
+    """A fresh bank's verify key and t issued coins. The bank's secret key
+    and its signer's keypair store end with this call, so the trials hold
+    only the verify key."""
+    vk, sk = coin_setup(variant, params, rng)
+    # gen_banknote is deterministic: derive the state once, issue it t times
+    return vk, [gen_banknote(sk).state] * t if t else []
+
+
 def counterfeit_game(variant: str, t: int, attack, rng: np.random.Generator,
                      *, params: CoinParams | None = None,
                      trials: int = 1) -> dict:
@@ -246,9 +256,7 @@ def counterfeit_game(variant: str, t: int, attack, rng: np.random.Generator,
     attack_name = attack if isinstance(attack, str) else getattr(
         attack, "__name__", "custom")
     attack_fn = ATTACKS[attack] if isinstance(attack, str) else attack
-    vk, sk = coin_setup(variant, params, rng)
-    # gen_banknote is deterministic: derive the state once, issue it t times
-    coins = [gen_banknote(sk).state] * t if t else []
+    vk, coins = _mint(variant, t, params, rng)
     successes = 0
     last_probs: list[float] = []
     for _ in range(trials):

@@ -117,7 +117,7 @@ def setup(n: int, tag_bits: int, rng: np.random.Generator,
     key_prf = pprf_gen(8 + n, 256, rng)
     tag_prf = pprf_gen(n, tag_bits, rng)
     sk = TreeSigSecretKey(sk_root, key_prf, tag_prf, n, digest_bits, tag_bits)
-    vk = TreeSigVerifyKey(sk_root.vk_bytes(), n, digest_bits, tag_bits)
+    vk = TreeSigVerifyKey(sk_root.vk, n, digest_bits, tag_bits)
     return vk, sk
 
 
@@ -139,8 +139,8 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
     links = []
     for t in range(1, n + 1):
         parent_value = m >> (n - (t - 1))
-        pl0 = keys[(t, parent_value << 1)].vk_bytes()
-        pl1 = keys[(t, (parent_value << 1) | 1)].vk_bytes()
+        pl0 = keys[(t, parent_value << 1)].vk
+        pl1 = keys[(t, (parent_value << 1) | 1)].vk
         links.append((pl0, pl1, ots_sign(keys[(t - 1, parent_value)], pl0 + pl1)))
     y = pprf_eval(sk.tag_prf, m)
     isig = ots_sign(keys[(n, m)], y)

@@ -3,6 +3,11 @@
 Messages of any length are first hashed; the first L digest bits select one
 preimage per position. Keypairs derive deterministically from a 32-byte seed,
 so a PRF output can stand in for the key-generation randomness.
+
+A keypair's secret and verify keys are each one byte string of 2L 32-byte
+entries, row 0 then row 1: entry (b, i), the preimage or its hash for digest
+bit b at position i, sits at offset 32 * (b * L + i). The verify key is the
+byte string that detsig links carry and ots_verify reads.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from .hashes import TAG_OTS, sha256
 
 __all__ = [
+    "MAX_DIGEST_BITS",
     "OtsKeypair",
     "ots_setup_from_seed",
     "ots_gen",
@@ -27,14 +33,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OtsKeypair:
-    """sk and vk are 2 x L tables of 32-byte strings with vk[b][i] = H(sk[b][i])."""
+    """sk and vk are 2L x 32 bytes each, row 0 then row 1: entry (b, i) is
+    at offset 32 * (b * L + i), and vk's entry is H of sk's entry."""
 
     L: int
-    sk: tuple[tuple[bytes, ...], tuple[bytes, ...]]
-    vk: tuple[tuple[bytes, ...], tuple[bytes, ...]]
-
-    def vk_bytes(self) -> bytes:
-        return b"".join(self.vk[0]) + b"".join(self.vk[1])
+    sk: bytes
+    vk: bytes
 
 
 def ots_vk_len(L: int) -> int:
@@ -45,25 +49,28 @@ def ots_sig_len(L: int) -> int:
     return L * 32
 
 
+# L ranges over [1, MAX_DIGEST_BITS], the bits of one SHA-256 digest;
+# ots_verify, the verifier's hot path, spells the same bound as a literal
+MAX_DIGEST_BITS = 256
+
 # the (bit, position) tail of every hashes.ots_preimage input, per bit
 _PREIMAGE_SUFFIXES = tuple(
-    tuple(bytes([b]) + struct.pack("<H", i) for i in range(256)) for b in (0, 1)
+    tuple(bytes([b]) + struct.pack("<H", i) for i in range(MAX_DIGEST_BITS))
+    for b in (0, 1)
 )
 
 
 def ots_setup_from_seed(L: int, seed: bytes) -> OtsKeypair:
-    if not 1 <= L <= 256:
-        raise ValueError("digest length L must be in [1, 256]")
+    if not 1 <= L <= MAX_DIGEST_BITS:
+        raise ValueError(f"digest length L must be in [1, {MAX_DIGEST_BITS}]")
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
-    # sk[b][i] is hashes.ots_preimage(seed, b, i)
+    # entry (b, i) of sk is hashes.ots_preimage(seed, b, i)
     prefix = TAG_OTS + seed
-    sk = tuple(
-        tuple(sha256(prefix + suffix) for suffix in row[:L])
-        for row in _PREIMAGE_SUFFIXES
-    )
-    vk = tuple(tuple(sha256(p) for p in row) for row in sk)
-    return OtsKeypair(L, sk, vk)
+    preimages = [sha256(prefix + suffix)
+                 for row in _PREIMAGE_SUFFIXES for suffix in row[:L]]
+    vk = b"".join([sha256(p) for p in preimages])
+    return OtsKeypair(L, b"".join(preimages), vk)
 
 
 def ots_gen(L: int, rng: np.random.Generator) -> OtsKeypair:
@@ -76,8 +83,9 @@ def _digest_bits(message: bytes, L: int) -> list[int]:
 
 
 def ots_sign(keypair: OtsKeypair, message: bytes) -> bytes:
-    bits = _digest_bits(message, keypair.L)
-    return b"".join(keypair.sk[bit][i] for i, bit in enumerate(bits))
+    L, sk = keypair.L, keypair.sk
+    at = [32 * (bit * L + i) for i, bit in enumerate(_digest_bits(message, L))]
+    return b"".join([sk[a : a + 32] for a in at])
 
 
 def ots_verify(vk_bytes: bytes, message: bytes, sig: bytes, L: int,

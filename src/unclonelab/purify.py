@@ -49,6 +49,11 @@ MAX_LABEL_BITS = 12
 MAX_PAYLOAD_QUBITS = 6
 MAX_COPIES = 6
 MAX_FULL_QUBITS = 10
+# type_vs_haar_distance's caps, checked before 1 << n: at n = 64, t = 1024
+# the closed form's big-integer binomials take about 3 ms on a 2-vCPU VM,
+# while n = 1024 overflows the float bound and t = 10^5 takes seconds
+MAX_TYPEDIST_N = 64
+MAX_TYPEDIST_T = 1024
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,10 @@ def type_vs_haar_distance(n: int, t: int, num_haar_samples: int | None = None,
                           rng: np.random.Generator | None = None) -> dict:
     """Trace distance between the t-copy Haar average and the distinct-type
     average; exact (closed form) unless Monte Carlo is requested."""
+    if n > MAX_TYPEDIST_N:
+        raise ValueError(f"n must be at most {MAX_TYPEDIST_N}")
+    if t > MAX_TYPEDIST_T:
+        raise ValueError(f"t must be at most {MAX_TYPEDIST_T}")
     d = 1 << n
     if d < t:
         raise ValueError("need at least t distinct basis labels")

@@ -141,17 +141,19 @@ def _measure_register_basis(vec, dims, idx, rng):
     return measure_register_projective(vec, dims, idx, projectors, rng)
 
 
-def _challenge_povm(sde, decoder, dim, challenges, rng):
-    """Equal-weight mixture over the drawn (message, expected answer) pairs
-    of the projector onto the z whose decoded answer to a fresh encryption
-    is the expected one, summed as its diagonal in mixture_povm's order."""
-    indicators = []
+def _challenge_povm(sde, decoder, dim, challenges, rng, count=None):
+    """Equal-weight mixture over the count drawn (message, expected answer)
+    pairs of the projector onto the z whose decoded answer to a fresh
+    encryption is the expected one, summed as its diagonal in mixture_povm's
+    order. Each indicator row is weighted and added as it is drawn, so only
+    the diagonal is held; without a count the challenges are listed first."""
+    if count is None:
+        challenges = tuple(challenges)
+        count = len(challenges)
+    acc = np.zeros(dim, dtype=np.complex128)
     for m, expected in challenges:
         ct = sde_enc(sde, sde.pk, m, rng)
-        indicators.append([decoder(ct, z) == expected for z in range(dim)])
-    acc = np.zeros(dim, dtype=np.complex128)
-    for weighted in np.array(indicators) / len(indicators):
-        acc += weighted
+        acc += np.array([decoder(ct, z) == expected for z in range(dim)]) / count
     return BinaryPovm(np.diag(acc))
 
 
@@ -215,6 +217,7 @@ def _run_key_game(game, adversary, q, gamma, rng, config, samples):
         def draw(i):
             return ((pairs[i][c], c) for _ in range(samples) for c in (0, 1))
 
+        count = 2 * samples
         threshold = 0.5 + gamma
         line = "step 4: distinguishing test on decryptor {i}: pass={bit}"
     else:
@@ -222,11 +225,13 @@ def _run_key_game(game, adversary, q, gamma, rng, config, samples):
             return ((m, m) for _ in range(samples)
                     for m in (random_message(config, rng),))
 
+        count = samples
         threshold = 1.0 / (1 << config.message_bits) + gamma
         line = "step 4: search test on decryptor {i}: pass={bit}"
 
     def test(i, vec):
-        povm = _challenge_povm(sde, decs.decoders[i], decs.dims[i], draw(i), rng)
+        povm = _challenge_povm(sde, decs.decoders[i], decs.dims[i], draw(i),
+                               rng, count)
         return threshold_measure_register(povm, threshold, vec, decs.dims, i, rng)
 
     return _test_registers(decs, test, line, transcript)

@@ -32,6 +32,12 @@ def random_projector(dim, rank, rng):
     return q @ q.conj().T
 
 
+def ots_rows(blob, L):
+    """Split a one-time key blob back into its 2 x L table of 32-byte entries."""
+    return tuple(tuple(blob[32 * (b * L + i) : 32 * (b * L + i + 1)]
+                       for i in range(L)) for b in (0, 1))
+
+
 def peak_traced_bytes(fn, *args):
     """Call fn(*args) under tracemalloc; return (result, peak traced bytes)."""
     tracemalloc.start()

@@ -13,6 +13,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -155,6 +156,23 @@ class TestExitCodes:
                                            "65536", "--seed", "1"])
         assert (code, out) == (1, "")
         assert "--tag-bits must be at most 65528" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coin", "demo", "--coins", "65"], "--coins must be in [0, 4]"),
+        # the width is checked before the signature length it sets
+        (["detsig", "vectors", "--digest-bits", "4097"],
+         "--digest-bits must be in [1, 256]"),
+        (["purify", "typedist", "--n", "1024", "--t", "2"],
+         "--n must be at most 64"),
+        (["purify", "typedist", "--n", "64", "--t", "1000000"],
+         "--t must be at most 1024"),
+    ])
+    def test_out_of_range_value_names_its_flag(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = _capture(capsys, argv + ["--seed", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("unclonelab: ") and message in err
 
     def test_widest_tag_still_reports(self, capsys):
         out = _json_report(capsys, ["detsig", "sign", "--n", "1",

@@ -8,12 +8,14 @@ overlaps the subspace state in exactly 2^{-mini_n/2}.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import peak_traced_bytes
 from unclonelab import coin, detsig
 from unclonelab.coin import (
     ATTACKS,
@@ -394,6 +396,32 @@ class TestCounterfeitGame:
                                params=CoinParams(1, 2), trials=3)
         assert len(derived) == calls
         assert len(out["accept_probabilities"]) == t + 1
+
+    def test_game_peak_memory(self):
+        # the signer's keypair store goes with the bank key once the coin
+        # is minted, so it never sits beside the verify key's stores
+        _, peak = peak_traced_bytes(
+            lambda: counterfeit_game("eqsup", 1, "zero-pad", make_rng(112),
+                                     trials=30))
+        assert peak <= 6 << 20
+
+    def test_bank_key_released_before_the_first_trial(self, monkeypatch):
+        keys = []
+
+        def setup(*args, **kwargs):
+            vk, sk = coin_setup(*args, **kwargs)
+            keys.append(weakref.ref(sk))
+            return vk, sk
+
+        def attack(vk, coins, rng):
+            assert keys[0]() is None
+            return ATTACKS["zero-pad"](vk, coins, rng)
+
+        monkeypatch.setattr(coin, "coin_setup", setup)
+        out = counterfeit_game("eqsup", 1, attack, make_rng(113),
+                               params=CoinParams(2, 4), trials=2)
+        assert len(keys) == 1
+        assert out["attack"] == "attack"
 
     def test_custom_attack_must_return_t_plus_one(self):
         def lazy(vk, coins, rng):

@@ -4,6 +4,7 @@ key-derivation oracle, tamper rejection, and the toy plus-one game."""
 import dataclasses
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestSignVerify:
                 value = (m >> (8 - t + 1)) << 1
                 for child, pl in ((value, pl0), (value | 1, pl1)):
                     seed = pprf_eval(sk.key_prf, (t << 8) | (child << (8 - t)))
-                    assert ots_setup_from_seed(8, seed).vk_bytes() == pl
+                    assert ots_setup_from_seed(8, seed).vk == pl
 
     def test_tag_matches_prf(self):
         rng = make_rng(5)
@@ -213,6 +214,26 @@ class TestSignVerify:
                 blob[pos] ^= 1 << bit
                 assert not detsig.verify(vk, m, bytes(blob))
                 blob[pos] ^= 1 << bit
+
+
+class TestSignerStore:
+    def test_entry_is_two_key_blobs(self):
+        # at L = 24 an entry's secret and verify keys are 1,536 bytes each;
+        # the keypair object, its node key and the dict slot take the rest
+        _, sk = detsig.setup(40, 16, make_rng(40), digest_bits=24)
+        messages = [int(m) for m in make_rng(41).integers(0, 1 << 40, 64)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in messages:
+                detsig.sign(sk, m)
+                if len(sk._cache) >= 3000:
+                    break
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sk._cache) >= 3000
+        assert held / len(sk._cache) <= 3600
 
 
 def _flip(blob: bytes, bit: int) -> bytes:
@@ -451,6 +472,30 @@ class TestVerifyWork:
                     assert not detsig.verify(key, m, tampered)
                     assert len(hashed) == want, (t, i, key is warm)
 
+    def test_tamper_sweep_work_count(self, counted):
+        # criterion 5's sweep at n = 4 and digest width 8 on one fresh key:
+        # the honest signature, every message flip, then every signature
+        # bit flip. At width 8 a flip in a child key the tree does not use
+        # passes when the link digest collides, so some flips are accepted.
+        hashed, checks = counted
+        vk, sk = detsig.setup(self.n, self.tag_bits, make_rng(207),
+                              digest_bits=8)
+        m = 0xB
+        blob = bytearray(detsig.sign(sk, m).to_bytes())
+        hashed.clear()
+        checks.clear()
+        assert detsig.verify(vk, m, bytes(blob))
+        assert not any(detsig.verify(vk, m ^ (1 << bit), bytes(blob))
+                       for bit in range(self.n))
+        accepted = 0
+        for pos in range(len(blob)):
+            byte = blob[pos]
+            for bit in range(8):
+                blob[pos] = byte ^ (1 << bit)
+                accepted += detsig.verify(vk, m, bytes(blob))
+            blob[pos] = byte
+        assert (len(hashed), len(checks), accepted) == (119_038, 43_093, 99)
+
 
 @functools.cache
 def _tamper_fixture():
@@ -505,10 +550,10 @@ def _store_rule_fixture():
     rng = make_rng(41)
     while True:
         own = ots_gen(4, rng)
-        if ots_verify(vk.vk_root, pl0 + own.vk_bytes(), sigpl, 4):
+        if ots_verify(vk.vk_root, pl0 + own.vk, sigpl, 4):
             break
     c0, c1, _ = sigs[m].links[1]
-    forged = _with_link(_with_link(sigs[m], 0, (pl0, own.vk_bytes(), sigpl)),
+    forged = _with_link(_with_link(sigs[m], 0, (pl0, own.vk, sigpl)),
                         1, (c0, c1, ots_sign(own, c0 + c1)))
     return vk, sigs, (m, forged)
 

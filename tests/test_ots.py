@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import ots_rows
+
 from unclonelab.primitives.hashes import ots_preimage
 from unclonelab.primitives.ots import (
     ots_gen,
@@ -46,37 +48,54 @@ class TestSetup:
     def test_lengths(self):
         for bits in (1, 8, 16, 256):
             kp = ots_gen(bits, make_rng(bits))
-            assert len(kp.vk_bytes()) == ots_vk_len(bits) == 2 * bits * 32
+            assert len(kp.vk) == ots_vk_len(bits) == 2 * bits * 32
             assert len(ots_sign(kp, b"x")) == ots_sig_len(bits) == bits * 32
 
     def test_vk_rows_hash_sk_rows(self):
         kp = ots_gen(8, make_rng(1))
+        sk, vk = ots_rows(kp.sk, 8), ots_rows(kp.vk, 8)
         for b in range(2):
             for i in range(8):
-                assert kp.vk[b][i] == hashlib.sha256(kp.sk[b][i]).digest()
+                assert vk[b][i] == hashlib.sha256(sk[b][i]).digest()
 
     def test_vk_bytes_layout_row0_then_row1(self):
         kp = ots_gen(4, make_rng(2))
-        blob = kp.vk_bytes()
+        blob = kp.vk
+        vk = ots_rows(kp.vk, 4)
         for i in range(4):
-            assert blob[32 * i : 32 * (i + 1)] == kp.vk[0][i]
-            assert blob[128 + 32 * i : 128 + 32 * (i + 1)] == kp.vk[1][i]
+            assert blob[32 * i : 32 * (i + 1)] == vk[0][i]
+            assert blob[128 + 32 * i : 128 + 32 * (i + 1)] == vk[1][i]
 
     def test_seed_determinism_and_golden(self):
         a = ots_setup_from_seed(16, FIXED_SEED)
         b = ots_setup_from_seed(16, FIXED_SEED)
-        assert a.vk_bytes() == b.vk_bytes()
+        assert a.vk == b.vk
         assert a.sk == b.sk
-        assert hashlib.sha256(a.vk_bytes()).hexdigest() == GOLDEN_VK_SHA256
+        assert hashlib.sha256(a.vk).hexdigest() == GOLDEN_VK_SHA256
 
     def test_preimages_follow_ots_preimage(self):
         for L in (1, 16, 24, 256):
             seed = make_rng(L).bytes(32)
             kp = ots_setup_from_seed(L, seed)
             sk = tuple(tuple(ots_preimage(seed, b, i) for i in range(L)) for b in (0, 1))
-            assert kp.sk == sk
-            assert kp.vk == tuple(
+            assert ots_rows(kp.sk, L) == sk
+            assert ots_rows(kp.vk, L) == tuple(
                 tuple(hashlib.sha256(p).digest() for p in row) for row in sk)
+
+    @given(L=st.integers(1, 256), seed=st.binary(min_size=32, max_size=32),
+           message=st.binary(max_size=48))
+    def test_key_blobs_and_signature_offsets(self, L, seed, message):
+        # row 0 then row 1: entry (b, i) at offset 32 * (b * L + i)
+        kp = ots_setup_from_seed(L, seed)
+        preimages = [ots_preimage(seed, b, i) for b in (0, 1) for i in range(L)]
+        assert kp.sk == b"".join(preimages)
+        assert kp.vk == b"".join(hashlib.sha256(p).digest() for p in preimages)
+        sig = ots_sign(kp, message)
+        assert len(sig) == 32 * L
+        for i, bit in enumerate(_digest_bits(message, L)):
+            at = 32 * (bit * L + i)
+            assert sig[32 * i : 32 * i + 32] == kp.sk[at : at + 32] \
+                == ots_preimage(seed, bit, i)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -88,7 +107,7 @@ class TestSetup:
 
     def test_distinct_rng_keys_differ(self):
         rng = make_rng(3)
-        vks = {ots_gen(8, rng).vk_bytes() for _ in range(100)}
+        vks = {ots_gen(8, rng).vk for _ in range(100)}
         assert len(vks) == 100
 
 
@@ -98,12 +117,12 @@ class TestSignVerify:
         kp = ots_gen(32, rng)
         for _ in range(100):
             msg = rng.bytes(int(rng.integers(0, 200)))
-            assert ots_verify(kp.vk_bytes(), msg, ots_sign(kp, msg), 32)
+            assert ots_verify(kp.vk, msg, ots_sign(kp, msg), 32)
 
     def test_empty_and_long_messages(self):
         kp = ots_gen(16, make_rng(5))
         for msg in (b"", b"\x00" * 10_000):
-            assert ots_verify(kp.vk_bytes(), msg, ots_sign(kp, msg), 16)
+            assert ots_verify(kp.vk, msg, ots_sign(kp, msg), 16)
 
     def test_deterministic_signatures(self):
         kp = ots_gen(16, make_rng(6))
@@ -120,13 +139,13 @@ class TestSignVerify:
         msg = b"preimage check"
         sig = ots_sign(kp, msg)
         for i, bit in enumerate(_digest_bits(msg, 8)):
-            assert sig[32 * i : 32 * (i + 1)] == kp.sk[bit][i]
+            assert sig[32 * i : 32 * (i + 1)] == ots_rows(kp.sk, 8)[bit][i]
 
     def test_exhaustive_single_bit_sig_tamper(self):
         kp = ots_gen(16, make_rng(8))
         msg = b"tamper target"
         sig = bytearray(ots_sign(kp, msg))
-        vk = kp.vk_bytes()
+        vk = kp.vk
         assert ots_verify(vk, msg, bytes(sig), 16)
         for byte_pos in range(len(sig)):
             for bit in range(8):
@@ -141,24 +160,24 @@ class TestSignVerify:
             m1 = rng.bytes(12)
             m2 = rng.bytes(12)
             sig = ots_sign(kp, m1)
-            assert ots_verify(kp.vk_bytes(), m1, sig, 8)
+            assert ots_verify(kp.vk, m1, sig, 8)
             # Rejection requires the truncated digests to differ; skip the
             # rare 8-bit collision instead of asserting on it.
             if _digest_bits(m1, 8) != _digest_bits(m2, 8):
-                assert not ots_verify(kp.vk_bytes(), m2, sig, 8)
+                assert not ots_verify(kp.vk, m2, sig, 8)
 
     def test_wrong_vk_rejected(self):
         kp1 = ots_gen(16, make_rng(10))
         kp2 = ots_gen(16, make_rng(11))
         sig = ots_sign(kp1, b"msg")
-        assert not ots_verify(kp2.vk_bytes(), b"msg", sig, 16)
+        assert not ots_verify(kp2.vk, b"msg", sig, 16)
 
     def test_bad_lengths_return_false(self):
         kp = ots_gen(16, make_rng(12))
         sig = ots_sign(kp, b"msg")
-        assert not ots_verify(kp.vk_bytes(), b"msg", sig[:-1], 16)
-        assert not ots_verify(kp.vk_bytes()[:-1], b"msg", sig, 16)
-        assert not ots_verify(kp.vk_bytes(), b"msg", sig + b"\x00", 16)
+        assert not ots_verify(kp.vk, b"msg", sig[:-1], 16)
+        assert not ots_verify(kp.vk[:-1], b"msg", sig, 16)
+        assert not ots_verify(kp.vk, b"msg", sig + b"\x00", 16)
 
     def test_digest_length_out_of_range_returns_false(self):
         # L = 0 would accept an empty signature for every message, and
@@ -185,10 +204,10 @@ class TestSignVerify:
             bad = bytearray(sig)
             bad[32 * j] ^= 1
             calls.clear()
-            assert not ots_verify(kp.vk_bytes(), b"msg", bytes(bad), 24)
+            assert not ots_verify(kp.vk, b"msg", bytes(bad), 24)
             assert len(calls) == 1 + j + 1
         calls.clear()
-        assert ots_verify(kp.vk_bytes(), b"msg", sig, 24)
+        assert ots_verify(kp.vk, b"msg", sig, 24)
         assert len(calls) == 1 + 24
 
     def test_first_preimage_checked_first(self, monkeypatch):
@@ -208,10 +227,10 @@ class TestSignVerify:
             bad = bytearray(sig)
             bad[32 * j + 31] ^= 0x80
             calls.clear()
-            assert not ots_verify(kp.vk_bytes(), b"msg", bytes(bad), 24, j)
+            assert not ots_verify(kp.vk, b"msg", bytes(bad), 24, j)
             assert calls[1:] == [bytes(bad[32 * j : 32 * j + 32])]
             calls.clear()
-            assert ots_verify(kp.vk_bytes(), b"msg", sig, 24, j)
+            assert ots_verify(kp.vk, b"msg", sig, 24, j)
             assert len(calls) == 1 + 24
 
     def test_first_outside_range_raises(self):
@@ -219,7 +238,7 @@ class TestSignVerify:
         sig = ots_sign(kp, b"msg")
         for first in (-1, 8, 9, 256):
             with pytest.raises(ValueError):
-                ots_verify(kp.vk_bytes(), b"msg", sig, 8, first)
+                ots_verify(kp.vk, b"msg", sig, 8, first)
 
     @given(case=_tamper_cases())
     def test_first_never_changes_the_verdict(self, case):
@@ -238,6 +257,6 @@ class TestSignVerify:
                 and _digest_bits(tampered, L) == _digest_bits(message, L))
         untouched = not preimages and not message_bytes
         assert want == untouched or L < 32
-        vk = kp.vk_bytes()
+        vk = kp.vk
         for first in range(L):
             assert ots_verify(vk, tampered, sig, L, first) == want

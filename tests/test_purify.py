@@ -42,6 +42,8 @@ from unclonelab.primitives.pprf import pprf_gen
 from unclonelab import purify
 from unclonelab.prs import prs_amplitudes, prs_setup
 from unclonelab.purify import (
+    MAX_TYPEDIST_N,
+    MAX_TYPEDIST_T,
     GenStateSpec,
     SmallRangeParams,
     classical_srd_experiment,
@@ -155,6 +157,16 @@ class TestTypeVsHaarExact:
     def test_needs_enough_labels(self):
         with pytest.raises(ValueError):
             type_vs_haar_distance(1, 3)
+
+    def test_caps_checked_before_the_binomials(self):
+        out = type_vs_haar_distance(MAX_TYPEDIST_N, MAX_TYPEDIST_T)
+        assert 0.0 < out["td_estimate"] <= out["bound"]
+        for n, t, message in ((MAX_TYPEDIST_N + 1, 2, "n must be at most"),
+                              (2**31, 2, "n must be at most"),
+                              (MAX_TYPEDIST_N, MAX_TYPEDIST_T + 1,
+                               "t must be at most")):
+            with pytest.raises(ValueError, match=message):
+                type_vs_haar_distance(n, t)
 
 
 class TestTypeVsHaarMonteCarlo:

@@ -524,6 +524,18 @@ class TestGameOutcomes:
                           make_rng(72))
         assert report["test_bits"][:2] == [1, 1]
 
+    @pytest.mark.parametrize("game", ("strong-anti-piracy", "strong-search"))
+    def test_challenge_memory_flat_in_samples(self, game):
+        # each challenge's indicator row is added as it is drawn, so 16x the
+        # samples holds no more; keeping every row would add ~27 KB at 128
+        def peak(samples):
+            return peak_traced_bytes(lambda: run_game(
+                game, "ghz-guessers", 2, 0.1, make_rng(73),
+                challenge_samples=samples))[1]
+
+        peak(8)  # first-call allocations
+        assert peak(128) - peak(8) <= 4096
+
     def test_identical_challenge_perfect(self):
         # a shared classical key makes q+1 perfect decryptors: the mock
         # world offers no security, only wiring
