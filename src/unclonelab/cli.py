@@ -298,6 +298,9 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
     for flag, cap in (("n", purify.MAX_TYPEDIST_N), ("t", purify.MAX_TYPEDIST_T)):
         if p[flag] > cap:
             raise ValueError(f"--{flag} must be at most {cap}")
+    if p["t"] > 1 << p["n"]:
+        raise ValueError(f"--t {p['t']} exceeds the {1 << p['n']} distinct "
+                         f"basis labels of --n {p['n']}")
     out = purify.type_vs_haar_distance(p["n"], p["t"])
     ok = out["td_estimate"] <= out["bound"] + _TOL
     out["within_bound"] = ok
@@ -405,8 +408,12 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from .sde_ue.compiler import (SdeConfig, message_to_bytes, sde_ct_len,
                                   sde_dec, sde_enc, sde_kg, sde_setup)
     from .sde_ue.fail import FAIL
+    from .sde_ue.mockfe import MAX_ISSUED_KEYS
 
     p = cfg.params
+    if p["keys"] > MAX_ISSUED_KEYS:
+        raise ValueError(f"--keys must be at most {MAX_ISSUED_KEYS}, the keys "
+                         "one mock FE setup issues")
     rng = make_rng(cfg.seed)
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
     sks = [sde_kg(sde, sde.msk, rng) for _ in range(p["keys"])]

@@ -6,20 +6,14 @@ re-derived on demand from a puncturable PRF, so the secret key is constant
 size and signing is a pure function of (sk, m). Each signature carries, per
 level, both child verification keys and the parent's one-time signature over
 their concatenation, then a PRF tag for the message signed by the leaf key.
-
-A toy plus-one forgery game is included: an adversary with superposition
-access to the signing oracle (as label-register XOR on a HybridState) must
-produce one more distinct valid message/signature pair than its query budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .primitives.hashes import xor_bytes
 from .primitives.ots import (
     OtsKeypair,
     ots_gen,
@@ -30,9 +24,6 @@ from .primitives.ots import (
     ots_vk_len,
 )
 from .primitives.pprf import PprfKey, pprf_eval, pprf_eval_many, pprf_gen
-
-if TYPE_CHECKING:
-    from .hilbert.hybrid import HybridState
 
 MAX_MESSAGE_BITS = 56  # prefix encoding prepends a length byte
 
@@ -234,69 +225,3 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
             if chained:
                 store[node] = (parent, sig[off:end])
     return True
-
-
-class QueryBudgetExceeded(RuntimeError):
-    pass
-
-
-class SigningOracle:
-    """Superposition signing access for the toy plus-one game.
-
-    Branch labels are (message int, signature register bytes); a query XORs
-    the signature of each branch's message into its signature register.
-    """
-
-    def __init__(self, sk: TreeSigSecretKey, budget: int):
-        self._sk = sk
-        self._budget = budget
-        self.queries = 0
-        self.sig_bytes = signature_len(sk.n, sk.digest_bits, sk.tag_bits)
-
-    def _charge(self):
-        if self.queries >= self._budget:
-            raise QueryBudgetExceeded(f"query budget {self._budget} exhausted")
-        self.queries += 1
-
-    def query(self, state: HybridState) -> HybridState:
-        self._charge()
-
-        def xor_sig(label):
-            m, w = label
-            sig = sign(self._sk, m).to_bytes()
-            return (m, xor_bytes(w, sig))
-
-        return state.map_labels(xor_sig)
-
-    def query_classical(self, m: int) -> bytes:
-        self._charge()
-        return sign(self._sk, m).to_bytes()
-
-    def fresh_register(self, m: int) -> HybridState:
-        # |m> with an all-zero signature register, ready for one query;
-        # signing and verifying alone never load hilbert
-        from .hilbert.hybrid import HybridState
-
-        return HybridState.from_terms(0, [((m, bytes(self.sig_bytes)), 1.0, None)])
-
-
-def bz_game_harness(adversary, k: int, rng: np.random.Generator, *,
-                    query_budget: int | None = None) -> bool:
-    """Run the plus-one forgery game: k oracle queries, k+1 pairs to win.
-
-    The adversary callback receives (vk, oracle, rng) and returns a list of
-    (message, signature bytes) pairs. It wins iff it returns exactly k+1
-    pairs with pairwise-distinct messages that all verify. query_budget
-    overrides the allowed query count (the game's k is unchanged), which
-    lets tests hand an honest signer enough queries to demonstrate the
-    verification path.
-    """
-    vk, sk = setup(3, 8, rng, digest_bits=4)
-    oracle = SigningOracle(sk, k if query_budget is None else query_budget)
-    pairs = adversary(vk, oracle, rng)
-    if len(pairs) != k + 1:
-        return False
-    messages = [m for m, _ in pairs]
-    if len(set(messages)) != len(messages):
-        return False
-    return all(verify(vk, m, sig) for m, sig in pairs)

@@ -6,19 +6,16 @@ hold as qubits live here) and the payload is a small dense state. Branches
 with different labels are orthogonal by definition, so inner products reduce
 to a sum over shared labels.
 
-Branches are stored as unnormalized payload vectors; the branch amplitude is
-the vector norm with a canonical phase (first significant component made real
-positive) pulled out.
+Branches are stored as unnormalized payload vectors.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import PROB_FLOOR, StateVector, _label_to_index, born_sample
+from .states import PROB_FLOOR, StateVector, born_sample
 
 __all__ = ["HybridState"]
 
@@ -45,14 +42,6 @@ def _label_sort_key(label: _Label):
         else:
             key.append((2, 0, part.encode()))
     return tuple(key)
-
-
-def _canonical_phase(vec: np.ndarray) -> complex:
-    norm = np.linalg.norm(vec)
-    for comp in vec:
-        if abs(comp) > 1e-12 * norm:
-            return comp / abs(comp)
-    return 1.0 + 0.0j
 
 
 class HybridState:
@@ -114,23 +103,6 @@ class HybridState:
     def labels(self) -> list[_Label]:
         return sorted(self._branches, key=_label_sort_key)
 
-    def num_branches(self) -> int:
-        return len(self._branches)
-
-    def branch_items(self) -> list[tuple[_Label, complex, StateVector | None]]:
-        """(label, amplitude, unit payload) per branch, canonical phase convention."""
-        out = []
-        for label in self.labels():
-            vec = self._branches[label]
-            norm = float(np.linalg.norm(vec))
-            phase = _canonical_phase(vec)
-            amp = phase * norm
-            payload = None
-            if self.payload_qubits > 0:
-                payload = StateVector(self.payload_qubits, vec / amp)
-            out.append((label, complex(amp), payload))
-        return out
-
     def branch_vector(self, label: _Label) -> np.ndarray:
         """Unnormalized payload vector of one branch."""
         return self._branches[label]
@@ -159,12 +131,6 @@ class HybridState:
         return self.payload_qubits == other.payload_qubits and self.distance(other) <= atol
 
     # -- evolution ----------------------------------------------------------
-
-    def map_labels(self, fn: Callable[[_Label], _Label]) -> "HybridState":
-        """Relabel branches; colliding images accumulate amplitudes."""
-        return HybridState(
-            self.payload_qubits, [(fn(label), vec) for label, vec in self._branches.items()]
-        )
 
     def _collapse(self, kept: list[tuple[_Label, np.ndarray]]) -> "HybridState":
         """Post-measurement state: the kept branches, renormalized."""
@@ -205,44 +171,6 @@ class HybridState:
             new[outcome] = vec[outcome]
             kept.append((label, new))
         return outcome, self._collapse(kept)
-
-    # -- conversion ---------------------------------------------------------
-
-    def densify(self, label_widths: Sequence[int]) -> StateVector:
-        """Expand to a full StateVector; labels must be ints fitting the widths."""
-        label_bits = sum(label_widths)
-        n = label_bits + self.payload_qubits
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        for label, vec in self._branches.items():
-            if len(label) != len(label_widths):
-                raise ValueError("label length does not match widths")
-            for width, part in zip(label_widths, label):
-                if not isinstance(part, int):
-                    raise ValueError(f"label component {part!r} does not fit in {width} bits")
-            base = _label_to_index(label_widths, label) << self.payload_qubits
-            amps[base : base + (1 << self.payload_qubits)] = vec
-        return StateVector(n, amps)
-
-    def canonical_bytes(self) -> bytes:
-        """Deterministic serialization for bit-equality checks.
-
-        Branches in sorted label order; each branch is the label encoding
-        followed by the raw f64 (re, im) pairs of its unnormalized vector.
-        """
-        parts = [struct.pack("<II", self.payload_qubits, len(self._branches))]
-        for label in self.labels():
-            parts.append(struct.pack("<I", len(label)))
-            for comp in label:
-                if isinstance(comp, int):
-                    parts.append(b"i" + struct.pack("<q", comp))
-                elif isinstance(comp, bytes):
-                    parts.append(b"b" + struct.pack("<I", len(comp)) + comp)
-                else:
-                    enc = comp.encode()
-                    parts.append(b"s" + struct.pack("<I", len(enc)) + enc)
-            for amp in self._branches[label]:
-                parts.append(struct.pack("<dd", amp.real, amp.imag))
-        return b"".join(parts)
 
     def __repr__(self):
         return (

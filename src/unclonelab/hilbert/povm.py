@@ -6,9 +6,6 @@ spectral decomposition: measuring it yields an eigenvalue p_i and leaves the
 state in the corresponding eigenspace, so a second measurement returns the
 same outcome. Threshold measurement outputs 1 iff the observed eigenvalue
 clears the threshold; it is the repeatable test used by the decryptor games.
-
-Mixtures of projective measurements enter as explicit (probability,
-projector) lists and collapse to the POVM element sum_i p_i Pi_i.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ __all__ = [
     "BinaryPovm",
     "ProjImp",
     "projective_implementation",
-    "mixture_povm",
     "threshold_measure",
     "apply_op_to_register",
     "measure_register_projective",
@@ -131,22 +127,6 @@ def projective_implementation(povm: BinaryPovm) -> ProjImp:
             projectors.append(block @ block.conj().T)
             start = i
     return ProjImp(tuple(values), tuple(projectors))
-
-
-def mixture_povm(dist: Sequence[tuple[float, np.ndarray]]) -> BinaryPovm:
-    """POVM element of a mixture of projective tests: sum_i p_i Pi_i."""
-    if not dist:
-        raise ValueError("mixture must contain at least one component")
-    probs = np.array([p for p, _ in dist], dtype=float)
-    if probs.min() < 0:
-        raise ValueError("mixture probabilities must be non-negative")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"mixture probabilities sum to {probs.sum()}, not 1")
-    dim = np.asarray(dist[0][1]).shape[0]
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for p, proj in dist:
-        acc += p * _as_projector(proj, dim, "mixture component is not a projector")
-    return BinaryPovm(acc)
 
 
 def threshold_measure(

@@ -15,7 +15,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,17 +30,12 @@ __all__ = [
     "superpose",
     "tensor",
     "inner",
-    "apply_oracle",
     "born_probabilities",
     "born_sample",
     "measure",
-    "swap_test",
-    "sample_swap_test",
-    "trace_distance",
     "haar_sample",
     "type_state",
     "state_to_bytes",
-    "state_from_bytes",
 ]
 
 MAX_STATE_AMPLITUDES = 2**20
@@ -129,11 +124,6 @@ class DensityOperator:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_pure(cls, state: StateVector) -> "DensityOperator":
-        v = state.amplitudes
-        return cls(state.dim, np.outer(v, v.conj()))
-
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """|index> in the computational basis."""
@@ -202,46 +192,11 @@ def _gather_bits(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) ->
     return out
 
 
-def _scatter_bits(value: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
-    """Inverse of _gather_bits: place packed bits at the listed qubit positions."""
-    out = np.zeros_like(value)
-    k = len(qubits)
-    for pos, q in enumerate(qubits):
-        bit = (value >> (k - 1 - pos)) & 1
-        out |= bit << (num_qubits - 1 - q)
-    return out
-
-
 def _check_qubits(num_qubits: int, qubits: Sequence[int], what: str) -> None:
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"{what} qubits contain duplicates")
     if any(q < 0 or q >= num_qubits for q in qubits):
         raise ValueError(f"{what} qubits out of range")
-
-
-def apply_oracle(
-    state: StateVector,
-    input_qubits: Sequence[int],
-    output_qubits: Sequence[int],
-    f: Callable[[int], int],
-) -> StateVector:
-    """|x>|w> -> |x>|w xor f(x)>, with x read from input_qubits.
-
-    f is evaluated once per input value; outputs are masked to the output
-    register width. Input and output registers must not overlap.
-    """
-    _check_qubits(state.num_qubits, input_qubits, "input")
-    _check_qubits(state.num_qubits, output_qubits, "output")
-    if set(input_qubits) & set(output_qubits):
-        raise ValueError("input and output registers overlap")
-    k, m = len(input_qubits), len(output_qubits)
-    table = np.array([int(f(x)) & ((1 << m) - 1) for x in range(1 << k)], dtype=np.int64)
-    indices = np.arange(state.dim, dtype=np.int64)
-    x = _gather_bits(indices, state.num_qubits, input_qubits)
-    flip = _scatter_bits(table[x], state.num_qubits, output_qubits)
-    new_amps = np.zeros_like(state.amplitudes)
-    new_amps[indices ^ flip] = state.amplitudes
-    return StateVector(state.num_qubits, new_amps)
 
 
 def born_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
@@ -270,31 +225,6 @@ def measure(
     amps = np.where(keep, state.amplitudes, 0.0)
     amps = amps / np.linalg.norm(amps)
     return outcome, StateVector(state.num_qubits, amps)
-
-
-def swap_test(a: StateVector, b: StateVector) -> float:
-    """Exact accept probability of the swap test: (1 + |<a|b>|^2) / 2.
-
-    The overlap is normalized by the states' own squared norms so that the
-    identical-state case yields exactly 1.0 in floating point.
-    """
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states live on different qubit counts")
-    num = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    den = np.vdot(a.amplitudes, a.amplitudes).real * np.vdot(b.amplitudes, b.amplitudes).real
-    return 0.5 + 0.5 * (num / den)
-
-
-def sample_swap_test(a: StateVector, b: StateVector, rng: np.random.Generator) -> int:
-    """One sampled swap-test run; 1 means accept."""
-    return int(rng.random() < swap_test(a, b))
-
-
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    if a.dim != b.dim:
-        raise ValueError("operators live on different dimensions")
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return 0.5 * float(np.abs(eigs).sum())
 
 
 def haar_sample(num_qubits: int, rng: np.random.Generator) -> StateVector:
@@ -328,15 +258,3 @@ def type_state(xs: Sequence[int], num_qubits: int) -> StateVector:
 def state_to_bytes(state: StateVector) -> bytes:
     """Little-endian layout: u32 num_qubits, then (re, im) f64 pairs in basis order."""
     return struct.pack("<I", state.num_qubits) + state.amplitudes.astype("<c16").tobytes()
-
-
-def state_from_bytes(data: bytes) -> StateVector:
-    if len(data) < 4:
-        raise ValueError("truncated state header")
-    (num_qubits,) = struct.unpack_from("<I", data, 0)
-    if num_qubits >= MAX_STATE_AMPLITUDES.bit_length():  # before the shift
-        raise ValueError(f"state of {num_qubits} qubits exceeds the dense cap")
-    dim = 1 << num_qubits
-    if len(data) != 4 + 16 * dim:
-        raise ValueError(f"expected {4 + 16 * dim} bytes for {num_qubits} qubits, got {len(data)}")
-    return StateVector(num_qubits, np.frombuffer(data, dtype="<c16", offset=4))

@@ -1,1 +1,1 @@
-"""Classical building blocks: puncturable PRF, k-wise functions, one-time signatures."""
+"""Classical building blocks: puncturable PRF, one-time signatures."""

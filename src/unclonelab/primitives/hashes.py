@@ -18,7 +18,6 @@ __all__ = [
     "sha256",
     "prg_child",
     "expand_stream",
-    "ots_preimage",
     "xor_bytes",
 ]
 
@@ -52,7 +51,3 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
     return x.to_bytes(len(a), "big")
 
-
-def ots_preimage(seed: bytes, bit: int, position: int) -> bytes:
-    """Secret preimage (bit, position) of a seed-derived one-time keypair."""
-    return sha256(TAG_OTS + seed + bytes([bit]) + struct.pack("<H", position))

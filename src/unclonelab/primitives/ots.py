@@ -53,7 +53,7 @@ def ots_sig_len(L: int) -> int:
 # ots_verify, the verifier's hot path, spells the same bound as a literal
 MAX_DIGEST_BITS = 256
 
-# the (bit, position) tail of every hashes.ots_preimage input, per bit
+# the (bit, position) tail of every preimage derivation input, per bit
 _PREIMAGE_SUFFIXES = tuple(
     tuple(bytes([b]) + struct.pack("<H", i) for i in range(MAX_DIGEST_BITS))
     for b in (0, 1)
@@ -65,7 +65,7 @@ def ots_setup_from_seed(L: int, seed: bytes) -> OtsKeypair:
         raise ValueError(f"digest length L must be in [1, {MAX_DIGEST_BITS}]")
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
-    # entry (b, i) of sk is hashes.ots_preimage(seed, b, i)
+    # entry (b, i) of sk is sha256(TAG_OTS + seed + bytes([b]) + i as <H)
     prefix = TAG_OTS + seed
     preimages = [sha256(prefix + suffix)
                  for row in _PREIMAGE_SUFFIXES for suffix in row[:L]]

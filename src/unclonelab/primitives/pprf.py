@@ -36,12 +36,10 @@ __all__ = [
     "pprf_puncture",
     "pprf_key_to_bytes",
     "pprf_key_from_bytes",
-    "punctured_key_to_bytes",
-    "punctured_key_from_bytes",
 ]
 
 MAX_INPUT_BITS = 64
-MAX_OUTPUT_BITS = 0xFFFF  # both key encodings pack output_bits as uint16
+MAX_OUTPUT_BITS = 0xFFFF  # the key encoding packs output_bits as uint16
 
 
 class PuncturedPointError(ValueError):
@@ -178,7 +176,7 @@ def pprf_puncture(key: PprfKey, punctured: list[int]) -> PuncturedKey:
     )
 
 
-# -- canonical byte encodings (little-endian, length-prefixed) ----------------
+# -- canonical byte encoding (little-endian) ----------------------------------
 
 
 def pprf_key_to_bytes(key: PprfKey) -> bytes:
@@ -190,53 +188,3 @@ def pprf_key_from_bytes(data: bytes) -> PprfKey:
         raise ValueError("malformed PPRF key encoding")
     input_bits, output_bits = struct.unpack_from("<BH", data, 0)
     return PprfKey(data[3:], input_bits, output_bits)
-
-
-def punctured_key_to_bytes(key: PuncturedKey) -> bytes:
-    parts = [
-        struct.pack(
-            "<BHHH",
-            key.input_bits,
-            key.output_bits,
-            len(key.punctured_set),
-            len(key.copath_nodes),
-        )
-    ]
-    for x in key.punctured_set:
-        parts.append(struct.pack("<Q", x))
-    for (depth, index) in sorted(key.copath_nodes):
-        parts.append(struct.pack("<BQ", depth, index) + key.copath_nodes[(depth, index)])
-    return b"".join(parts)
-
-
-def punctured_key_from_bytes(data: bytes) -> PuncturedKey:
-    if len(data) < 7:
-        raise ValueError("truncated punctured key encoding")
-    input_bits, output_bits, num_punctured, num_nodes = struct.unpack_from("<BHHH", data, 0)
-    size = 7 + 8 * num_punctured + (9 + 32) * num_nodes
-    if len(data) < size:
-        raise ValueError("truncated punctured key encoding")
-    punctured = struct.unpack_from(f"<{num_punctured}Q", data, 7)
-    _check_punctured(punctured, input_bits)
-    off = 7 + 8 * num_punctured
-    nodes = {}
-    for _ in range(num_nodes):
-        nodes[struct.unpack_from("<BQ", data, off)] = data[off + 9 : off + 41]
-        off += 41
-    key = PuncturedKey(tuple(sorted(punctured)), nodes, input_bits, output_bits)
-    # the points are in range, so this also keeps every node inside the tree
-    if set(nodes) != _copath(input_bits, punctured):
-        raise ValueError("copath nodes do not cover exactly the unpunctured inputs")
-    # the key holds its points sorted and the encoder sorts its nodes, so
-    # unsorted points, repeated or unsorted nodes and trailing bytes all
-    # change the bytes
-    if punctured_key_to_bytes(key) != data:
-        raise ValueError("non-canonical punctured key encoding")
-    return key
-
-
-def _copath(input_bits: int, punctured) -> set[tuple[int, int]]:
-    """Positions of the maximal subtrees that avoid every punctured path."""
-    on_path = {(d, x >> (input_bits - d))
-               for x in punctured for d in range(1, input_bits + 1)}
-    return {(d, i ^ 1) for d, i in on_path} - on_path

@@ -1,24 +1,28 @@
 """Purification compiler endpoints and range-compression experiments.
 
 The compiler turns independent samples of a generated mixed state into
-copies of one indexed pure state: branch x of the purified state carries a
-pseudorandom phase amplitude and the payload generated from PRF randomness
-at x. The proof-side simulator prepares a symmetrized register state over
-t distinct labels. compiler_equivalence_check builds both endpoint states
-from one shared randomness transcript and reports the exact vector gap.
-The two routes share no construction: the product route enumerates every
-ordered label tuple of the t-fold product state and keeps those that
-realize the chosen label set, while the simulator route permutes the
-(label, payload) pairs, so a simulator whose payloads do not follow their
-labels, or whose orderings disagree in sign, shows a gap of order one.
+copies of one indexed pure state: branch x carries a phase amplitude and
+the payload generated from randomness at x. compiler_equivalence_check
+draws one randomness transcript (a truly random phase table and function
+table) and builds both endpoints from it: the t-fold product of that
+state conditioned on t distinct labels, and the proof-side simulator's
+symmetrized register state over those labels; it reports the exact
+vector gap. The two routes share no construction: the product route
+enumerates every ordered label tuple of the t-fold product state and
+keeps those that realize the chosen label set, while the simulator route
+permutes the (label, payload) pairs, so a simulator whose payloads do
+not follow their labels, or whose orderings disagree in sign, shows a
+gap of order one.
 
 type_vs_haar_distance realizes the t-copy closeness bound between averaged
 distinct type states and the Haar average, exactly by its closed form in
 the symmetric multiset basis or by Monte Carlo in the full product space.
 The dense averages that check the closed form live with the tests.
 
-small_range_states and the surrounding experiments quantify how much an
-oracle with only ell distinct outputs can be told apart from a fresh one.
+small_range_experiment and classical_srd_experiment quantify how much an
+oracle with only ell distinct outputs can be told apart from a fresh one;
+small_range_overlap_mass is the closed-form overlap between the query
+state under such an oracle and its restriction to distinct images.
 """
 
 from __future__ import annotations
@@ -39,13 +43,10 @@ from .hilbert.states import (
     tensor,
     type_state,
 )
-from .primitives.pprf import PprfKey, pprf_eval_many
-from .prs import MAX_QUBITS, PrsKey, prs_amplitudes
+from .prs import MAX_QUBITS
 
 C_SRD_DEFAULT = 1.0
-C_OSRD_DEFAULT = 16.0
 
-MAX_LABEL_BITS = 12
 MAX_PAYLOAD_QUBITS = 6
 MAX_COPIES = 6
 MAX_FULL_QUBITS = 10
@@ -74,34 +75,6 @@ class GenStateSpec:
         return state
 
 
-@dataclass(frozen=True)
-class SmallRangeParams:
-    k: int
-    range_size: int
-    accuracy: float
-    domain_bits: int
-
-
-def small_range_size(accuracy: float, k: int) -> int:
-    return int(math.ceil(C_OSRD_DEFAULT * accuracy**2 * k**3))
-
-
-def purified_state(spec: GenStateSpec, prs_key: PrsKey, pprf_key: PprfKey) -> HybridState:
-    n = prs_key.n
-    if n > MAX_LABEL_BITS:
-        raise ValueError(f"label register limited to {MAX_LABEL_BITS} bits")
-    if pprf_key.input_bits != n:
-        raise ValueError("PRF input width must match the label register")
-    if pprf_key.output_bits != spec.randomness_bits:
-        raise ValueError("PRF output width must match the generator randomness")
-    amps = prs_amplitudes(prs_key)
-    terms = [
-        ((x,), complex(amps[x]), spec.payload(rand))
-        for x, rand in enumerate(pprf_eval_many(pprf_key, range(1 << n)))
-    ]
-    return HybridState.from_terms(spec.payload_qubits, terms)
-
-
 def symmetrized_state(labels: list[int], payloads: list[StateVector]) -> HybridState:
     """Equal superposition of all simultaneous permutations of the t
     (label, payload) register pairs."""
@@ -122,19 +95,6 @@ def symmetrized_state(labels: list[int], payloads: list[StateVector]) -> HybridS
         joint = functools.reduce(tensor, (payloads[i] for i in perm))
         terms.append((label, scale, joint))
     return HybridState.from_terms(q * t, terms)
-
-
-def simulate_copies(samples: list[StateVector], n: int,
-                    rng: np.random.Generator) -> HybridState:
-    """Simulator endpoint: pick t distinct n-bit labels, symmetrize them
-    against the t sampled payloads."""
-    t = len(samples)
-    if t > MAX_COPIES:
-        raise ValueError(f"at most {MAX_COPIES} copies")
-    if (1 << n) < t:
-        raise ValueError("label space smaller than the copy count")
-    labels = [int(v) for v in rng.choice(1 << n, size=t, replace=False)]
-    return symmetrized_state(labels, samples)
 
 
 def _distinct_product_conditional(phases: np.ndarray, payloads: list[StateVector],
@@ -241,49 +201,6 @@ def type_vs_haar_distance(n: int, t: int, num_haar_samples: int | None = None,
         "n": n, "t": t, "td_estimate": td, "bound": bound,
         "method": "monte-carlo", "num_haar_samples": num_haar_samples,
     }
-
-
-def small_range_states(params: SmallRangeParams, query_amplitudes: list[np.ndarray],
-                       sample_states: list[StateVector], index_map: np.ndarray,
-                       ) -> tuple[HybridState, HybridState | None, float]:
-    """Joint query-response state under a range-compressed oracle, its
-    restriction to tuples with pairwise-distinct compressed indices, and
-    the exact overlap between the two."""
-    k, ell = params.k, params.range_size
-    size = 1 << params.domain_bits
-    if size > 256 or k > 3 or ell > 64:
-        raise ValueError("small-range construction caps: |X| <= 256, k <= 3, ell <= 64")
-    if len(query_amplitudes) != k or len(sample_states) != ell:
-        raise ValueError("need k query vectors and ell sample states")
-    q = sample_states[0].num_qubits
-    if q > 3:
-        raise ValueError("payloads limited to 3 qubits")
-    index_map = np.asarray(index_map)
-    for beta in query_amplitudes:
-        if abs(float(np.sum(np.abs(np.asarray(beta)) ** 2)) - 1.0) > 1e-9:
-            raise ValueError("each query amplitude vector must be normalized")
-
-    full_terms = []
-    distinct_terms = []
-    for tup in itertools.product(range(size), repeat=k):
-        amp = complex(np.prod([query_amplitudes[j][tup[j]] for j in range(k)]))
-        if amp == 0:
-            continue
-        images = [int(index_map[x]) for x in tup]
-        joint = functools.reduce(tensor, (sample_states[i] for i in images))
-        full_terms.append((tup, amp, joint))
-        if len(set(images)) == k:
-            distinct_terms.append((tup, amp, joint))
-
-    phi = HybridState.from_terms(q * k, full_terms)
-    if not distinct_terms:
-        return phi, None, 0.0
-    mass = math.sqrt(sum(abs(a) ** 2 for _, a, _ in distinct_terms))
-    phi0 = HybridState.from_terms(
-        q * k, [(lab, a / mass, pay) for lab, a, pay in distinct_terms]
-    )
-    overlap = abs(phi.inner(phi0)) ** 2
-    return phi, phi0, float(overlap)
 
 
 def small_range_overlap_mass(query_probs: list[np.ndarray], index_map: np.ndarray,

@@ -69,10 +69,6 @@ def tag_of_pk(pk: bytes) -> bytes:
     return pk[:TAG_LEN]
 
 
-def sn_of_pk(pk: bytes) -> bytes:
-    return pk[TAG_LEN + _TOKEN_LEN:]
-
-
 def _token_of_pk(pk: bytes) -> bytes:
     return pk[TAG_LEN:TAG_LEN + _TOKEN_LEN]
 

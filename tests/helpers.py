@@ -1,12 +1,19 @@
-"""Shared construction helpers for tests."""
+"""Shared construction helpers for tests, and the reference versions of
+library routines that the library now computes another way."""
 
+import functools
 import itertools
 import math
+import struct
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 
-from unclonelab.hilbert.povm import BinaryPovm
+from unclonelab.hilbert.hybrid import HybridState
+from unclonelab.hilbert.povm import BinaryPovm, _as_projector
+from unclonelab.hilbert.states import StateVector, tensor
+from unclonelab.primitives.hashes import TAG_OTS, sha256
 
 
 def random_hermitian(dim, rng):
@@ -92,3 +99,137 @@ def accept_operator(space):
     pd = np.zeros((dim, dim))
     pd[space.dual_elements(), space.dual_elements()] = 1.0
     return pa @ had @ pd @ had @ pa
+
+
+def ots_preimage(seed: bytes, bit: int, position: int) -> bytes:
+    """Secret preimage (bit, position) of a seed-derived one-time keypair."""
+    return sha256(TAG_OTS + seed + bytes([bit]) + struct.pack("<H", position))
+
+
+def mixture_povm(dist):
+    """POVM element of a mixture of projective tests: sum_i p_i Pi_i.
+
+    The dense reference for games._challenge_povm, which sums the same
+    terms in the same order as a diagonal."""
+    if not dist:
+        raise ValueError("mixture must contain at least one component")
+    probs = np.array([p for p, _ in dist], dtype=float)
+    if probs.min() < 0:
+        raise ValueError("mixture probabilities must be non-negative")
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"mixture probabilities sum to {probs.sum()}, not 1")
+    dim = np.asarray(dist[0][1]).shape[0]
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for p, proj in dist:
+        acc += p * _as_projector(proj, dim, "mixture component is not a projector")
+    return BinaryPovm(acc)
+
+
+# -- HybridState views built from labels() and branch_vector() ----------------
+
+
+def _canonical_phase(vec):
+    norm = np.linalg.norm(vec)
+    for comp in vec:
+        if abs(comp) > 1e-12 * norm:
+            return comp / abs(comp)
+    return 1.0 + 0.0j
+
+
+def branch_items(state):
+    """(label, amplitude, unit payload) per branch in label order; the
+    amplitude is the branch norm times the phase of its first significant
+    component, and the payload is None when there is no payload register."""
+    out = []
+    for label in state.labels():
+        vec = state.branch_vector(label)
+        amp = _canonical_phase(vec) * float(np.linalg.norm(vec))
+        payload = None
+        if state.payload_qubits > 0:
+            payload = StateVector(state.payload_qubits, vec / amp)
+        out.append((label, complex(amp), payload))
+    return out
+
+
+def canonical_bytes(state):
+    """Deterministic serialization for bit-equality checks.
+
+    Branches in sorted label order; each branch is the label encoding
+    followed by the raw f64 (re, im) pairs of its unnormalized vector.
+    """
+    labels = state.labels()
+    parts = [struct.pack("<II", state.payload_qubits, len(labels))]
+    for label in labels:
+        parts.append(struct.pack("<I", len(label)))
+        for comp in label:
+            if isinstance(comp, int):
+                parts.append(b"i" + struct.pack("<q", comp))
+            elif isinstance(comp, bytes):
+                parts.append(b"b" + struct.pack("<I", len(comp)) + comp)
+            else:
+                enc = comp.encode()
+                parts.append(b"s" + struct.pack("<I", len(enc)) + enc)
+        for amp in state.branch_vector(label):
+            parts.append(struct.pack("<dd", amp.real, amp.imag))
+    return b"".join(parts)
+
+
+def map_labels(state, fn):
+    """Relabel every branch by fn; colliding images accumulate."""
+    return HybridState(state.payload_qubits,
+                       [(fn(label), state.branch_vector(label))
+                        for label in state.labels()])
+
+
+# -- the full range-compressed query state, checked against its closed form ---
+
+
+@dataclass(frozen=True)
+class SmallRangeParams:
+    k: int
+    range_size: int
+    accuracy: float
+    domain_bits: int
+
+
+def small_range_states(params: SmallRangeParams, query_amplitudes: list[np.ndarray],
+                       sample_states: list[StateVector], index_map: np.ndarray,
+                       ) -> tuple[HybridState, HybridState | None, float]:
+    """Joint query-response state under a range-compressed oracle, its
+    restriction to tuples with pairwise-distinct compressed indices, and
+    the exact overlap between the two."""
+    k, ell = params.k, params.range_size
+    size = 1 << params.domain_bits
+    if size > 256 or k > 3 or ell > 64:
+        raise ValueError("small-range construction caps: |X| <= 256, k <= 3, ell <= 64")
+    if len(query_amplitudes) != k or len(sample_states) != ell:
+        raise ValueError("need k query vectors and ell sample states")
+    q = sample_states[0].num_qubits
+    if q > 3:
+        raise ValueError("payloads limited to 3 qubits")
+    index_map = np.asarray(index_map)
+    for beta in query_amplitudes:
+        if abs(float(np.sum(np.abs(np.asarray(beta)) ** 2)) - 1.0) > 1e-9:
+            raise ValueError("each query amplitude vector must be normalized")
+
+    full_terms = []
+    distinct_terms = []
+    for tup in itertools.product(range(size), repeat=k):
+        amp = complex(np.prod([query_amplitudes[j][tup[j]] for j in range(k)]))
+        if amp == 0:
+            continue
+        images = [int(index_map[x]) for x in tup]
+        joint = functools.reduce(tensor, (sample_states[i] for i in images))
+        full_terms.append((tup, amp, joint))
+        if len(set(images)) == k:
+            distinct_terms.append((tup, amp, joint))
+
+    phi = HybridState.from_terms(q * k, full_terms)
+    if not distinct_terms:
+        return phi, None, 0.0
+    mass = math.sqrt(sum(abs(a) ** 2 for _, a, _ in distinct_terms))
+    phi0 = HybridState.from_terms(
+        q * k, [(lab, a / mass, pay) for lab, a, pay in distinct_terms]
+    )
+    overlap = abs(phi.inner(phi0)) ** 2
+    return phi, phi0, float(overlap)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import peak_traced_bytes
-from unclonelab import report
+from unclonelab import cli, report
 from unclonelab.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -166,6 +166,14 @@ class TestExitCodes:
          "--n must be at most 64"),
         (["purify", "typedist", "--n", "64", "--t", "1000000"],
          "--t must be at most 1024"),
+        # refused before any key is built
+        (["sde", "demo", "--keys", "257"], "--keys must be at most 256"),
+        (["purify", "typedist", "--n", "1", "--t", "3"],
+         "--t 3 exceeds the 2 distinct basis labels of --n 1"),
+        (["purify", "typedist", "--n", "0"],
+         "--t 2 exceeds the 1 distinct basis labels of --n 0"),
+        (["purify", "typedist", "--t", "65"],
+         "--t 65 exceeds the 16 distinct basis labels of --n 4"),
     ])
     def test_out_of_range_value_names_its_flag(self, capsys, argv, message):
         start = time.perf_counter()
@@ -173,6 +181,12 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("unclonelab: ") and message in err
+        assert "Traceback" not in err
+
+    def test_most_keys_still_report(self, capsys):
+        out = _json_report(capsys, ["sde", "demo", "--keys", "256",
+                                    "--message-bits", "1", "--seed", "1"])
+        assert len(out["results"]["tags"]) == 256
 
     def test_widest_tag_still_reports(self, capsys):
         out = _json_report(capsys, ["detsig", "sign", "--n", "1",
@@ -554,6 +568,61 @@ class TestRunApi:
                               "samples": 4})):
             with pytest.raises(UsageError, match="needs trials"):
                 run(ExperimentConfig(experiment=name, params=params, seed=1))
+
+
+# the work flags: any positive value is valid and costs time linear in it,
+# so the sweep holds them at 1 and tries them only at values below 2^31
+_WORK_FLAGS = {"trials": "1", "samples": "1"}
+_EDGE_VALUES = (str(1 << 31), str(1 << 64), "nan", "inf", "x")
+_SWEPT = [(name, flag) for name, spec in EXPERIMENTS.items()
+          for flag in spec.flags if flag.choices is None]
+# traced bytes any one run may peak at; the sweep's largest run, a valid
+# coin demo, peaks at about 5 MB
+_SWEEP_PEAK_BYTES = 16 << 20
+
+
+def _edge_values(flag):
+    """least - 1 and least where the flag has a least value, then big,
+    non-finite and non-numeric values; work flags skip the big ones."""
+    values = ()
+    if flag.low is not None:
+        values = (repr(flag.type(flag.low - 1)), repr(flag.low))
+    if flag.name in _WORK_FLAGS:
+        return values + _EDGE_VALUES[2:]
+    return values + _EDGE_VALUES
+
+
+class TestEdgeValueSweep:
+    """Every non-choice flag at its edge values, one flag at a time."""
+
+    @pytest.mark.parametrize(
+        "name, flag", _SWEPT,
+        ids=[f"{name} --{flag.name}" for name, flag in _SWEPT])
+    def test_edge_values_exit_cleanly_in_bounded_memory(self, monkeypatch,
+                                                         capsys, name, flag):
+        # one parser for every run, so the trace holds the run alone
+        parser = build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        spec = EXPERIMENTS[name]
+        base = name.split() + ["--seed", "1"]
+        for work, value in _WORK_FLAGS.items():
+            if work in spec.params or (work == "trials" and spec.trials):
+                base += [f"--{work}", value]
+        if name == "game run":
+            base += ["--name", "identical-challenge"]
+        dash = "--" + flag.name.replace("_", "-")
+        bad = []
+        for value in _edge_values(flag):
+            try:
+                code, peak = peak_traced_bytes(main, base + [dash, value])
+            except Exception as exc:  # any escape is a fault
+                bad.append(f"{dash} {value}: raised {exc!r}")
+                continue
+            finally:
+                capsys.readouterr()
+            if code not in (0, 1, 2) or peak >= _SWEEP_PEAK_BYTES:
+                bad.append(f"{dash} {value}: exit {code}, peak {peak} bytes")
+        assert not bad, f"{name}: " + "; ".join(bad)
 
 
 class TestParserMatchesRegistry:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import peak_traced_bytes
+from helpers import branch_items, canonical_bytes, map_labels, peak_traced_bytes
 from unclonelab import coin, detsig
 from unclonelab.coin import (
     ATTACKS,
@@ -110,12 +110,12 @@ class TestGenBanknote:
 
     def test_eqsup_amplitudes_exactly_uniform(self, eqsup_instance):
         _, _, coin = eqsup_instance
-        for _, amp, _ in coin.state.branch_items():
+        for _, amp, _ in branch_items(coin.state):
             assert abs(amp) == 0.25
 
     def test_prs_amplitudes_signed_uniform(self, prs_instance):
         _, _, coin = prs_instance
-        for _, amp, _ in coin.state.branch_items():
+        for _, amp, _ in branch_items(coin.state):
             assert abs(amp) == 0.25
 
     @pytest.mark.parametrize("variant, calls", [("eqsup", 113_076),
@@ -163,8 +163,8 @@ class TestVerify:
         vk, _, coin = eqsup_instance
         x0, sn0, sig0 = coin.state.labels()[0]
         bad = bytes([sig0[0] ^ 1]) + sig0[1:]
-        tampered = coin.state.map_labels(
-            lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
+        tampered = map_labels(
+            coin.state, lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
         bit, post, p = coin_verify(vk, tampered)
         assert bit == 0
         assert p == 1.0 - 0.25**2
@@ -176,8 +176,8 @@ class TestVerify:
         state = gen_banknote(sk).state
         x0, sn0, sig0 = state.labels()[0]
         bad = sig0[:-1] + bytes([sig0[-1] ^ 1])
-        tampered = state.map_labels(
-            lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
+        tampered = map_labels(
+            state, lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
         for _ in range(2):
             assert coin_verify(vk, tampered)[2] == 1.0 - 0.25**2
             assert (sn0, bad) not in vk._accepted
@@ -224,7 +224,7 @@ class TestVerify:
             coin_verify(vk, HybridState.from_terms(
                 2, [((0, b"", b""), 1.0, basis_state(2, 0))]))
         with pytest.raises(ValueError):
-            coin_verify(vk, coin.state.map_labels(lambda lab: lab[:2]))
+            coin_verify(vk, map_labels(coin.state, lambda lab: lab[:2]))
 
     def test_honest_acceptance_random_setups(self):
         rng = make_rng(103)
@@ -278,7 +278,7 @@ def _measure_clone_through_dispatcher(vk, coins, rng):
     """The measure-clone attack reading its payload through branch_items
     and the hilbert.measure dispatcher, as it once did."""
     observed, collapsed = coins[0].measure_labels(rng)
-    payload = collapsed.branch_items()[0][2]
+    payload = branch_items(collapsed)[0][2]
     outcome, _ = measure(payload, list(range(payload.num_qubits)), rng)
     note = HybridState.from_terms(
         vk.mini_n, [(observed, 1.0, basis_state(vk.mini_n, outcome))])
@@ -345,8 +345,8 @@ class TestOneRouteForPostStates:
             rng, want_rng = make_rng(seed), make_rng(seed)
             notes = ATTACKS["measure-clone"](vk, list(coins), rng)
             want = _measure_clone_through_dispatcher(vk, list(coins), want_rng)
-            assert [n.canonical_bytes() for n in notes] == \
-                [n.canonical_bytes() for n in want]
+            assert [canonical_bytes(n) for n in notes] == \
+                [canonical_bytes(n) for n in want]
             assert rng.bytes(8) == want_rng.bytes(8)
 
 

@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 
 from unclonelab import detsig, minischeme
 from unclonelab.cli import _load_config_file
-from unclonelab.hilbert.states import haar_sample, state_from_bytes, state_to_bytes
-from unclonelab.primitives.pprf import (
-    pprf_gen,
-    pprf_key_from_bytes,
-    pprf_key_to_bytes,
-    pprf_puncture,
-    punctured_key_from_bytes,
-    punctured_key_to_bytes,
-)
+from unclonelab.primitives.pprf import pprf_gen, pprf_key_from_bytes, pprf_key_to_bytes
 from unclonelab.rng import make_rng
 from unclonelab.sde_ue.compiler import SdeConfig, re_input_from_bytes, re_input_to_bytes
 
@@ -72,20 +64,6 @@ def test_pprf_key_decoder(data):
     _round_trips_or_value_error(pprf_key_from_bytes, pprf_key_to_bytes, data)
 
 
-@st.composite
-def _punctured_keys(draw):
-    key = draw(_pprf_keys())
-    points = st.integers(0, (1 << key.input_bits) - 1)
-    return pprf_puncture(key, draw(st.lists(points, min_size=1, max_size=6,
-                                            unique=True)))
-
-
-@given(data=_near(_punctured_keys().map(punctured_key_to_bytes)))
-def test_punctured_key_decoder(data):
-    _round_trips_or_value_error(punctured_key_from_bytes,
-                                punctured_key_to_bytes, data)
-
-
 @given(data=_near(st.builds(
     lambda n, seed: minischeme.mini_gen(
         n, make_rng(seed).bytes(minischeme.randomness_len(n))).sn,
@@ -93,13 +71,6 @@ def test_punctured_key_decoder(data):
 def test_serial_number_decoder(data):
     _round_trips_or_value_error(minischeme.subspace_from_sn,
                                 minischeme.sn_bytes, data)
-
-
-@given(data=_near(st.builds(
-    lambda q, seed: state_to_bytes(haar_sample(q, make_rng(seed))),
-    st.integers(0, 4), _SEED)))
-def test_state_decoder(data):
-    _round_trips_or_value_error(state_from_bytes, state_to_bytes, data)
 
 
 @st.composite

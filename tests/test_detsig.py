@@ -1,5 +1,5 @@
 """Tree signatures: round trips, determinism, chain soundness against a
-key-derivation oracle, tamper rejection, and the toy plus-one game."""
+key-derivation oracle, and tamper rejection."""
 
 import dataclasses
 import functools
@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unclonelab import detsig
-from unclonelab.hilbert.hybrid import HybridState
 from unclonelab.primitives import hashes
 from unclonelab.primitives.ots import (
     ots_gen,
@@ -605,64 +604,3 @@ class TestStoreRule:
                 side = node & 1
                 assert parent == above[1][side * vk_len : (side + 1) * vk_len]
 
-
-def _honest_pairs(oracle, messages):
-    return [(m, oracle.query_classical(m)) for m in messages]
-
-
-class TestPlusOneGame:
-    def test_forwarder_duplicate_message_loses(self):
-        def adversary(vk, oracle, rng):
-            state = oracle.fresh_register(2)
-            signed = oracle.query(state)
-            (m, w), _ = signed.measure_labels(rng)
-            return [(m, w), (m, w)]
-
-        assert not detsig.bz_game_harness(adversary, 1, make_rng(11))
-
-    def test_classical_replay_never_wins(self):
-        def adversary(vk, oracle, rng):
-            pairs = _honest_pairs(oracle, [3])
-            forged = bytes(rng.bytes(oracle.sig_bytes))
-            m2 = int(rng.integers(8))
-            return pairs + [(m2, forged)]
-
-        wins = sum(
-            detsig.bz_game_harness(adversary, 1, make_rng(12_000 + i))
-            for i in range(1000)
-        )
-        assert wins == 0
-
-    def test_honest_with_extra_budget_wins(self):
-        def adversary(vk, oracle, rng):
-            return _honest_pairs(oracle, [0, 1, 2])
-
-        assert detsig.bz_game_harness(adversary, 2, make_rng(13), query_budget=3)
-
-    def test_wrong_pair_count_loses(self):
-        def adversary(vk, oracle, rng):
-            return _honest_pairs(oracle, [0, 1])
-
-        assert not detsig.bz_game_harness(adversary, 2, make_rng(14), query_budget=3)
-
-    def test_budget_enforced(self):
-        def adversary(vk, oracle, rng):
-            return _honest_pairs(oracle, [0, 1, 2])
-
-        with pytest.raises(detsig.QueryBudgetExceeded):
-            detsig.bz_game_harness(adversary, 2, make_rng(15))
-
-    def test_superposition_query_signs_every_branch(self):
-        rng = make_rng(16)
-        _, sk = detsig.setup(3, 8, rng, digest_bits=4)
-        oracle = detsig.SigningOracle(sk, budget=1)
-        zero = bytes(oracle.sig_bytes)
-        state = HybridState.from_terms(
-            0, [((m, zero), 0.5, None) for m in range(4)]
-        )
-        signed = oracle.query(state)
-        assert signed.num_branches() == 4
-        for m in range(4):
-            (got_m, w), _ = signed.measure_labels(make_rng(100 + m))
-            assert w == detsig.sign(sk, got_m).to_bytes()
-        assert oracle.queries == 1

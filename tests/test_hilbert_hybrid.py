@@ -1,4 +1,4 @@
-"""HybridState: canonical branches, measurement, and dense-route faithfulness."""
+"""HybridState: merged branches, inner products, and measurement."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import branch_items, map_labels
 from unclonelab.hilbert import measure
 from unclonelab.hilbert.hybrid import HybridState
 from unclonelab.hilbert.states import StateVector, basis_state, haar_sample
@@ -57,8 +58,8 @@ def test_merge_same_label():
             ((1,), 2**-0.5, basis_state(1, 1)),
         ],
     )
-    assert s.num_branches() == 2
-    label, amp, payload = s.branch_items()[0]
+    assert len(s.labels()) == 2
+    label, amp, payload = branch_items(s)[0]
     assert label == (0,)
     assert amp == pytest.approx(2**-0.5)
 
@@ -95,8 +96,8 @@ def test_measure_label_example():
     for _ in range(2000):
         outcome, post = measure(two_branch(), None, rng)
         assert outcome in [("a",), ("b",)]
-        assert post.num_branches() == 1
-        label, amp, payload = post.branch_items()[0]
+        assert len(post.labels()) == 1
+        label, amp, payload = branch_items(post)[0]
         want = basis_state(1, 0) if outcome == ("a",) else basis_state(1, 1)
         assert payload.allclose(want)
         hits += outcome == ("a",)
@@ -115,7 +116,7 @@ def test_measure_label_positions_subset():
     rng = make_rng(41)
     outcome, post = s.measure_labels(rng, positions=[0])
     if outcome == (0,):
-        assert post.num_branches() == 2
+        assert len(post.labels()) == 2
     else:
         assert outcome == (1,)
         assert post.labels() == [(1, 7)]
@@ -131,54 +132,8 @@ def test_measure_payload_collapse():
         ],
     )
     outcome, post = s.measure_payload(rng)
-    for _, _, payload in post.branch_items():
+    for _, _, payload in branch_items(post):
         assert abs(abs(payload.amplitudes[outcome]) - 1.0) < 1e-9
-
-
-def test_map_labels_xor_preserves_norm():
-    rng = make_rng(43)
-    s = random_hybrid(rng, 1, 8)
-    mapped = s.map_labels(lambda lab: (lab[0] ^ 0x55,))
-    assert mapped.norm() == pytest.approx(1.0, abs=1e-12)
-    assert sorted(l[0] ^ 0x55 for l in mapped.labels()) == sorted(
-        l[0] for l in s.labels()
-    )
-
-
-def test_densify_faithfulness_brute_force():
-    # Inner products branch-wise vs through the dense vector, small instances.
-    rng = make_rng(44)
-    for _ in range(25):
-        payload_qubits = int(rng.integers(0, 4))
-        a = random_hybrid(rng, payload_qubits, int(rng.integers(1, 9)))
-        b = random_hybrid(rng, payload_qubits, int(rng.integers(1, 9)))
-        da, db = a.densify([8]), b.densify([8])
-        dense = complex(np.vdot(da.amplitudes, db.amplitudes))
-        assert abs(dense - a.inner(b)) < 1e-9
-
-
-def test_densify_larger_payloads():
-    rng = make_rng(45)
-    a = random_hybrid(rng, 6, 4)
-    assert abs(np.linalg.norm(a.densify([8]).amplitudes) - 1.0) < 1e-9
-
-
-def test_densify_rejects_labels_that_do_not_encode():
-    # bytes and str parts, ints outside the width, and wrong label lengths
-    for label in ((b"\x01",), ("a",), (4,), (-1,), (1, 0)):
-        s = HybridState.from_terms(0, [(label, 1.0, None)])
-        with pytest.raises(ValueError):
-            s.densify([2])
-
-
-def test_canonical_bytes_order_independent():
-    terms = [
-        ((3,), 0.6, basis_state(1, 1)),
-        ((1,), 0.8, basis_state(1, 0)),
-    ]
-    a = HybridState.from_terms(1, terms)
-    b = HybridState.from_terms(1, terms[::-1])
-    assert a.canonical_bytes() == b.canonical_bytes()
 
 
 def test_distance_and_allclose():
@@ -226,7 +181,7 @@ def test_operations_preserve_norm(branches, seed):
     for positions in (None, [0], [1]):
         _assert_unit(state.measure_labels(rng, positions=positions)[1])
     # injective: the xor and the swap are both invertible
-    _assert_unit(state.map_labels(lambda label: (label[1], label[0] ^ 5, "x")))
+    _assert_unit(map_labels(state, lambda label: (label[1], label[0] ^ 5, "x")))
     if q:
         _assert_unit(state.measure_payload(rng)[1])
 

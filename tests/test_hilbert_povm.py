@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_binary_povm, random_projector
+from helpers import mixture_povm, random_binary_povm, random_projector
 
 from unclonelab.hilbert.povm import (
     BinaryPovm,
     ProjImp,
     apply_op_to_register,
     measure_register_projective,
-    mixture_povm,
     projective_implementation,
     threshold_measure,
     threshold_measure_register,

@@ -1,4 +1,4 @@
-"""State construction, oracles, measurement, and Haar statistics."""
+"""State construction, measurement, serialization, and Haar statistics."""
 
 import struct
 
@@ -12,18 +12,12 @@ from unclonelab.hilbert import measure
 from unclonelab.hilbert.states import (
     DensityOperator,
     StateVector,
-    apply_oracle,
     basis_state,
     born_probabilities,
     haar_sample,
     inner,
-    sample_swap_test,
-    state_from_bytes,
     state_to_bytes,
     superpose,
-    swap_test,
-    tensor,
-    trace_distance,
     type_state,
 )
 from unclonelab.rng import make_rng
@@ -78,50 +72,6 @@ def test_state_vector_validation():
         StateVector(2, [1.0, 0.0])
 
 
-# -- apply_oracle -------------------------------------------------------------
-
-
-def test_oracle_identity_is_cnot():
-    s = tensor(plus_state(), basis_state(1, 0))
-    out = apply_oracle(s, [0], [1], lambda x: x)
-    assert np.allclose(out.amplitudes, [2**-0.5, 0, 0, 2**-0.5])
-
-
-def test_oracle_constant_zero_is_identity():
-    rng = make_rng(11)
-    s = haar_sample(3, rng)
-    out = apply_oracle(s, [0, 1], [2], lambda x: 0)
-    assert np.allclose(out.amplitudes, s.amplitudes)
-
-
-def test_oracle_parity():
-    # (|00> + |11>)|0> / sqrt(2): parity of both branches is 0, state unchanged.
-    s = superpose([1, 1, 1], [((0, 0, 0), 1), ((1, 1, 0), 1)])
-    out = apply_oracle(s, [0, 1], [2], lambda x: (x ^ (x >> 1)) & 1)
-    assert np.allclose(out.amplitudes, s.amplitudes)
-    # ... and of |01> it is 1.
-    s2 = superpose([1, 1, 1], [((0, 1, 0), 1)])
-    out2 = apply_oracle(s2, [0, 1], [2], lambda x: (x ^ (x >> 1)) & 1)
-    assert np.allclose(out2.amplitudes, superpose([1, 1, 1], [((0, 1, 1), 1)]).amplitudes)
-
-
-def test_oracle_rejects_overlapping_registers():
-    s = basis_state(2, 0)
-    with pytest.raises(ValueError):
-        apply_oracle(s, [0], [0], lambda x: x)
-
-
-def test_norm_preserved_random_oracles():
-    rng = make_rng(12)
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        s = haar_sample(n, rng)
-        k = int(rng.integers(1, n))
-        table = rng.integers(0, 1 << (n - k), size=1 << k)
-        out = apply_oracle(s, list(range(k)), list(range(k, n)), lambda x: int(table[x]))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
-
-
 # -- measure ------------------------------------------------------------------
 
 
@@ -165,41 +115,7 @@ def test_born_probabilities_sum():
     assert abs(p.sum() - 1.0) < 1e-9
 
 
-# -- swap test ----------------------------------------------------------------
-
-
-def test_swap_test_values():
-    rng = make_rng(2)
-    psi = haar_sample(2, rng)
-    assert swap_test(psi, psi) == pytest.approx(1.0, abs=1e-12)
-    assert swap_test(basis_state(1, 0), basis_state(1, 1)) == pytest.approx(0.5)
-    assert swap_test(basis_state(1, 0), plus_state()) == pytest.approx(0.75)
-
-
-def test_swap_test_identity_exact_on_random_states():
-    rng = make_rng(3)
-    for _ in range(100):
-        psi = haar_sample(int(rng.integers(1, 5)), rng)
-        assert swap_test(psi, psi) == 1.0
-
-
-def test_swap_test_sampled_frequency():
-    rng = make_rng(4)
-    a, b = basis_state(1, 0), plus_state()
-    hits = sum(sample_swap_test(a, b, rng) for _ in range(10_000))
-    assert abs(hits / 10_000 - 0.75) < 0.02
-
-
-# -- trace distance -----------------------------------------------------------
-
-
-def test_trace_distance_values():
-    rho0 = DensityOperator.from_pure(basis_state(1, 0))
-    rho1 = DensityOperator.from_pure(basis_state(1, 1))
-    rhop = DensityOperator.from_pure(plus_state())
-    assert trace_distance(rho0, rho0) == pytest.approx(0.0, abs=1e-12)
-    assert trace_distance(rho0, rho1) == pytest.approx(1.0, abs=1e-9)
-    assert trace_distance(rho0, rhop) == pytest.approx(2**-0.5, abs=1e-9)
+# -- density operators --------------------------------------------------------
 
 
 def test_density_operator_validation():
@@ -270,15 +186,6 @@ def test_type_state_rejects_duplicates():
 # -- serialization ------------------------------------------------------------
 
 
-def test_serialization_round_trip_bit_exact():
-    rng = make_rng(10)
-    for _ in range(20):
-        psi = haar_sample(int(rng.integers(1, 6)), rng)
-        back = state_from_bytes(state_to_bytes(psi))
-        assert back.num_qubits == psi.num_qubits
-        assert np.array_equal(back.amplitudes, psi.amplitudes)
-
-
 def _struct_layout(state):
     # one (re, im) pair at a time, as the layout is documented
     return struct.pack("<I", state.num_qubits) + b"".join(
@@ -299,40 +206,16 @@ def test_serialization_matches_struct_layout(n, seed):
     psi = StateVector(n, amps / np.linalg.norm(amps))
     blob = state_to_bytes(psi)
     assert blob == _struct_layout(psi)
-    back = state_from_bytes(blob)
-    assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
 
 
 def test_serialization_keeps_signed_zeros():
     psi = StateVector(1, np.array([complex(-0.0, -0.0), complex(1.0, -0.0)]))
     blob = state_to_bytes(psi)
     assert blob == _struct_layout(psi)
-    assert np.signbit(state_from_bytes(blob).amplitudes.view(float)).tolist() == [
-        True, True, False, True]
 
 
 def test_serialization_golden_plus():
     assert state_to_bytes(plus_state()).hex() == PLUS_GOLDEN_HEX
-    assert state_from_bytes(bytes.fromhex(PLUS_GOLDEN_HEX)).allclose(plus_state())
-
-
-def test_serialization_rejects_bad_length():
-    with pytest.raises(ValueError):
-        state_from_bytes(bytes.fromhex(PLUS_GOLDEN_HEX)[:-1])
-
-
-def test_serialization_rejects_non_finite_amplitudes():
-    for bad in (np.nan, np.inf, -np.inf):
-        for pair in ((bad, 0.0), (1.0, bad)):
-            blob = struct.pack("<Idddd", 1, *pair, 0.0, 0.0)
-            with pytest.raises(ValueError):
-                state_from_bytes(blob)
-
-
-def test_serialization_rejects_headers_past_the_dense_cap():
-    for num_qubits in (21, 1000):
-        with pytest.raises(ValueError):
-            state_from_bytes(struct.pack("<I", num_qubits) + bytes(32))
 
 
 def _rejected(fn, *args):

@@ -1,11 +1,13 @@
-"""The import boundary: a module loads only the layers it drives.
+"""The import boundary and the reach map of the library.
 
 ``unclonelab.cli`` imports the library inside each handler, so loading the
-CLI (and building its parser) costs no scheme module, and detsig reaches
-hilbert only when the plus-one game builds a register. The CLI spells the
-library's choice tables out; these tests pin them to the library's.
-Each name is imported from the module that defines it, so a package
-``__init__`` re-exports nothing and loading one submodule loads no sibling.
+CLI (and building its parser) costs no scheme module, and detsig never
+loads hilbert. The CLI spells the library's choice tables out; these tests
+pin them to the library's. Each name is imported from the module that
+defines it, so a package ``__init__`` re-exports nothing and loading one
+submodule loads no sibling. Every public def, class and method is reached
+from the library itself, is a CLI handler, or is allowlisted with the gate
+that keeps it, so no API arrives that only its own unit tests call.
 """
 
 import ast
@@ -83,7 +85,6 @@ def test_choice_tables_match_the_library():
     assert choices["game run", "adversary"] == tuple(sorted(ADVERSARIES))
 
 
-
 def test_vectors_loads_only_what_it_drives():
     loaded = _loaded_after("from unclonelab.cli import main\n"
                            "main(['vectors', '--seed', '0'])")
@@ -91,12 +92,6 @@ def test_vectors_loads_only_what_it_drives():
     assert not loaded & {"unclonelab.sde_ue.compiler", "unclonelab.sde_ue.games",
                          "unclonelab.sde_ue.ue", "unclonelab.sde_ue.mockfe",
                          "unclonelab.hilbert.povm"}
-
-
-def test_detsig_loads_no_kwise():
-    loaded = _loaded_after("import unclonelab.detsig")
-    assert "unclonelab.primitives.pprf" in loaded
-    assert "unclonelab.primitives.kwise" not in loaded
 
 
 def _module_path(dotted: str) -> Path:
@@ -141,3 +136,98 @@ def test_each_name_is_imported_from_its_defining_module():
         if not ok:
             wrong.append(f"{path.relative_to(_SRC)}: from {module} import {name}")
     assert not wrong
+
+
+# public names that nothing in the library references, each kept by the
+# gate or workload named
+_REACH_ALLOWLIST = {
+    "detsig.signature_from_bytes":
+        "tamper-sweep: perfbench traces it as the detsig.signature_from_bytes span",
+    "primitives.pprf.pprf_puncture":
+        "criterion 4: punctured keys agree with the full key off the set",
+    "hilbert.povm.threshold_measure":
+        "criterion 8: threshold measurement is repeatable on its post state",
+    "hilbert.povm.ProjImp.reconstruct":
+        "criterion 8: the projective implementation reconstructs its POVM",
+    "hilbert.states.DensityOperator":
+        "threshold_measure's mixed branch: test_threshold_repeatable_over_"
+        "mixture_povms covers mixed states and non-power-of-two dimensions",
+    "report.strip_wall_time":
+        "criterion 10 and cli-suite compare reports with wall time stripped",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(_PKG).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _public_defs():
+    """(qualified name, def node, path) for every public top-level def or
+    class and every public method of a top-level class."""
+    for path in sorted(_PKG.rglob("*.py")):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node, path
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{module}.{node.name}.{item.name}", item, path
+
+
+def _references():
+    """(name, path, line) for every name the library uses: variables,
+    attributes and imported names. Strings, as in __all__, are not uses."""
+    for path in sorted(_PKG.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield node.id, path, node.lineno
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, path, node.lineno
+            elif isinstance(node, ast.alias):
+                yield node.name.split(".")[-1], path, node.lineno
+
+
+def _is_cli_handler(node) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_experiment"
+               for d in getattr(node, "decorator_list", ()))
+
+
+def test_every_public_name_is_reached_from_the_library():
+    # by name, so a reference to a same-named attribute elsewhere counts too
+    refs = {}
+    for name, path, line in _references():
+        refs.setdefault(name, []).append((path, line))
+    defs = list(_public_defs())
+    unreached = []
+    for qualname, node, path in defs:
+        name = qualname.rsplit(".", 1)[-1]
+        outside = [(p, line) for p, line in refs.get(name, ())
+                   if not (p == path and node.lineno <= line <= node.end_lineno)]
+        if not (outside or _is_cli_handler(node) or qualname in _REACH_ALLOWLIST):
+            unreached.append(qualname)
+    assert not unreached, (
+        "public names nothing in src/ references; use them from the library, "
+        "move them to tests/helpers.py or allowlist them with a reason: "
+        + ", ".join(unreached))
+    assert set(_REACH_ALLOWLIST) <= {q for q, _, _ in defs}
+
+
+def test_every_all_entry_names_a_definition():
+    stale = []
+    for path in sorted(_PKG.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = _defined(path) | {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                stale += [f"{_module_name(path)}.{entry.value}"
+                          for entry in node.value.elts if entry.value not in bound]
+    assert not stale, f"__all__ names no definition: {stale}"

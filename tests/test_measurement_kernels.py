@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mixture_povm
 from unclonelab import minischeme as ms
-from unclonelab.hilbert.povm import mixture_povm
 from unclonelab.hilbert.states import StateVector, basis_state
 from unclonelab.minischeme import hadamard_all
 from unclonelab.rng import make_rng

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ots_rows
+from helpers import ots_preimage, ots_rows
 
-from unclonelab.primitives.hashes import ots_preimage
 from unclonelab.primitives.ots import (
     ots_gen,
     ots_setup_from_seed,

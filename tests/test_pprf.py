@@ -20,8 +20,6 @@ from unclonelab.primitives.pprf import (
     pprf_key_from_bytes,
     pprf_key_to_bytes,
     pprf_puncture,
-    punctured_key_from_bytes,
-    punctured_key_to_bytes,
 )
 from unclonelab.primitives import hashes
 from unclonelab.rng import make_rng
@@ -75,14 +73,6 @@ GOLDEN_KEY_SEED1_HEX = (
 )
 GOLDEN_EVAL_X00_HEX = "e47bbb988272a813efbba657b2df6eae"
 GOLDEN_EVAL_XFF_HEX = "7e917fa1e25c92eab6926a723b871ff9"
-GOLDEN_PUNCTURED_HEX = (
-    "042000010004000300000000000000010100000000000000b6b40b9b278b6c01414735"
-    "a686c04802a17782fab13ba015fcd7e6ae3e17a450020100000000000000d34e52f1d1"
-    "36caaab92402f1f1a2a6effdf81ad80c0fa3eaf614d1661d12c401030000000000000"
-    "0008ff830f6ba27a1c561b6fcba202ad3ff774f61dc3c9bcebcf9936e9a4d5f515b04"
-    "0200000000000000e345140c1ea545419ee35f2c2797e27cdb6b999afb0f1a64a2cec4"
-    "cd4c325808"
-)
 
 
 class TestGen:
@@ -108,13 +98,12 @@ class TestGen:
             pprf_gen(8, 0, rng)
 
     def test_output_width_fits_the_uint16_encodings(self):
-        # both key encodings pack output_bits as uint16
+        # the key encoding packs output_bits as uint16
         with pytest.raises(ValueError, match="output_bits"):
             pprf_gen(4, 1 << 16, make_rng(0))
         key = pprf_gen(4, 0xFFFF, make_rng(0))
         assert pprf_key_from_bytes(pprf_key_to_bytes(key)) == key
         pk = pprf_puncture(key, [5])
-        assert punctured_key_from_bytes(punctured_key_to_bytes(pk)) == pk
         assert pprf_eval(pk, 6) == pprf_eval(key, 6)
         assert len(pprf_eval(key, 6)) == 0x10000 // 8
 
@@ -283,7 +272,6 @@ class TestPuncture:
                 tuple(sorted(s)),
                 {(d, i): _node_seed(key.root_seed, d, i) for d, i in copath},
                 bits, 16)
-            assert punctured_key_to_bytes(pk) == punctured_key_to_bytes(oracle)
             assert pk == oracle
 
     def test_rejects_bad_sets(self):
@@ -363,7 +351,6 @@ class TestPuncturedCorrectness:
         for x in s:
             with pytest.raises(PuncturedPointError):
                 pprf_eval(pk, x)
-        assert punctured_key_from_bytes(punctured_key_to_bytes(pk)) == pk
 
 
 class TestSerialization:
@@ -374,104 +361,3 @@ class TestSerialization:
         l1, l2 = struct.unpack_from("<BH", blob)
         assert (l1, l2) == (8, 128)
         assert blob[3:] == key.root_seed
-
-    def test_punctured_golden(self):
-        key = pprf_gen(4, 32, make_rng(7))
-        pk = pprf_puncture(key, [3])
-        assert punctured_key_to_bytes(pk).hex() == GOLDEN_PUNCTURED_HEX
-
-    def test_punctured_nodes_sorted(self):
-        key = pprf_gen(8, 16, make_rng(13))
-        pk = pprf_puncture(key, [200, 3, 77])
-        blob = punctured_key_to_bytes(pk)
-        _, _, num_punct, num_nodes = struct.unpack_from("<BHHH", blob)
-        assert num_punct == 3
-        off = 7 + 8 * num_punct
-        seen = []
-        for _ in range(num_nodes):
-            depth, index = struct.unpack_from("<BQ", blob, off)
-            seen.append((depth, index))
-            off += 9 + 32
-        assert seen == sorted(seen)
-        assert off == len(blob)
-
-    def test_punctured_round_trip(self):
-        key = pprf_gen(8, 16, make_rng(15))
-        for s in ([0], [3, 77, 254], [0x10, 0x11]):
-            pk = pprf_puncture(key, s)
-            back = punctured_key_from_bytes(punctured_key_to_bytes(pk))
-            assert back == pk
-            for x in range(256):
-                if x not in s:
-                    assert pprf_eval(back, x) == pprf_eval(key, x)
-
-    def test_punctured_decoder_rejects_truncation_and_trailing_bytes(self):
-        blob = punctured_key_to_bytes(pprf_puncture(pprf_gen(8, 16, make_rng(16)), [3, 200]))
-        for end in range(len(blob)):
-            with pytest.raises(ValueError):
-                punctured_key_from_bytes(blob[:end])
-        with pytest.raises(ValueError):
-            punctured_key_from_bytes(blob + b"\x00")
-
-    def test_punctured_decoder_rejects_points_outside_the_tree(self):
-        key = pprf_gen(8, 16, make_rng(17))
-        blob = bytearray(punctured_key_to_bytes(pprf_puncture(key, [3, 200])))
-        node = 7 + 8 * 2  # first copath node: depth byte, then 8-byte index
-
-        def patched(offset, raw):
-            bad = bytearray(blob)
-            bad[offset : offset + len(raw)] = raw
-            return bytes(bad)
-
-        cases = [
-            patched(node, bytes([99])),                 # depth beyond 8 bits
-            patched(node, bytes([0])),                  # the root itself
-            patched(node, bytes([2]) + struct.pack("<Q", 4)),  # index >= 2^2
-            patched(7, struct.pack("<Q", 256)),         # punctured point >= 2^8
-            patched(0, bytes([0])),                     # input width 0
-        ]
-        for bad in cases:
-            with pytest.raises(ValueError):
-                punctured_key_from_bytes(bad)
-
-    def test_punctured_decoder_rejects_non_canonical_encodings(self):
-        key = pprf_gen(8, 16, make_rng(18))
-        blob = punctured_key_to_bytes(pprf_puncture(key, [3, 200]))
-        head = bytearray(blob[:7])
-        points = blob[7 : 7 + 16]
-        nodes = [blob[off : off + 41] for off in range(7 + 16, len(blob), 41)]
-
-        def encoding(points, nodes):
-            head[5:7] = struct.pack("<H", len(nodes))
-            return bytes(head) + points + b"".join(nodes)
-
-        cases = [
-            encoding(points, nodes + nodes[:1]),         # first node repeated
-            encoding(points, nodes[:-1]),                # a node dropped
-            encoding(points, nodes[1:2] + nodes[:1] + nodes[2:]),  # nodes unsorted
-            encoding(points[8:] + points[:8], nodes),    # points unsorted
-        ]
-        assert encoding(points, nodes) == blob
-        for bad in cases:
-            with pytest.raises(ValueError):
-                punctured_key_from_bytes(bad)
-
-    def test_punctured_decoder_rejects_repeated_and_too_many_points(self):
-        key = pprf_gen(8, 16, make_rng(19))
-        blob = punctured_key_to_bytes(pprf_puncture(key, [3]))
-        repeated = struct.pack("<BHHH", 8, 16, 2, 8) + struct.pack("<QQ", 3, 3) \
-            + blob[7 + 8 :]
-        # canonical in every other respect, but past pprf_puncture's limit
-        points = range(0, 130, 2)
-        too_many = punctured_key_to_bytes(PuncturedKey(
-            tuple(points), {node: bytes(32) for node in _oracle_copath(8, points)},
-            8, 16))
-        for bad in (repeated, too_many):
-            with pytest.raises(ValueError):
-                punctured_key_from_bytes(bad)
-
-    def test_punctured_bytes_deterministic(self):
-        key = pprf_gen(8, 16, make_rng(14))
-        a = punctured_key_to_bytes(pprf_puncture(key, [5, 250, 13]))
-        b = punctured_key_to_bytes(pprf_puncture(key, [13, 5, 250]))
-        assert a == b

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from unclonelab.hilbert.states import swap_test
-from unclonelab.prs import prs_amplitudes, prs_setup, prs_setup_kwise, prs_state
-from unclonelab.primitives.kwise import kwise_eval
+from unclonelab.prs import prs_amplitudes, prs_setup, prs_state
 from unclonelab.primitives.pprf import pprf_eval
 from unclonelab.rng import make_rng
 
@@ -53,26 +51,6 @@ class TestConstruction:
             prs_setup(0, make_rng(0))
         with pytest.raises(ValueError):
             prs_setup(21, make_rng(0))
-
-    def test_swap_test_self_is_one(self):
-        state = prs_state(prs_setup(4, make_rng(4)))
-        assert swap_test(state, state) == 1.0
-
-
-class TestKwiseVariant:
-    def test_phases_match_kwise_bits(self):
-        key = prs_setup_kwise(8, 2, make_rng(5))
-        amps = prs_amplitudes(key)
-        for x in range(256):
-            assert amps[x].real == pytest.approx((-1) ** kwise_eval(key.phase_fn, x) * 2**-4.0)
-
-    def test_deterministic(self):
-        key = prs_setup_kwise(6, 3, make_rng(6))
-        assert prs_state(key).amplitudes.tobytes() == prs_state(key).amplitudes.tobytes()
-
-    def test_uniform_modulus(self):
-        key = prs_setup_kwise(4, 2, make_rng(7))
-        assert np.allclose(np.abs(prs_amplitudes(key)), 0.25)
 
 
 class TestStatistics:

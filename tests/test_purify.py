@@ -25,8 +25,10 @@ import pytest
 
 from helpers import (
     MAX_SYM_DIM,
+    SmallRangeParams,
     haar_average_exact,
     peak_traced_bytes,
+    small_range_states,
     type_average_exact,
 )
 from unclonelab.hilbert.hybrid import HybridState
@@ -34,26 +36,17 @@ from unclonelab.hilbert.states import (
     StateVector,
     basis_state,
     haar_sample,
-    swap_test,
     tensor,
 )
-from unclonelab.minischeme import mini_gen
-from unclonelab.primitives.pprf import pprf_gen
 from unclonelab import purify
-from unclonelab.prs import prs_amplitudes, prs_setup
 from unclonelab.purify import (
     MAX_TYPEDIST_N,
     MAX_TYPEDIST_T,
     GenStateSpec,
-    SmallRangeParams,
     classical_srd_experiment,
     compiler_equivalence_check,
-    purified_state,
-    simulate_copies,
     small_range_experiment,
     small_range_overlap_mass,
-    small_range_size,
-    small_range_states,
     symmetrized_state,
     type_vs_haar_distance,
 )
@@ -72,11 +65,6 @@ def _mass_bruteforce(query_probs, index_map, k: int) -> float:
         if len({int(index_map[x]) for x in tup}) == k:
             total += math.prod(query_probs[j][tup[j]] for j in range(k))
     return total
-
-
-def _plus_generator(z: bytes, rand: bytes) -> StateVector:
-    # ignores its randomness, so the purified state must factor
-    return StateVector(1, np.full(2, 1.0 / math.sqrt(2), dtype=complex))
 
 
 def _seeded_haar_generator(q: int):
@@ -188,62 +176,11 @@ class TestTypeVsHaarMonteCarlo:
             type_vs_haar_distance(4, 3, num_haar_samples=10, rng=make_rng(0))
 
 
-class TestPurifiedState:
-    def test_constant_generator_factors(self):
-        rng = make_rng(11)
-        prs_key = prs_setup(3, rng)
-        prf = pprf_gen(3, 8, rng)
-        spec = GenStateSpec(b"", 8, 1, _plus_generator)
-        state = purified_state(spec, prs_key, prf)
-        assert state.num_branches() == 8
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        amps = prs_amplitudes(prs_key)
-        payload = _plus_generator(b"", b"").amplitudes
-        for x in range(8):
-            assert np.allclose(state.branch_vector((x,)), amps[x] * payload)
-
-    def test_branch_payloads_swap_test_to_one(self):
-        rng = make_rng(12)
-        state = purified_state(
-            GenStateSpec(b"", 8, 1, _plus_generator),
-            prs_setup(2, rng),
-            pprf_gen(2, 8, rng),
-        )
-        items = state.branch_items()
-        assert swap_test(items[0][2], items[3][2]) == pytest.approx(1.0)
-
-    def test_banknote_generator(self):
-        rng = make_rng(13)
-        prs_key = prs_setup(4, rng)
-        prf = pprf_gen(4, 8, rng)
-        spec = GenStateSpec(b"", 8, 4, lambda z, rand: mini_gen(4, rand).note)
-        state = purified_state(spec, prs_key, prf)
-        assert state.num_branches() == 16
-        assert state.payload_qubits == 4
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        again = purified_state(spec, prs_key, prf)
-        assert state.allclose(again)
-
-    def test_width_mismatches_rejected(self):
-        rng = make_rng(14)
-        prs_key = prs_setup(3, rng)
-        with pytest.raises(ValueError):
-            purified_state(GenStateSpec(b"", 8, 1, _plus_generator),
-                           prs_key, pprf_gen(4, 8, rng))
-        with pytest.raises(ValueError):
-            purified_state(GenStateSpec(b"", 16, 1, _plus_generator),
-                           prs_key, pprf_gen(3, 8, rng))
-        with pytest.raises(ValueError):
-            # generator output narrower than the declared payload width
-            purified_state(GenStateSpec(b"", 8, 2, _plus_generator),
-                           prs_key, pprf_gen(3, 8, rng))
-
-
 class TestSymmetrizedState:
     def test_single_copy_is_the_payload(self):
         payload = haar_sample(2, make_rng(3))
         state = symmetrized_state([5], [payload])
-        assert state.num_branches() == 1
+        assert len(state.labels()) == 1
         assert np.allclose(state.branch_vector((5,)), payload.amplitudes)
 
     def test_identical_payloads_reduce_to_label_type_state(self):
@@ -269,7 +206,7 @@ class TestSymmetrizedState:
     def test_orthogonal_payloads_still_unit_norm(self):
         state = symmetrized_state([0, 1], [basis_state(1, 0), basis_state(1, 1)])
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        assert state.num_branches() == 2
+        assert len(state.labels()) == 2
 
     def test_input_validation(self):
         payload = basis_state(1, 0)
@@ -281,23 +218,6 @@ class TestSymmetrizedState:
             symmetrized_state([0, 1], [payload, basis_state(2, 0)])
         with pytest.raises(ValueError):
             symmetrized_state(list(range(7)), [payload] * 7)
-
-
-class TestSimulateCopies:
-    def test_labels_distinct_and_norm_one(self):
-        rng = make_rng(9)
-        samples = [haar_sample(1, rng) for _ in range(3)]
-        state = simulate_copies(samples, 3, rng)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-        assert state.payload_qubits == 3
-        assert state.num_branches() == 6
-        for label in state.labels():
-            assert len(set(label)) == 3
-
-    def test_label_space_must_fit(self):
-        samples = [basis_state(1, 0)] * 3
-        with pytest.raises(ValueError):
-            simulate_copies(samples, 1, make_rng(0))
 
 
 class TestCompilerEquivalence:
@@ -425,7 +345,7 @@ class TestSmallRangeStates:
         phi, phi0, overlap = small_range_states(params, queries, samples, index_map)
         assert phi0 is None
         assert overlap == 0.0
-        assert phi.num_branches() == 1
+        assert len(phi.labels()) == 1
 
     def test_validation(self):
         params, queries, samples, index_map = self._instance(2, 4, 3, make_rng(34))
@@ -466,10 +386,6 @@ class TestSmallRangeExperiment:
                                                        message):
         with pytest.raises(ValueError, match=message):
             small_range_experiment(k, ell, domain_bits, trials, make_rng(0))
-
-    def test_range_size_helper(self):
-        assert small_range_size(2.0, 2) == 512
-        assert small_range_size(1.0, 1) == 16
 
 
 class TestClassicalSRD:

@@ -53,7 +53,6 @@ from unclonelab.sde_ue.onesde import (
     one_setup,
     one_setup_rng,
     sn_len,
-    sn_of_pk,
     tag_of_pk,
 )
 from unclonelab.sde_ue.ue import ue_dec, ue_ekdk_transform, ue_enc, ue_kg
@@ -164,7 +163,7 @@ class TestMockOne:
         one = one_setup_rng(8, make_rng(21))
         assert len(one.one_pk) == one_pk_len(8)
         assert tag_of_pk(one.one_pk) == one.tag
-        sn = sn_of_pk(one.one_pk)
+        sn = one.one_pk[32:]  # after the 16-byte tag and the 16-byte token
         assert len(sn) == sn_len(8)
         space = subspace_from_sn(sn)
         assert space.n == 8
@@ -174,7 +173,7 @@ class TestMockOne:
     def test_note_verification_pass(self):
         one = one_setup_rng(8, make_rng(22))
         ct = one_enc(one.one_pk, b"\x05", b"s" * 16)
-        sn = sn_of_pk(one.one_pk)
+        sn = one.one_pk[32:]  # after the 16-byte tag and the 16-byte token
         assert one_dec(one.one_sk, ct, sn=sn, rng=make_rng(23)) == b"\x05"
         with pytest.raises(ValueError):
             one_dec(one.one_sk, ct, sn=sn)
