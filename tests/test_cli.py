@@ -573,7 +573,7 @@ class TestRunApi:
 # the work flags: any positive value is valid and costs time linear in it,
 # so the sweep holds them at 1 and tries them only at values below 2^31
 _WORK_FLAGS = {"trials": "1", "samples": "1"}
-_EDGE_VALUES = (str(1 << 31), str(1 << 64), "nan", "inf", "x")
+_BIG_VALUES = (str(1 << 31), str(1 << 64))
 _SWEPT = [(name, flag) for name, spec in EXPERIMENTS.items()
           for flag in spec.flags if flag.choices is None]
 # traced bytes any one run may peak at; the sweep's largest run, a valid
@@ -587,9 +587,9 @@ def _edge_values(flag):
     values = ()
     if flag.low is not None:
         values = (repr(flag.type(flag.low - 1)), repr(flag.low))
-    if flag.name in _WORK_FLAGS:
-        return values + _EDGE_VALUES[2:]
-    return values + _EDGE_VALUES
+    if flag.name not in _WORK_FLAGS:
+        values += _BIG_VALUES
+    return values + ("nan", "inf", "x")
 
 
 class TestEdgeValueSweep:
@@ -603,11 +603,10 @@ class TestEdgeValueSweep:
         # one parser for every run, so the trace holds the run alone
         parser = build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
-        spec = EXPERIMENTS[name]
         base = name.split() + ["--seed", "1"]
-        for work, value in _WORK_FLAGS.items():
-            if work in spec.params or (work == "trials" and spec.trials):
-                base += [f"--{work}", value]
+        for work in EXPERIMENTS[name].flags:
+            if work.name in _WORK_FLAGS:
+                base += [f"--{work.name}", _WORK_FLAGS[work.name]]
         if name == "game run":
             base += ["--name", "identical-challenge"]
         dash = "--" + flag.name.replace("_", "-")
