@@ -125,6 +125,22 @@ def mixture_povm(dist):
     return BinaryPovm(acc)
 
 
+# -- swap test: the exact accept probability, an overlap oracle for tests ----
+
+
+def swap_test(a: StateVector, b: StateVector) -> float:
+    """Exact accept probability of the swap test: (1 + |<a|b>|^2) / 2.
+
+    The overlap is normalized by the states' own squared norms so that the
+    identical-state case yields exactly 1.0 in floating point.
+    """
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("states live on different qubit counts")
+    num = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+    den = np.vdot(a.amplitudes, a.amplitudes).real * np.vdot(b.amplitudes, b.amplitudes).real
+    return 0.5 + 0.5 * (num / den)
+
+
 # -- HybridState views built from labels() and branch_vector() ----------------
 
 

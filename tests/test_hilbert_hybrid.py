@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import branch_items, map_labels
+from helpers import branch_items, canonical_bytes, map_labels
 from unclonelab.hilbert import measure
 from unclonelab.hilbert.hybrid import HybridState
 from unclonelab.hilbert.states import StateVector, basis_state, haar_sample
@@ -134,6 +134,26 @@ def test_measure_payload_collapse():
     outcome, post = s.measure_payload(rng)
     for _, _, payload in branch_items(post):
         assert abs(abs(payload.amplitudes[outcome]) - 1.0) < 1e-9
+
+
+def test_canonical_bytes_order_independent():
+    terms = [
+        ((3,), 0.6, basis_state(1, 1)),
+        ((1,), 0.8, basis_state(1, 0)),
+    ]
+    a = HybridState.from_terms(1, terms)
+    b = HybridState.from_terms(1, terms[::-1])
+    assert canonical_bytes(a) == canonical_bytes(b)
+
+
+def test_map_labels_xor_preserves_norm():
+    rng = make_rng(43)
+    s = random_hybrid(rng, 1, 8)
+    mapped = map_labels(s, lambda lab: (lab[0] ^ 0x55,))
+    assert mapped.norm() == pytest.approx(1.0, abs=1e-12)
+    assert sorted(l[0] ^ 0x55 for l in mapped.labels()) == sorted(
+        l[0] for l in s.labels()
+    )
 
 
 def test_distance_and_allclose():

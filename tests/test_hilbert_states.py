@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import peak_traced_bytes
+from helpers import peak_traced_bytes, swap_test
 from unclonelab.hilbert import measure
 from unclonelab.hilbert.states import (
     DensityOperator,
@@ -113,6 +113,24 @@ def test_born_probabilities_sum():
     s = haar_sample(4, rng)
     p = born_probabilities(s, [1, 3])
     assert abs(p.sum() - 1.0) < 1e-9
+
+
+# -- swap test ----------------------------------------------------------------
+
+
+def test_swap_test_values():
+    rng = make_rng(2)
+    psi = haar_sample(2, rng)
+    assert swap_test(psi, psi) == pytest.approx(1.0, abs=1e-12)
+    assert swap_test(basis_state(1, 0), basis_state(1, 1)) == pytest.approx(0.5)
+    assert swap_test(basis_state(1, 0), plus_state()) == pytest.approx(0.75)
+
+
+def test_swap_test_identity_exact_on_random_states():
+    rng = make_rng(3)
+    for _ in range(100):
+        psi = haar_sample(int(rng.integers(1, 5)), rng)
+        assert swap_test(psi, psi) == 1.0
 
 
 # -- density operators --------------------------------------------------------

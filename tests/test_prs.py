@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from helpers import swap_test
 from unclonelab.prs import prs_amplitudes, prs_setup, prs_state
 from unclonelab.primitives.pprf import pprf_eval
 from unclonelab.rng import make_rng
@@ -51,6 +52,10 @@ class TestConstruction:
             prs_setup(0, make_rng(0))
         with pytest.raises(ValueError):
             prs_setup(21, make_rng(0))
+
+    def test_swap_test_self_is_one(self):
+        state = prs_state(prs_setup(4, make_rng(4)))
+        assert swap_test(state, state) == 1.0
 
 
 class TestStatistics:
