@@ -136,6 +136,9 @@ def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     p = cfg.params
     if p["coins"] > MAX_COINS_ISSUED:
         raise ValueError(f"--coins must be in [0, {MAX_COINS_ISSUED}]")
+    if p["coins"] == 0 and p["attack"] != "null":
+        raise ValueError(f"--attack {p['attack']} needs at least one issued "
+                         "coin, but --coins is 0")
     params = CoinParams(id_bits=p["id_bits"], mini_n=p["mini_n"])
     out = counterfeit_game(p["variant"], p["coins"], p["attack"],
                            make_rng(cfg.seed), params=params,
@@ -169,7 +172,8 @@ def _detsig_message(p: dict, rng) -> int:
     except ValueError:
         raise ValueError("--message must be a hex string") from None
     if not 0 <= m < limit:
-        raise ValueError(f"message exceeds {p['n']} bits")
+        raise ValueError(f"--message {p['message']} exceeds the {p['n']} "
+                         f"message bits of --n {p['n']}")
     return m
 
 
@@ -313,12 +317,16 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
              Param("tol", float, 1e-9, low=0))
 def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import purify
+    from .hilbert.states import haar_sample
 
     p = cfg.params
+    if p["n"] > 4 or p["t"] > min(3, 1 << p["n"]):
+        raise ValueError(f"--t {p['t']} with --n {p['n']}: the equivalence "
+                         "check runs at n <= 4, t <= min(3, 2^n)")
     q = p["payload_qubits"]
 
     def generator(z: bytes, rand: bytes):
-        return purify.haar_sample(q, make_rng(int.from_bytes(rand, "big")))
+        return haar_sample(q, make_rng(int.from_bytes(rand, "big")))
 
     spec = purify.GenStateSpec(b"", 16, q, generator)
     out = purify.compiler_equivalence_check(spec, p["n"], p["t"],
@@ -368,6 +376,9 @@ def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import purify
 
     p = cfg.params
+    if p["k"] > p["domain"]:
+        raise ValueError(f"--k {p['k']} exceeds --domain {p['domain']}: the "
+                         "distinguisher needs k distinct query points")
     out = purify.classical_srd_experiment(p["k"], p["ell"], p["domain"],
                                           cfg.trials, make_rng(cfg.seed))
     ok = out["advantage"] <= out["envelope"] + 3 * out["stderr"] + _TOL

@@ -80,22 +80,17 @@ class HybridState:
     def from_terms(
         cls,
         payload_qubits: int,
-        terms: Iterable[tuple[_Label, complex, StateVector | None]],
+        terms: Iterable[tuple[_Label, complex, StateVector]],
     ) -> "HybridState":
-        """Accumulate (label, amplitude, payload) terms; payload None means the scalar unit."""
+        """Accumulate (label, amplitude, payload) terms; a scalar branch
+        (payload_qubits 0) takes basis_state(0, 0) as its payload."""
         pairs = []
         for label, amp, payload in terms:
-            if payload is None:
-                if payload_qubits != 0:
-                    raise ValueError("scalar payload only valid when payload_qubits is 0")
-                vec = np.array([1.0 + 0.0j])
-            else:
-                if payload.num_qubits != payload_qubits:
-                    raise ValueError(
-                        f"payload has {payload.num_qubits} qubits, expected {payload_qubits}"
-                    )
-                vec = payload.amplitudes
-            pairs.append((label, complex(amp) * vec))
+            if payload.num_qubits != payload_qubits:
+                raise ValueError(
+                    f"payload has {payload.num_qubits} qubits, expected {payload_qubits}"
+                )
+            pairs.append((label, complex(amp) * payload.amplitudes))
         return cls(payload_qubits, pairs)
 
     # -- inspection ---------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import EIG_ATOL, DensityOperator, StateVector, born_sample
+from .states import EIG_ATOL, StateVector, born_sample
 
 __all__ = [
     "BinaryPovm",
@@ -132,28 +132,21 @@ def projective_implementation(povm: BinaryPovm) -> ProjImp:
 def threshold_measure(
     povm: BinaryPovm,
     threshold: float,
-    state: StateVector | DensityOperator,
+    state: StateVector,
     rng: np.random.Generator,
-) -> tuple[int, StateVector | DensityOperator]:
+) -> tuple[int, StateVector]:
     """Threshold implementation: 1 iff the sampled eigenvalue is >= threshold.
 
     Measures the projective implementation of the POVM, so the post state sits
-    in one eigenspace and re-running returns the same bit. A pure state is the
+    in one eigenspace and re-running returns the same bit. It is the
     one-register case of threshold_measure_register.
     """
     if state.dim != povm.dim:
         raise ValueError("state and measurement dimensions differ")
-    if isinstance(state, StateVector):
-        bit, post = threshold_measure_register(
-            povm, threshold, state.amplitudes, (state.dim,), 0, rng
-        )
-        return bit, StateVector(state.num_qubits, post)
-    pi = projective_implementation(povm)
-    probs = np.array([float(np.trace(proj @ state.matrix).real) for proj in pi.projectors])
-    idx = born_sample(probs, rng)
-    m = pi.projectors[idx] @ state.matrix @ pi.projectors[idx]
-    post = DensityOperator(state.dim, m / np.trace(m).real)
-    return int(pi.eigenvalues[idx] >= threshold), post
+    bit, post = threshold_measure_register(
+        povm, threshold, state.amplitudes, (state.dim,), 0, rng
+    )
+    return bit, StateVector(state.num_qubits, post)
 
 
 # -- register-local application on joint states ------------------------------

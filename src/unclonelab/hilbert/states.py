@@ -1,45 +1,35 @@
-"""Dense state vectors, density operators, and computational-basis measurement.
+"""Dense state vectors and computational-basis measurement.
 
 Qubit 0 is the most significant bit of a basis label, so the basis index of
-|q0 q1 ... q_{n-1}> is the integer with q0 on top. Registers are contiguous
-qubit runs described by a layout tuple of widths, in the same order.
+|q0 q1 ... q_{n-1}> is the integer with q0 on top.
 
-Everything here is desk-scale: dense vectors are capped at 2^20 amplitudes and
-density operators at dimension 2^10. All values are immutable; operations
-return new objects.
+Everything here is desk-scale: dense vectors are capped at 2^20 amplitudes.
+All values are immutable; operations return new objects.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "MAX_STATE_AMPLITUDES",
-    "MAX_DENSITY_DIM",
     "ATOL",
     "PROB_FLOOR",
     "StateVector",
-    "DensityOperator",
     "basis_state",
-    "superpose",
     "tensor",
-    "inner",
     "born_probabilities",
     "born_sample",
     "measure",
     "haar_sample",
-    "type_state",
     "state_to_bytes",
 ]
 
 MAX_STATE_AMPLITUDES = 2**20
-MAX_DENSITY_DIM = 2**10
 
 # Absolute numeric tolerance for state checks. EIG_ATOL is the eigensolver
 # tolerance: eigenvalue clustering, projector and POVM checks, reconstruction.
@@ -101,30 +91,6 @@ class StateVector:
         )
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, positive, trace-one operator on a dim-dimensional space."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1 or self.dim > MAX_DENSITY_DIM:
-            raise ValueError(f"density dimension must be in [1, {MAX_DENSITY_DIM}]")
-        mat = _frozen_array(self.matrix, np.complex128)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-7:
-            raise ValueError(f"trace is {tr}, not 1")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -EIG_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
-        object.__setattr__(self, "matrix", mat)
-
-
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """|index> in the computational basis."""
     dim = 1 << num_qubits
@@ -135,52 +101,8 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _label_to_index(layout: Sequence[int], label: tuple[int, ...]) -> int:
-    idx = 0
-    for width, part in zip(layout, label):
-        if not 0 <= part < (1 << width):
-            raise ValueError(f"label value {part} does not fit in {width} bits")
-        idx = (idx << width) | part
-    return idx
-
-
-def superpose(
-    layout: Sequence[int],
-    terms: Iterable[tuple[int | tuple[int, ...], complex]],
-) -> StateVector:
-    """Normalized state proportional to the given (basis-label, amplitude) terms.
-
-    A label is a tuple with one integer per register (a bare int is accepted
-    when the layout has a single register). Duplicate labels accumulate.
-    """
-    layout = tuple(int(w) for w in layout)
-    n = sum(layout)
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    count = 0
-    for label, amp in terms:
-        if isinstance(label, (int, np.integer)):
-            label = (int(label),)
-        if len(label) != len(layout):
-            raise ValueError(f"label {label} does not match layout {layout}")
-        amps[_label_to_index(layout, tuple(int(x) for x in label))] += amp
-        count += 1
-    if count == 0:
-        raise ValueError("superpose needs at least one term")
-    norm = np.linalg.norm(amps)
-    if norm < PROB_FLOOR:
-        raise ValueError("all-zero amplitudes")
-    return StateVector(n, amps / norm)
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states live on different qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def _gather_bits(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
@@ -232,27 +154,6 @@ def haar_sample(num_qubits: int, rng: np.random.Generator) -> StateVector:
     dim = _dense_dim(num_qubits)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(num_qubits, v / np.linalg.norm(v))
-
-
-def type_state(xs: Sequence[int], num_qubits: int) -> StateVector:
-    """Uniform superposition of the t! orderings of distinct n-bit strings.
-
-    Lives on t*num_qubits qubits with amplitude 1/sqrt(t!) per ordering.
-    """
-    xs = [int(x) for x in xs]
-    if len(set(xs)) != len(xs):
-        raise ValueError("type states here require distinct strings")
-    if any(not 0 <= x < (1 << num_qubits) for x in xs):
-        raise ValueError("string out of range for the qubit count")
-    t = len(xs)
-    amp = 1.0 / math.sqrt(math.factorial(t))
-    terms = []
-    for perm in itertools.permutations(xs):
-        idx = 0
-        for x in perm:
-            idx = (idx << num_qubits) | x
-        terms.append((idx, amp))
-    return superpose([t * num_qubits], terms)
 
 
 def state_to_bytes(state: StateVector) -> bytes:

@@ -16,8 +16,8 @@ gap of order one.
 
 type_vs_haar_distance realizes the t-copy closeness bound between averaged
 distinct type states and the Haar average, exactly by its closed form in
-the symmetric multiset basis or by Monte Carlo in the full product space.
-The dense averages that check the closed form live with the tests.
+the symmetric multiset basis. The dense averages that check the closed
+form live with the tests.
 
 small_range_experiment and classical_srd_experiment quantify how much an
 oracle with only ell distinct outputs can be told apart from a fresh one;
@@ -36,25 +36,19 @@ from typing import Callable
 import numpy as np
 
 from .hilbert.hybrid import HybridState
-from .hilbert.states import (
-    MAX_STATE_AMPLITUDES,
-    StateVector,
-    haar_sample,
-    tensor,
-    type_state,
-)
-from .prs import MAX_QUBITS
+from .hilbert.states import MAX_STATE_AMPLITUDES, StateVector, tensor
 
 C_SRD_DEFAULT = 1.0
 
 MAX_PAYLOAD_QUBITS = 6
 MAX_COPIES = 6
-MAX_FULL_QUBITS = 10
 # type_vs_haar_distance's caps, checked before 1 << n: at n = 64, t = 1024
 # the closed form's big-integer binomials take about 3 ms on a 2-vCPU VM,
 # while n = 1024 overflows the float bound and t = 10^5 takes seconds
 MAX_TYPEDIST_N = 64
 MAX_TYPEDIST_T = 1024
+# classical_srd_experiment draws from [0, domain) as int64
+MAX_SRD_DOMAIN = 2**63
 
 
 @dataclass(frozen=True)
@@ -154,14 +148,9 @@ def compiler_equivalence_check(spec: GenStateSpec, n: int, t: int,
     return {"n": n, "t": t, "chosen_labels": list(chosen), "exact_gap": float(gap)}
 
 
-def _trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-
-
-def type_vs_haar_distance(n: int, t: int, num_haar_samples: int | None = None,
-                          rng: np.random.Generator | None = None) -> dict:
-    """Trace distance between the t-copy Haar average and the distinct-type
-    average; exact (closed form) unless Monte Carlo is requested."""
+def type_vs_haar_distance(n: int, t: int) -> dict:
+    """Exact trace distance between the t-copy Haar average and the
+    distinct-type average, by its closed form."""
     if n > MAX_TYPEDIST_N:
         raise ValueError(f"n must be at most {MAX_TYPEDIST_N}")
     if t > MAX_TYPEDIST_T:
@@ -169,38 +158,13 @@ def type_vs_haar_distance(n: int, t: int, num_haar_samples: int | None = None,
     d = 1 << n
     if d < t:
         raise ValueError("need at least t distinct basis labels")
-    bound = 4.0 * t * t / d
-    if num_haar_samples is None:
-        # in the multiset basis the Haar average is I/D (D = C(d+t-1, t))
-        # and the type average puts 1/C(d, t) on each distinct multiset,
-        # so the trace distance is 1 - C(d, t)/D
-        dim = math.comb(d + t - 1, t)
-        td = (dim - math.comb(d, t)) / dim
-        return {"n": n, "t": t, "td_estimate": td, "bound": bound, "method": "exact"}
-    if n * t > MAX_FULL_QUBITS:
-        raise ValueError(f"Monte Carlo path limited to n*t <= {MAX_FULL_QUBITS}")
-    if rng is None:
-        raise ValueError("Monte Carlo path needs an rng")
-    full = d**t
-    haar_avg = np.zeros((full, full), dtype=complex)
-    for _ in range(num_haar_samples):
-        psi = haar_sample(n, rng).amplitudes
-        copy = psi
-        for _ in range(t - 1):
-            copy = np.kron(copy, psi)
-        haar_avg += np.outer(copy, copy.conj())
-    haar_avg /= num_haar_samples
-    type_avg = np.zeros((full, full), dtype=complex)
-    subsets = list(itertools.combinations(range(d), t))
-    for s in subsets:
-        vec = type_state(list(s), n).amplitudes
-        type_avg += np.outer(vec, vec.conj())
-    type_avg /= len(subsets)
-    td = _trace_distance_matrix(haar_avg, type_avg)
-    return {
-        "n": n, "t": t, "td_estimate": td, "bound": bound,
-        "method": "monte-carlo", "num_haar_samples": num_haar_samples,
-    }
+    # in the multiset basis the Haar average is I/D (D = C(d+t-1, t)) and
+    # the type average puts 1/C(d, t) on each distinct multiset, so the
+    # trace distance is 1 - C(d, t)/D
+    dim = math.comb(d + t - 1, t)
+    td = (dim - math.comb(d, t)) / dim
+    return {"n": n, "t": t, "td_estimate": td, "bound": 4.0 * t * t / d,
+            "method": "exact"}
 
 
 def small_range_overlap_mass(query_probs: list[np.ndarray], index_map: np.ndarray,
@@ -241,8 +205,9 @@ def small_range_experiment(k: int, ell: int, domain_bits: int, trials: int,
         raise ValueError("trials must be positive")
     if k > 3:
         raise ValueError("closed form implemented for k <= 3")
-    if domain_bits > MAX_QUBITS:
-        raise ValueError(f"domain_bits must be at most {MAX_QUBITS}")
+    max_bits = MAX_STATE_AMPLITUDES.bit_length() - 1
+    if domain_bits > max_bits:
+        raise ValueError(f"domain_bits must be at most {max_bits}")
     _refuse_long(ell=ell, trials=trials)
     size = 1 << domain_bits
     uniform = [np.full(size, 1.0 / size) for _ in range(k)]
@@ -262,6 +227,8 @@ def classical_srd_experiment(k: int, ell: int, domain: int, trials: int,
                              rng: np.random.Generator) -> dict:
     """Collision-finding distinguisher between a fresh random function and
     a range-compressed one, each queried at k distinct points."""
+    if domain > MAX_SRD_DOMAIN:
+        raise ValueError(f"domain must be at most 2**63 = {MAX_SRD_DOMAIN}")
     if k > domain:
         raise ValueError("need k distinct query points in the domain")
     if trials < 1:

@@ -141,16 +141,13 @@ def _measure_register_basis(vec, dims, idx, rng):
     return measure_register_projective(vec, dims, idx, projectors, rng)
 
 
-def _challenge_povm(sde, decoder, dim, challenges, rng, count=None):
+def _challenge_povm(sde, decoder, dim, challenges, rng, count):
     """Equal-weight mixture over the count drawn (message, expected answer)
     pairs of the projector onto the z whose decoded answer to a fresh
     encryption is the expected one, summed as its diagonal in draw order
     (the order of the dense mixture_povm reference in tests/helpers.py).
     Each indicator row is weighted and added as it is drawn, so only the
-    diagonal is held; without a count the challenges are listed first."""
-    if count is None:
-        challenges = tuple(challenges)
-        count = len(challenges)
+    diagonal is held."""
     acc = np.zeros(dim, dtype=np.complex128)
     for m, expected in challenges:
         ct = sde_enc(sde, sde.pk, m, rng)

@@ -174,6 +174,22 @@ class TestExitCodes:
          "--t 2 exceeds the 1 distinct basis labels of --n 0"),
         (["purify", "typedist", "--t", "65"],
          "--t 65 exceeds the 16 distinct basis labels of --n 4"),
+        # numpy draws from [0, 2^63) and refuses a wider range
+        (["prs", "srd", "--domain", str(1 << 64)],
+         "domain must be at most 2**63"),
+        (["prs", "srd", "--k", str(1 << 31)],
+         f"--k {1 << 31} exceeds --domain 4096"),
+        (["prs", "srd", "--domain", "1"], "--k 2 exceeds --domain 1"),
+        # refused before minting
+        (["coin", "demo", "--coins", "0", "--attack", "zero-pad"],
+         "--attack zero-pad needs at least one issued coin, but --coins is 0"),
+        (["coin", "demo", "--coins", "0", "--attack", "measure-clone"],
+         "--attack measure-clone needs at least one issued coin"),
+        (["detsig", "demo", "--message", "100"],
+         "--message 100 exceeds the 8 message bits of --n 8"),
+        (["detsig", "sign", "--message", "100"],
+         "--message 100 exceeds the 8 message bits of --n 8"),
+        (["purify", "compiler", "--n", "0"], "--t 2 with --n 0"),
     ])
     def test_out_of_range_value_names_its_flag(self, capsys, argv, message):
         start = time.perf_counter()

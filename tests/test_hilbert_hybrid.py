@@ -13,6 +13,8 @@ from unclonelab.hilbert.hybrid import HybridState
 from unclonelab.hilbert.states import StateVector, basis_state, haar_sample
 from unclonelab.rng import make_rng
 
+SCALAR = basis_state(0, 0)  # the unit payload of a label-only branch
+
 
 def two_branch():
     return HybridState.from_terms(
@@ -39,13 +41,13 @@ def random_hybrid(rng, payload_qubits, num_labels, label_bits=8):
 
 def test_norm_validation():
     with pytest.raises(ValueError):
-        HybridState.from_terms(0, [((1,), 0.5, None)])
+        HybridState.from_terms(0, [((1,), 0.5, SCALAR)])
 
 
 def test_nan_branch_is_rejected_not_dropped():
     for bad in (np.nan, complex(0.0, np.nan)):
         with pytest.raises(ValueError, match="normalized"):
-            HybridState.from_terms(0, [((0,), 1, None), ((1,), bad, None)])
+            HybridState.from_terms(0, [((0,), 1, SCALAR), ((1,), bad, SCALAR)])
 
 
 def test_merge_same_label():
@@ -78,8 +80,8 @@ def test_merge_cancellation_drops_branch():
 
 
 def test_label_disjoint_states_orthogonal():
-    a = HybridState.from_terms(0, [((1,), 1.0, None)])
-    b = HybridState.from_terms(0, [((2,), 1.0, None)])
+    a = HybridState.from_terms(0, [((1,), 1.0, SCALAR)])
+    b = HybridState.from_terms(0, [((2,), 1.0, SCALAR)])
     assert a.inner(b) == 0
 
 
@@ -108,9 +110,9 @@ def test_measure_label_positions_subset():
     s = HybridState.from_terms(
         0,
         [
-            ((0, 7), 0.5, None),
-            ((0, 9), 0.5, None),
-            ((1, 7), 2**-0.5, None),
+            ((0, 7), 0.5, SCALAR),
+            ((0, 9), 0.5, SCALAR),
+            ((1, 7), 2**-0.5, SCALAR),
         ],
     )
     rng = make_rng(41)

@@ -16,12 +16,7 @@ from unclonelab.hilbert.povm import (
     threshold_measure,
     threshold_measure_register,
 )
-from unclonelab.hilbert.states import (
-    DensityOperator,
-    basis_state,
-    haar_sample,
-    superpose,
-)
+from unclonelab.hilbert.states import StateVector, basis_state, haar_sample
 from unclonelab.rng import make_rng
 
 
@@ -154,10 +149,10 @@ def test_threshold_repeatable_on_post_state():
 
 @given(dim=st.integers(2, 8), weights=st.lists(st.integers(1, 8), min_size=1,
                                                max_size=4),
-       diagonal=st.booleans(), mixed=st.booleans(),
+       diagonal=st.booleans(), register=st.booleans(),
        threshold=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_threshold_repeatable_over_mixture_povms(dim, weights, diagonal, mixed,
-                                                 threshold, seed):
+def test_threshold_repeatable_over_mixture_povms(dim, weights, diagonal,
+                                                 register, threshold, seed):
     # diagonal components share eigenspaces, so eigenvalues repeat
     rng = make_rng(seed)
     dist = []
@@ -168,35 +163,30 @@ def test_threshold_repeatable_over_mixture_povms(dim, weights, diagonal, mixed,
         dist.append((w / sum(weights), proj))
     povm = mixture_povm(dist)
     qubits = dim.bit_length() - 1
-    if mixed or dim != 1 << qubits:
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = g @ g.conj().T
-        state = DensityOperator(dim, rho / np.trace(rho).real)
+    if register or dim != 1 << qubits:
+        # one register of dimension 2..8, 3, 5, 6 and 7 included
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = vec / np.linalg.norm(vec)
+
+        def measure(state):
+            return threshold_measure_register(povm, threshold, state, (dim,), 0,
+                                              rng)
     else:
         state = haar_sample(qubits, rng)
-    bit, post = threshold_measure(povm, threshold, state, rng)
+
+        def measure(state):
+            return threshold_measure(povm, threshold, state, rng)
+    bit, post = measure(state)
     for _ in range(3):
-        again, post = threshold_measure(povm, threshold, post, rng)
+        again, post = measure(post)
         assert again == bit
-
-
-def test_threshold_on_density_operator():
-    rng = make_rng(10)
-    povm = random_binary_povm(4, rng)
-    rho = DensityOperator(4, np.eye(4) / 4)
-    bit, post = threshold_measure(povm, 0.5, rho, rng)
-    assert bit in (0, 1)
-    assert isinstance(post, DensityOperator)
-    bit2, _ = threshold_measure(povm, 0.5, post, rng)
-    assert bit2 == bit
 
 
 def test_threshold_dimension_mismatch():
     povm = BinaryPovm(np.eye(4) / 2)
     rng = make_rng(16)
-    for state in (haar_sample(1, rng), DensityOperator(2, np.eye(2) / 2)):
-        with pytest.raises(ValueError, match="dimensions differ"):
-            threshold_measure(povm, 0.5, state, rng)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        threshold_measure(povm, 0.5, haar_sample(1, rng), rng)
 
 
 # -- register-local measurement ----------------------------------------------
@@ -216,7 +206,7 @@ def test_apply_op_to_register_matches_kron():
 def test_register_projective_measure_born():
     rng = make_rng(12)
     # Register 0 of |psi> (x) |0>: measuring it follows psi's Born weights.
-    psi = superpose([1], [(0, 0.6), (1, 0.8)])
+    psi = StateVector(1, [0.6, 0.8])
     vec = np.kron(psi.amplitudes, np.array([1.0, 0.0], dtype=complex))
     projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     hits = 0

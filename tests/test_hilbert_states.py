@@ -10,15 +10,11 @@ from hypothesis import strategies as st
 from helpers import peak_traced_bytes, swap_test
 from unclonelab.hilbert import measure
 from unclonelab.hilbert.states import (
-    DensityOperator,
     StateVector,
     basis_state,
     born_probabilities,
     haar_sample,
-    inner,
     state_to_bytes,
-    superpose,
-    type_state,
 )
 from unclonelab.rng import make_rng
 
@@ -30,39 +26,10 @@ PLUS_GOLDEN_HEX = (
 
 
 def plus_state():
-    return superpose([1], [(0, 1), (1, 1)])
+    return StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
-# -- superpose ----------------------------------------------------------------
-
-
-def test_superpose_basis():
-    s = superpose([1], [(0, 1)])
-    assert np.allclose(s.amplitudes, [1, 0])
-
-
-def test_superpose_plus():
-    s = plus_state()
-    assert np.allclose(s.amplitudes, [2**-0.5, 2**-0.5])
-
-
-def test_superpose_antisymmetric_pair():
-    s = superpose([1, 1], [((0, 1), 1), ((1, 0), -1)])
-    assert np.allclose(s.amplitudes, [0, 2**-0.5, -(2**-0.5), 0])
-
-
-def test_superpose_accumulates_duplicate_labels():
-    s = superpose([1], [(0, 1), (0, 1), (1, 2)])
-    assert np.allclose(s.amplitudes, [2 / np.sqrt(8), 2 / np.sqrt(8)])
-
-
-def test_superpose_rejects_zero_and_out_of_range():
-    with pytest.raises(ValueError):
-        superpose([1], [(0, 1), (0, -1)])
-    with pytest.raises(ValueError):
-        superpose([1], [(2, 1)])
-    with pytest.raises(ValueError):
-        superpose([1], [])
+# -- construction -------------------------------------------------------------
 
 
 def test_state_vector_validation():
@@ -91,7 +58,7 @@ def test_measure_plus_born_frequency():
 
 
 def test_measure_collapses_entangled_pair():
-    s = superpose([1, 1], [((0, 1), 1), ((1, 0), -1)])
+    s = StateVector(2, np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
     rng = make_rng(5)
     outcome, post = measure(s, [0], rng)
     expect = 1 if outcome == 0 else 2  # |01> or |10>
@@ -133,16 +100,6 @@ def test_swap_test_identity_exact_on_random_states():
         assert swap_test(psi, psi) == 1.0
 
 
-# -- density operators --------------------------------------------------------
-
-
-def test_density_operator_validation():
-    with pytest.raises(ValueError):
-        DensityOperator(2, np.array([[1.0, 0.5], [0.2, 0.0]]))
-    with pytest.raises(ValueError):
-        DensityOperator(2, np.array([[2.0, 0.0], [0.0, -1.0]]))
-
-
 # -- haar sampling ------------------------------------------------------------
 
 
@@ -164,41 +121,10 @@ def test_haar_second_moment_and_unitary_invariance():
     raw, rotated = [], []
     for _ in range(10_000):
         psi = haar_sample(2, rng)
-        raw.append(abs(inner(fixed, psi)) ** 2)
+        raw.append(abs(np.vdot(fixed.amplitudes, psi.amplitudes)) ** 2)
         rotated.append(abs(np.vdot(fixed.amplitudes, u @ psi.amplitudes)) ** 2)
     assert abs(np.mean(raw) - 0.25) < 0.02
     assert abs(np.mean(rotated) - 0.25) < 0.02
-
-
-# -- type states --------------------------------------------------------------
-
-
-def test_type_state_single():
-    assert np.allclose(type_state([5], 3).amplitudes, basis_state(3, 5).amplitudes)
-
-
-def test_type_state_pair():
-    s = type_state([0, 1], 1)
-    assert np.allclose(s.amplitudes, [0, 2**-0.5, 2**-0.5, 0])
-
-
-def test_type_state_permutation_invariance():
-    xs = [1, 4, 6]
-    n = 3
-    s = type_state(xs, n)
-    # Swap the first two n-qubit registers by index arithmetic.
-    dim = 1 << (3 * n)
-    perm = np.zeros(dim, dtype=int)
-    for i in range(dim):
-        a, b, c = (i >> (2 * n)) & 7, (i >> n) & 7, i & 7
-        perm[(b << (2 * n)) | (a << n) | c] = i
-    assert np.max(np.abs(s.amplitudes[perm] - s.amplitudes)) < 1e-12
-    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
-
-
-def test_type_state_rejects_duplicates():
-    with pytest.raises(ValueError):
-        type_state([3, 3], 2)
 
 
 # -- serialization ------------------------------------------------------------

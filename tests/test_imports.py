@@ -7,14 +7,20 @@ pin them to the library's. Each name is imported from the module that
 defines it, so a package ``__init__`` re-exports nothing and loading one
 submodule loads no sibling. Every public def, class and method is reached
 from the library itself, is a CLI handler, or is allowlisted with the gate
-that keeps it, so no API arrives that only its own unit tests call.
+that keeps it, so no API arrives that only its own unit tests call. A
+module-level def or class is reached only through its own module: an
+import of it, a `<module alias>.name` attribute, or a use in that module;
+methods are matched by name.
 """
 
 import ast
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
+
+import pytest
 
 import unclonelab
 from unclonelab.cli import EXPERIMENTS
@@ -74,6 +80,17 @@ def test_a_run_loads_its_own_stack():
                                  "unclonelab.sde_ue"))}
 
 
+@pytest.mark.parametrize("argv", [["purify", "typedist"],
+                                  ["purify", "compiler"],
+                                  ["prs", "overlap"], ["prs", "srd"]])
+def test_purify_runs_load_no_prs_or_hashes(argv):
+    loaded = _loaded_after("from unclonelab.cli import main\n"
+                           f"main({argv + ['--seed', '1']!r})")
+    assert "unclonelab.purify" in loaded
+    assert not loaded & {"unclonelab.prs", "unclonelab.primitives.pprf",
+                         "unclonelab.primitives.hashes"}
+
+
 def test_choice_tables_match_the_library():
     from unclonelab.coin import ATTACKS
     from unclonelab.sde_ue.games import ADVERSARIES, GAMES
@@ -111,15 +128,20 @@ def _defined(path: Path) -> set[str]:
     return names
 
 
+def _imported_module(path: Path, node: ast.ImportFrom) -> str:
+    """The dotted module a `from ... import` in path names."""
+    package = path.relative_to(_SRC).with_suffix("").parts[:-1]
+    base = package[:len(package) - node.level + 1] if node.level else ()
+    return ".".join(base + ((node.module,) if node.module else ()))
+
+
 def _library_imports():
     """(file, module, name) for every `from <unclonelab module> import name`."""
     for path in sorted(_PKG.rglob("*.py")):
-        package = path.relative_to(_SRC).with_suffix("").parts[:-1]
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.ImportFrom):
                 continue
-            base = package[:len(package) - node.level + 1] if node.level else ()
-            module = ".".join(base + ((node.module,) if node.module else ()))
+            module = _imported_module(path, node)
             if module.split(".")[0] == "unclonelab":
                 for alias in node.names:
                     yield path, module, alias.name
@@ -149,9 +171,7 @@ _REACH_ALLOWLIST = {
         "criterion 8: threshold measurement is repeatable on its post state",
     "hilbert.povm.ProjImp.reconstruct":
         "criterion 8: the projective implementation reconstructs its POVM",
-    "hilbert.states.DensityOperator":
-        "threshold_measure's mixed branch: test_threshold_repeatable_over_"
-        "mixture_povms covers mixed states and non-power-of-two dimensions",
+    "hilbert.measure": "perfbench traces it as the hilbert.measure span",
     "report.strip_wall_time":
         "criterion 10 and cli-suite compare reports with wall time stripped",
 }
@@ -192,23 +212,70 @@ def _references():
                 yield node.name.split(".")[-1], path, node.lineno
 
 
+def _own_module_uses(path: Path) -> set[str]:
+    """Module-level names that path's code refers to outside their own
+    body; a local variable of the same name is not a use."""
+    used = set()
+
+    def visit(table, enclosing):
+        for sym in table.get_symbols():
+            if (sym.is_referenced() and sym.get_name() not in enclosing
+                    and (table.get_type() == "module" or sym.is_global())):
+                used.add(sym.get_name())
+        for child in table.get_children():
+            visit(child, enclosing | {child.get_name()})
+
+    visit(symtable.symtable(path.read_text(), str(path), "exec"), set())
+    return used
+
+
+def _module_level_uses() -> set[tuple[str, str]]:
+    """(module, name) for every module-level name the library uses: imported
+    from its module, read as `<module alias>.name`, or used in its module.
+    Strings, as in __all__, are not uses."""
+    uses = set()
+    for path in sorted(_PKG.rglob("*.py")):
+        module = _module_name(path)
+        uses |= {(module, name) for name in _own_module_uses(path)}
+        aliases = {}  # local name -> the library module it binds
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = _imported_module(path, node)
+            for alias in node.names:
+                if _module_path(f"{source}.{alias.name}").exists():
+                    aliases[alias.asname or alias.name] = f"{source}.{alias.name}"
+                else:
+                    uses.add((source.partition(".")[2], alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                uses.add((aliases[node.value.id].partition(".")[2], node.attr))
+    return uses
+
+
 def _is_cli_handler(node) -> bool:
     return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_experiment"
                for d in getattr(node, "decorator_list", ()))
 
 
 def test_every_public_name_is_reached_from_the_library():
-    # by name, so a reference to a same-named attribute elsewhere counts too
+    module_uses = _module_level_uses()
+    # a method by name, so a same-named attribute elsewhere counts too
     refs = {}
     for name, path, line in _references():
         refs.setdefault(name, []).append((path, line))
     defs = list(_public_defs())
     unreached = []
     for qualname, node, path in defs:
-        name = qualname.rsplit(".", 1)[-1]
-        outside = [(p, line) for p, line in refs.get(name, ())
-                   if not (p == path and node.lineno <= line <= node.end_lineno)]
-        if not (outside or _is_cli_handler(node) or qualname in _REACH_ALLOWLIST):
+        owner, name = qualname.rsplit(".", 1)
+        if owner == _module_name(path):
+            reached = (owner, name) in module_uses
+        else:
+            reached = any(not (p == path and node.lineno <= line <= node.end_lineno)
+                          for p, line in refs.get(name, ()))
+        if not (reached or _is_cli_handler(node) or qualname in _REACH_ALLOWLIST):
             unreached.append(qualname)
     assert not unreached, (
         "public names nothing in src/ references; use them from the library, "

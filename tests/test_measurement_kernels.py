@@ -119,7 +119,8 @@ def test_challenge_povm_matches_dense_mixture(family):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(games, "sde_enc", lambda sde, pk, m, rng: m)
         povm = games._challenge_povm(SimpleNamespace(pk=None), decoder,
-                                     len(family[0]), challenges, None)
+                                     len(family[0]), challenges, None,
+                                     len(family))
     weight = 1.0 / len(family)
     dense = mixture_povm([(weight, np.diag(np.array(row, dtype=float)))
                           for row in family])

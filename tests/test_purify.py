@@ -157,25 +157,6 @@ class TestTypeVsHaarExact:
                 type_vs_haar_distance(n, t)
 
 
-class TestTypeVsHaarMonteCarlo:
-    def test_t1_near_zero(self):
-        out = type_vs_haar_distance(3, 1, num_haar_samples=2000, rng=make_rng(5))
-        assert out["method"] == "monte-carlo"
-        assert out["num_haar_samples"] == 2000
-        assert out["td_estimate"] < 0.1
-
-    def test_t2_tracks_exact_value(self):
-        out = type_vs_haar_distance(3, 2, num_haar_samples=3000, rng=make_rng(6))
-        assert out["td_estimate"] == pytest.approx(_td_oracle(3, 2), abs=0.05)
-
-    def test_guardrails(self):
-        with pytest.raises(ValueError):
-            type_vs_haar_distance(3, 2, num_haar_samples=10)
-        with pytest.raises(ValueError):
-            # 12 product qubits is past the full-space cap
-            type_vs_haar_distance(4, 3, num_haar_samples=10, rng=make_rng(0))
-
-
 class TestSymmetrizedState:
     def test_single_copy_is_the_payload(self):
         payload = haar_sample(2, make_rng(3))
