@@ -9,15 +9,18 @@ schema described in report.py, and exits with
   1  usage error: bad flags, bad config file, invalid parameters
 
 Each experiment declares its flags once, in the ``@_experiment``
-registry entry on its handler: name, type, default, choices, help and
-least value. build_parser() generates every subcommand from that table,
-and run() checks each config value against it before the handler runs,
-so the command line, a ``--config FILE`` of ``key=value`` lines (read
-as ``--key=value`` flags before the command line's, which win) and the
-API meet one check. No environment variables are read.
+registry entry on its handler: name, type, default, choices, help,
+least value and greatest value (``high``, the library's cap on that one
+flag). build_parser() generates every subcommand from that table, and
+run() checks each config value against it before the handler runs, so
+the command line, a ``--config FILE`` of ``key=value`` lines (read as
+``--key=value`` flags before the command line's, which win) and the API
+meet one check; handlers check only the rules that tie flags together.
+No environment variables are read.
 Library modules load on first use: each handler imports the modules it
 drives, so a run loads only its own experiment's stack, and the flag
-tables name their choices literally (tests pin them to the library's).
+tables name their choices and caps literally (tests pin them to the
+library's).
 Reruns with the same parameters and seed produce byte-identical report
 bodies (the wall_time_s field aside), so report files can be diffed as
 golden artifacts. Trials run sequentially as an ordered reduction;
@@ -83,6 +86,7 @@ class Param(NamedTuple):
     choices: Sequence | None = None
     help: str | None = None
     low: float | None = None  # the least value an int or float allows
+    high: float | None = None  # the greatest, where the library caps it
 
 
 class Experiment(NamedTuple):
@@ -114,8 +118,8 @@ def _hex_width(bits: int) -> int:
     return (bits + 3) // 4
 
 
-# the library's choice tables, spelled out so that building the parser
-# loads neither coin nor sde_ue; tests/test_imports.py pins them
+# the library's choice tables and caps, spelled out so that building the
+# parser loads no scheme module; tests/test_imports.py pins them
 _ATTACKS = ("measure-clone", "null", "zero-pad")  # sorted(coin.ATTACKS)
 _GAMES = ("strong-anti-piracy", "strong-search", "identical-challenge",
           "multi-challenge-ue", "multi-copy-ue")  # sde_ue.games.GAMES
@@ -125,17 +129,16 @@ _ADVERSARIES = ("ghz-guessers", "honest-forwarder", "junk",
 
 @_experiment("coin demo", "counterfeit game demo",
              Param("variant", default="eqsup", choices=("prs", "eqsup")),
-             Param("id_bits", int, 4, low=1),
-             Param("mini_n", int, 8, low=2),
+             Param("id_bits", int, 4, low=1, high=6),
+             Param("mini_n", int, 8, low=2, high=10),
              Param("attack", default="zero-pad", choices=_ATTACKS),
-             Param("coins", int, 1, help="coins issued per trial", low=0),
+             Param("coins", int, 1, help="coins issued per trial", low=0,
+                   high=4),
              Param("trials", int, 100, low=1))
 def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    from .coin import MAX_COINS_ISSUED, CoinParams, counterfeit_game
+    from .coin import CoinParams, counterfeit_game
 
     p = cfg.params
-    if p["coins"] > MAX_COINS_ISSUED:
-        raise ValueError(f"--coins must be in [0, {MAX_COINS_ISSUED}]")
     if p["coins"] == 0 and p["attack"] != "null":
         raise ValueError(f"--attack {p['attack']} needs at least one issued "
                          "coin, but --coins is 0")
@@ -157,9 +160,10 @@ def _coin_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-_SIG_FLAGS = (Param("n", int, 8, help="message bits", low=1),
-              Param("tag_bits", int, 16, low=8),
-              Param("digest_bits", int, 16, low=1))
+# the widest tag is the PPRF's widest output in whole bytes: 0xFFFF - 7
+_SIG_FLAGS = (Param("n", int, 8, help="message bits", low=1, high=56),
+              Param("tag_bits", int, 16, low=8, high=65528),
+              Param("digest_bits", int, 16, low=1, high=256))
 _MESSAGE = Param("message", help="hex message (demo/sign default: sampled)")
 
 
@@ -177,26 +181,11 @@ def _detsig_message(p: dict, rng) -> int:
     return m
 
 
-def _check_sig_widths(p: dict) -> None:
-    """Refuse a tag or digest width that detsig.setup would refuse, naming
-    its flag; the Param table already holds the least values."""
-    from .primitives.ots import MAX_DIGEST_BITS
-    from .primitives.pprf import MAX_OUTPUT_BITS
-
-    limit = MAX_OUTPUT_BITS - MAX_OUTPUT_BITS % 8  # whole tag bytes
-    if p["tag_bits"] > limit:
-        raise ValueError(f"--tag-bits must be at most {limit}: the tag PRF's "
-                         f"output_bits must be in [1, {MAX_OUTPUT_BITS}]")
-    if p["digest_bits"] > MAX_DIGEST_BITS:
-        raise ValueError(f"--digest-bits must be in [1, {MAX_DIGEST_BITS}]")
-
-
 def _detsig_keys(cfg: ExperimentConfig):
     """(params, rng, vk, sk): the key setup every detsig leaf starts with."""
     from . import detsig
 
     p = cfg.params
-    _check_sig_widths(p)
     rng = make_rng(cfg.seed)
     vk, sk = detsig.setup(p["n"], p["tag_bits"], rng,
                           digest_bits=p["digest_bits"])
@@ -267,7 +256,6 @@ def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import detsig
 
     p = cfg.params
-    _check_sig_widths(p)
     sig_len = detsig.signature_len(p["n"], p["digest_bits"], p["tag_bits"])
     if p["count"] * sig_len > _VECTORS_MAX_BYTES:
         raise ValueError(f"--count {p['count']} signatures of {sig_len} bytes "
@@ -294,14 +282,12 @@ def _detsig_vectors(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("purify typedist", "exact type-state vs Haar-average distance",
-             Param("n", int, 4, low=0), Param("t", int, 2, low=0))
+             Param("n", int, 4, low=0, high=64),
+             Param("t", int, 2, low=0, high=1024))
 def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import purify
 
     p = cfg.params
-    for flag, cap in (("n", purify.MAX_TYPEDIST_N), ("t", purify.MAX_TYPEDIST_T)):
-        if p[flag] > cap:
-            raise ValueError(f"--{flag} must be at most {cap}")
     if p["t"] > 1 << p["n"]:
         raise ValueError(f"--t {p['t']} exceeds the {1 << p['n']} distinct "
                          f"basis labels of --n {p['n']}")
@@ -312,15 +298,16 @@ def _purify_typedist(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("purify compiler", "purified-compiler equivalence gap",
-             Param("n", int, 3, low=0), Param("t", int, 2, low=1),
-             Param("payload_qubits", int, 1, low=0),
+             Param("n", int, 3, low=0, high=4),
+             Param("t", int, 2, low=1, high=3),
+             Param("payload_qubits", int, 1, low=0, high=6),
              Param("tol", float, 1e-9, low=0))
 def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import purify
     from .hilbert.states import haar_sample
 
     p = cfg.params
-    if p["n"] > 4 or p["t"] > min(3, 1 << p["n"]):
+    if p["t"] > 1 << p["n"]:
         raise ValueError(f"--t {p['t']} with --n {p['n']}: the equivalence "
                          "check runs at n <= 4, t <= min(3, 2^n)")
     q = p["payload_qubits"]
@@ -336,7 +323,8 @@ def _purify_compiler(cfg: ExperimentConfig) -> tuple[dict, bool]:
     return out, ok
 
 
-@_experiment("prs demo", "phase-state digest", Param("n", int, 4, low=1))
+@_experiment("prs demo", "phase-state digest",
+             Param("n", int, 4, low=1, high=20))
 def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from .hilbert.states import state_to_bytes
     from .primitives.hashes import sha256
@@ -354,9 +342,10 @@ def _prs_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("prs overlap", "small-range overlap experiment",
-             Param("k", int, 2, low=1), Param("ell", int, 32, low=1),
-             Param("domain_bits", int, 6, low=0),
-             Param("trials", int, 200, low=1))
+             Param("k", int, 2, low=1, high=3),
+             Param("ell", int, 32, low=1, high=1 << 20),
+             Param("domain_bits", int, 6, low=0, high=20),
+             Param("trials", int, 200, low=1, high=1 << 20))
 def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import purify
 
@@ -369,8 +358,9 @@ def _prs_overlap(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("prs srd", "classical small-range distinguisher",
-             Param("k", int, 2, low=0), Param("ell", int, 32, low=1),
-             Param("domain", int, 4096, low=1),
+             Param("k", int, 2, low=0, high=1 << 20),
+             Param("ell", int, 32, low=1, high=1 << 20),
+             Param("domain", int, 4096, low=1, high=1 << 63),
              Param("trials", int, 500, low=1))
 def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import purify
@@ -387,7 +377,7 @@ def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("mini demo", "mint, verify, and zero-pad forgery odds",
-             Param("n", int, 8, low=2))
+             Param("n", int, 8, low=2, high=12))
 def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from . import minischeme
 
@@ -412,19 +402,15 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("sde demo", "round trips plus foreign reject",
-             Param("message_bits", int, 4, low=1),
-             Param("keys", int, 2, low=1))
+             Param("message_bits", int, 4, low=1, high=16),
+             Param("keys", int, 2, low=1, high=256))
 def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from .primitives.hashes import sha256
     from .sde_ue.compiler import (SdeConfig, message_to_bytes, sde_ct_len,
                                   sde_dec, sde_enc, sde_kg, sde_setup)
     from .sde_ue.fail import FAIL
-    from .sde_ue.mockfe import MAX_ISSUED_KEYS
 
     p = cfg.params
-    if p["keys"] > MAX_ISSUED_KEYS:
-        raise ValueError(f"--keys must be at most {MAX_ISSUED_KEYS}, the keys "
-                         "one mock FE setup issues")
     rng = make_rng(cfg.seed)
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
     sks = [sde_kg(sde, sde.msk, rng) for _ in range(p["keys"])]
@@ -451,7 +437,7 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 @_experiment("ue demo", "round trips, determinism, ek=dk wrapper",
-             Param("message_bits", int, 4, low=1))
+             Param("message_bits", int, 4, low=1, high=16))
 def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from .sde_ue.compiler import SdeConfig, message_to_bytes, sde_setup
     from .sde_ue.ue import ue_dec, ue_ekdk_transform, ue_enc, ue_kg
@@ -493,8 +479,9 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 @_experiment("game run", "run one game with an adversary",
              Param("name", choices=_GAMES),
-             Param("q", int, 2, low=1),
-             Param("gamma", float, 0.1, low=math.ulp(0.0)),  # gamma > 0
+             Param("q", int, 2, low=1, high=3),
+             Param("gamma", float, 0.1, low=math.ulp(0.0),  # gamma > 0
+                   high=0.5),
              Param("adversary", default="honest-forwarder",
                    choices=_ADVERSARIES),
              Param("trials", int, 1, low=1),
@@ -560,6 +547,8 @@ def _check(experiment: str, flag: Param, value) -> None:
         rule = {0: "non-negative", 1: "positive", math.ulp(0.0): "positive"
                 }.get(flag.low, f"at least {flag.low}")
         rule = f"finite and {rule}" if flag.type is float else rule
+    elif flag.high is not None and value > flag.high:
+        rule = f"at most {flag.high}"
     else:
         return
     raise UsageError(f"{experiment}: --{flag.name.replace('_', '-')} must "

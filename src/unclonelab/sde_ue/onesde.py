@@ -16,9 +16,8 @@ amplitudes. Encryption takes explicit randomness for the same reason,
 so a caller deriving it from a PRF gets bit-identical ciphertexts.
 
 Dec authenticates the token via the ciphertext MAC and returns FAIL on
-foreign bytes. Passing the serial number enables an optional projective
-verification pass on the note before decrypting, which is where a real
-scheme would consume its quantum key.
+foreign bytes. It does not measure the note, where a real scheme would
+consume its quantum key.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 
 from ..hilbert.states import StateVector
 from ..minischeme import (
-    mini_verify,
     note_state,
     randomness_len,
     sn_bytes,
@@ -103,20 +101,9 @@ def one_enc(pk: bytes, m: bytes, randomness: bytes) -> bytes:
     return randomness + body + mac
 
 
-def one_dec(one_sk: tuple[StateVector, bytes], ct: bytes, *,
-            sn: bytes | None = None, rng: np.random.Generator | None = None):
-    """Token-check ct and recover m; FAIL on foreign bytes.
-
-    With sn given, a projective verification pass runs on the note
-    first (rng required) and a rejected note also yields FAIL.
-    """
-    note, token = one_sk
-    if sn is not None:
-        if rng is None:
-            raise ValueError("note verification needs an rng")
-        ok, _ = mini_verify(sn, note, rng)
-        if not ok:
-            return FAIL
+def one_dec(one_sk: tuple[StateVector, bytes], ct: bytes):
+    """Token-check ct and recover m; FAIL on foreign bytes."""
+    _, token = one_sk
     if len(ct) < _ENC_R_LEN + _MAC_LEN:
         return FAIL
     r = ct[:_ENC_R_LEN]

@@ -9,6 +9,7 @@ entry is stripped. Most tests call main() in process; one subprocess
 test checks the ``python -m`` entry point.
 """
 
+import gc
 import json
 import math
 import subprocess
@@ -84,7 +85,7 @@ class TestExitCodes:
             argv = ["purify", "compiler", "--payload-qubits", q, "--seed", "1"]
             (code, out, err), peak = peak_traced_bytes(_capture, capsys, argv)
             assert (code, out) == (1, ""), q
-            assert "payload limited" in err
+            assert "--payload-qubits must be at most 6" in err
             assert peak < 4 << 20, q
 
     def test_oversize_note_exits_1_without_drawing(self, capsys):
@@ -92,7 +93,7 @@ class TestExitCodes:
         argv = ["mini", "demo", "--n", "20000", "--seed", "1"]
         (code, out, err), peak = peak_traced_bytes(_capture, capsys, argv)
         assert (code, out) == (1, "")
-        assert "n must be even" in err
+        assert "--n must be at most 12" in err
         assert peak < 1 << 20
 
     def test_zero_trials_is_a_usage_error(self, capsys):
@@ -117,9 +118,10 @@ class TestExitCodes:
         assert message in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["prs", "overlap", "--domain-bits", "40"], "domain_bits must be at most"),
+        (["prs", "overlap", "--domain-bits", "40"],
+         "--domain-bits must be at most 20"),
         (["prs", "overlap", "--k", str(1 << 40), "--domain-bits", "40"],
-         "k <= 3"),
+         "--k must be at most 3"),
         (["prs", "overlap", "--ell", str(1 << 40)], "ell must be at most"),
         (["prs", "overlap", "--trials", str(1 << 40)], "trials must be at most"),
         (["prs", "srd", "--ell", str(1 << 40)], "ell must be at most"),
@@ -130,12 +132,13 @@ class TestExitCodes:
                                                    message):
         code, out, err = _capture(capsys, argv + ["--seed", "1"])
         assert (code, out) == (1, "")
-        assert err.startswith("unclonelab: ") and message in err
+        assert err.startswith(f"{argv[0]} {argv[1]}: ") and message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
         # the PPRF key encodings hold at most 0xFFFF tag bits
-        (["detsig", "sign", "--tag-bits", "524288"], "output_bits must be in"),
+        (["detsig", "sign", "--tag-bits", "524288"],
+         "--tag-bits must be at most 65528"),
         # 2^40 signatures are refused before a key is made
         (["detsig", "vectors", "--count", "1099511627776", "--n", "4"],
          "--count 1099511627776"),
@@ -146,7 +149,9 @@ class TestExitCodes:
         argv = argv + ["--seed", "1"]
         (code, out, err), peak = peak_traced_bytes(_capture, capsys, argv)
         assert (code, out) == (1, "")
-        assert err.startswith("unclonelab: ") and message in err
+        # run() names the flag of a single-flag cap, a handler its own rules
+        assert err.startswith(("unclonelab: ", f"{argv[0]} {argv[1]}: "))
+        assert message in err
         assert "Traceback" not in err
         assert peak < 4 << 20
 
@@ -158,10 +163,10 @@ class TestExitCodes:
         assert "--tag-bits must be at most 65528" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["coin", "demo", "--coins", "65"], "--coins must be in [0, 4]"),
+        (["coin", "demo", "--coins", "65"], "--coins must be at most 4"),
         # the width is checked before the signature length it sets
         (["detsig", "vectors", "--digest-bits", "4097"],
-         "--digest-bits must be in [1, 256]"),
+         "--digest-bits must be at most 256"),
         (["purify", "typedist", "--n", "1024", "--t", "2"],
          "--n must be at most 64"),
         (["purify", "typedist", "--n", "64", "--t", "1000000"],
@@ -176,9 +181,8 @@ class TestExitCodes:
          "--t 65 exceeds the 16 distinct basis labels of --n 4"),
         # numpy draws from [0, 2^63) and refuses a wider range
         (["prs", "srd", "--domain", str(1 << 64)],
-         "domain must be at most 2**63"),
-        (["prs", "srd", "--k", str(1 << 31)],
-         f"--k {1 << 31} exceeds --domain 4096"),
+         f"--domain must be at most {1 << 63}"),
+        (["prs", "srd", "--k", str(1 << 31)], f"--k must be at most {1 << 20}"),
         (["prs", "srd", "--domain", "1"], "--k 2 exceeds --domain 1"),
         # refused before minting
         (["coin", "demo", "--coins", "0", "--attack", "zero-pad"],
@@ -190,13 +194,17 @@ class TestExitCodes:
         (["detsig", "sign", "--message", "100"],
          "--message 100 exceeds the 8 message bits of --n 8"),
         (["purify", "compiler", "--n", "0"], "--t 2 with --n 0"),
+        # --n is checked before the signature length it sets
+        (["detsig", "vectors", "--n", str(1 << 31)], "--n must be at most 56"),
     ])
     def test_out_of_range_value_names_its_flag(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = _capture(capsys, argv + ["--seed", "1"])
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert err.startswith("unclonelab: ") and message in err
+        # run() names the flag of a single-flag cap, a handler its own rules
+        assert err.startswith(("unclonelab: ", f"{argv[0]} {argv[1]}: "))
+        assert message in err
         assert "Traceback" not in err
 
     def test_most_keys_still_report(self, capsys):
@@ -595,14 +603,28 @@ _SWEPT = [(name, flag) for name, spec in EXPERIMENTS.items()
 # traced bytes any one run may peak at; the sweep's largest run, a valid
 # coin demo, peaks at about 5 MB
 _SWEEP_PEAK_BYTES = 16 << 20
+# flags a run needs before its other flags' values decide the outcome
+_SWEEP_BASE = {"game run": ["--name", "identical-challenge"],
+               "detsig verify": ["--message", "0", "--signature", "00"]}
+_TAKES_TRIALS = sorted(name for name, spec in EXPERIMENTS.items()
+                       if spec.trials is not None)
+# bytes a run may hold per trial: prs overlap keeps one float64 overlap per
+# trial, and std() makes one temporary as long, so its 2^20 trials cap
+# bounds them at 16 MiB
+_BYTES_PER_TRIAL = {"prs overlap": 16}
 
 
 def _edge_values(flag):
-    """least - 1 and least where the flag has a least value, then big,
-    non-finite and non-numeric values; work flags skip the big ones."""
+    """least - 1 and least where the flag has a least value, just above
+    the greatest where it has one, then big, non-finite and non-numeric
+    values; work flags skip the big ones."""
     values = ()
     if flag.low is not None:
         values = (repr(flag.type(flag.low - 1)), repr(flag.low))
+    if flag.high is not None:
+        above = (flag.high + 1 if flag.type is int
+                 else math.nextafter(flag.high, math.inf))
+        values += (repr(above),)
     if flag.name not in _WORK_FLAGS:
         values += _BIG_VALUES
     return values + ("nan", "inf", "x")
@@ -619,12 +641,10 @@ class TestEdgeValueSweep:
         # one parser for every run, so the trace holds the run alone
         parser = build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
-        base = name.split() + ["--seed", "1"]
+        base = name.split() + ["--seed", "1"] + _SWEEP_BASE.get(name, [])
         for work in EXPERIMENTS[name].flags:
             if work.name in _WORK_FLAGS:
                 base += [f"--{work.name}", _WORK_FLAGS[work.name]]
-        if name == "game run":
-            base += ["--name", "identical-challenge"]
         dash = "--" + flag.name.replace("_", "-")
         bad = []
         for value in _edge_values(flag):
@@ -634,10 +654,43 @@ class TestEdgeValueSweep:
                 bad.append(f"{dash} {value}: raised {exc!r}")
                 continue
             finally:
-                capsys.readouterr()
+                err = capsys.readouterr().err
             if code not in (0, 1, 2) or peak >= _SWEEP_PEAK_BYTES:
                 bad.append(f"{dash} {value}: exit {code}, peak {peak} bytes")
+            elif code == 1 and dash not in err:
+                bad.append(f"{dash} {value}: {err.strip()!r} names no {dash}")
         assert not bad, f"{name}: " + "; ".join(bad)
+
+
+class TestMemoryPerTrial:
+    """The work flags cost time, not memory: the sweep holds them at 1."""
+
+    @pytest.mark.parametrize("name", _TAKES_TRIALS)
+    def test_peak_is_flat_in_trials(self, monkeypatch, capsys, name):
+        """A run's traced peak at 8 and at 64 trials agrees within 8 KB
+        beyond the bytes per trial it declares. game run's --samples is
+        covered by test_sde_ue.py's test_challenge_memory_flat_in_samples."""
+        parser = build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        argv = name.split() + _SWEEP_BASE.get(name, []) + ["--seed", "1",
+                                                         "--trials"]
+        small, big = 8, 64
+        gc.disable()  # a full collection empties the free lists filled below
+        try:
+            main(argv + [str(big)])  # first-call allocations
+            peaks = []
+            for trials in (small, big):
+                capsys.readouterr()  # each report into an empty buffer
+                # CPython keeps up to 2,000 freed tuples of each length for
+                # reuse, and tracemalloc counts those a traced run leaves there
+                junk = [tuple(range(n)) for n in range(1, 20)
+                        for _ in range(2000)]
+                del junk
+                peaks.append(peak_traced_bytes(main, argv + [str(trials)])[1])
+        finally:
+            gc.enable()
+        held = _BYTES_PER_TRIAL.get(name, 0) * (big - small)
+        assert peaks[1] - peaks[0] <= (8 << 10) + held, peaks
 
 
 class TestParserMatchesRegistry:

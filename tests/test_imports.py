@@ -10,10 +10,12 @@ from the library itself, is a CLI handler, or is allowlisted with the gate
 that keeps it, so no API arrives that only its own unit tests call. A
 module-level def or class is reached only through its own module: an
 import of it, a `<module alias>.name` attribute, or a use in that module;
-methods are matched by name.
+a method is reached by an attribute read of its name (`obj.name`), so a
+variable or parameter of that name is not a use.
 """
 
 import ast
+import math
 import os
 import subprocess
 import symtable
@@ -92,14 +94,67 @@ def test_purify_runs_load_no_prs_or_hashes(argv):
 
 
 def test_choice_tables_match_the_library():
-    from unclonelab.coin import ATTACKS
-    from unclonelab.sde_ue.games import ADVERSARIES, GAMES
+    from unclonelab import coin, detsig, minischeme, prs, purify
+    from unclonelab.hilbert.states import MAX_STATE_AMPLITUDES
+    from unclonelab.primitives.ots import MAX_DIGEST_BITS
+    from unclonelab.primitives.pprf import MAX_OUTPUT_BITS
+    from unclonelab.rng import make_rng
+    from unclonelab.sde_ue.compiler import MAX_MESSAGE_BITS
+    from unclonelab.sde_ue.games import ADVERSARIES, GAMES, MAX_Q, run_game
+    from unclonelab.sde_ue.mockfe import MAX_ISSUED_KEYS
 
-    choices = {(name, flag.name): flag.choices
-               for name, spec in EXPERIMENTS.items() for flag in spec.flags}
-    assert choices["coin demo", "attack"] == tuple(sorted(ATTACKS))
-    assert choices["game run", "name"] == GAMES
-    assert choices["game run", "adversary"] == tuple(sorted(ADVERSARIES))
+    flags = {(name, flag.name): flag
+             for name, spec in EXPERIMENTS.items() for flag in spec.flags}
+    assert flags["coin demo", "attack"].choices == tuple(sorted(coin.ATTACKS))
+    assert flags["game run", "name"].choices == GAMES
+    assert flags["game run", "adversary"].choices == tuple(sorted(ADVERSARIES))
+
+    detsig_leaves = ("detsig demo", "detsig sign", "detsig verify",
+                     "detsig vectors")
+    longest = MAX_STATE_AMPLITUDES  # the longest array a state may hold
+    highs = {
+        ("coin demo", "id_bits"): coin.MAX_ID_BITS,
+        ("coin demo", "mini_n"): coin.MAX_MINI_BITS,
+        ("coin demo", "coins"): coin.MAX_COINS_ISSUED,
+        **{(leaf, "n"): detsig.MAX_MESSAGE_BITS for leaf in detsig_leaves},
+        # the tag PRF's widest output in whole bytes
+        **{(leaf, "tag_bits"): MAX_OUTPUT_BITS - MAX_OUTPUT_BITS % 8
+           for leaf in detsig_leaves},
+        **{(leaf, "digest_bits"): MAX_DIGEST_BITS for leaf in detsig_leaves},
+        ("purify typedist", "n"): purify.MAX_TYPEDIST_N,
+        ("purify typedist", "t"): purify.MAX_TYPEDIST_T,
+        ("purify compiler", "n"): 4,
+        ("purify compiler", "t"): 3,
+        ("purify compiler", "payload_qubits"): purify.MAX_PAYLOAD_QUBITS,
+        ("prs demo", "n"): prs.MAX_QUBITS,
+        ("prs overlap", "k"): 3,
+        ("prs overlap", "ell"): longest,
+        ("prs overlap", "domain_bits"): longest.bit_length() - 1,
+        ("prs overlap", "trials"): longest,
+        ("prs srd", "k"): longest,
+        ("prs srd", "ell"): longest,
+        ("prs srd", "domain"): purify.MAX_SRD_DOMAIN,
+        ("mini demo", "n"): minischeme.MAX_AMBIENT_BITS,
+        ("sde demo", "message_bits"): MAX_MESSAGE_BITS,
+        ("sde demo", "keys"): MAX_ISSUED_KEYS,
+        ("ue demo", "message_bits"): MAX_MESSAGE_BITS,
+        ("game run", "q"): MAX_Q,
+        ("game run", "gamma"): 0.5,
+    }
+    assert {key: flag.high for key, flag in flags.items()
+            if flag.high is not None} == highs
+    # the library spells these caps as literals: it refuses one step above,
+    # before it reads the spec
+    rng = make_rng(1)
+    with pytest.raises(ValueError, match="runs at n <= 4"):
+        purify.compiler_equivalence_check(None, 5, 1, rng)
+    with pytest.raises(ValueError, match="runs at n <= 4"):
+        purify.compiler_equivalence_check(None, 4, 4, rng)
+    with pytest.raises(ValueError, match="k <= 3"):
+        purify.small_range_experiment(4, 32, 2, 1, rng)
+    with pytest.raises(ValueError, match="gamma must be"):
+        run_game("identical-challenge", "junk", 1,
+                 math.nextafter(0.5, math.inf), rng)
 
 
 def test_vectors_loads_only_what_it_drives():
@@ -174,6 +229,10 @@ _REACH_ALLOWLIST = {
     "hilbert.measure": "perfbench traces it as the hilbert.measure span",
     "report.strip_wall_time":
         "criterion 10 and cli-suite compare reports with wall time stripped",
+    "cli._Parser.error": "argparse calls it on every parse error",
+    "minischeme.mini_verify":
+        "the subspace verification chain (project, Hadamard, project onto "
+        "the dual) that the minischeme rate tests run",
 }
 
 
@@ -199,17 +258,13 @@ def _public_defs():
                         yield f"{module}.{node.name}.{item.name}", item, path
 
 
-def _references():
-    """(name, path, line) for every name the library uses: variables,
-    attributes and imported names. Strings, as in __all__, are not uses."""
+def _attribute_reads():
+    """(name, path, line) for every attribute the library reads, as in
+    `obj.name`; a variable or parameter of the same name is not a use."""
     for path in sorted(_PKG.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                yield node.id, path, node.lineno
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 yield node.attr, path, node.lineno
-            elif isinstance(node, ast.alias):
-                yield node.name.split(".")[-1], path, node.lineno
 
 
 def _own_module_uses(path: Path) -> set[str]:
@@ -262,9 +317,10 @@ def _is_cli_handler(node) -> bool:
 
 def test_every_public_name_is_reached_from_the_library():
     module_uses = _module_level_uses()
-    # a method by name, so a same-named attribute elsewhere counts too
+    # a method by attribute name, so a same-named attribute elsewhere
+    # counts too
     refs = {}
-    for name, path, line in _references():
+    for name, path, line in _attribute_reads():
         refs.setdefault(name, []).append((path, line))
     defs = list(_public_defs())
     unreached = []

@@ -170,14 +170,6 @@ class TestMockOne:
         # the embedded note is the banknote of the embedded serial number
         assert accept_probability(sn, one.one_sk[0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_note_verification_pass(self):
-        one = one_setup_rng(8, make_rng(22))
-        ct = one_enc(one.one_pk, b"\x05", b"s" * 16)
-        sn = one.one_pk[32:]  # after the 16-byte tag and the 16-byte token
-        assert one_dec(one.one_sk, ct, sn=sn, rng=make_rng(23)) == b"\x05"
-        with pytest.raises(ValueError):
-            one_dec(one.one_sk, ct, sn=sn)
-
     def test_foreign_ciphertext_fails(self):
         rng = make_rng(24)
         one = one_setup_rng(8, rng)
