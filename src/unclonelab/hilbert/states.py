@@ -85,11 +85,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def allclose(self, other: "StateVector", atol: float = ATOL) -> bool:
-        return self.num_qubits == other.num_qubits and bool(
-            np.allclose(self.amplitudes, other.amplitudes, atol=atol, rtol=0.0)
-        )
-
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """|index> in the computational basis."""

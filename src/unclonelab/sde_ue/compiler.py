@@ -66,7 +66,7 @@ PRF_OUTPUT_BITS = 128
 @dataclass(frozen=True)
 class SdeConfig:
     message_bits: int = 4
-    mini_n: int = 8
+    mini_n = 8  # qubits of the one-shot SDE's subspace note, alike for every config
 
     def __post_init__(self):
         if not 1 <= self.message_bits <= MAX_MESSAGE_BITS:

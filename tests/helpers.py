@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from unclonelab.hilbert.hybrid import HybridState
-from unclonelab.hilbert.povm import BinaryPovm, _as_projector
+from unclonelab.hilbert.povm import BinaryPovm
 from unclonelab.hilbert.states import StateVector, tensor
 from unclonelab.primitives.hashes import TAG_OTS, sha256
 
@@ -121,7 +121,12 @@ def mixture_povm(dist):
     dim = np.asarray(dist[0][1]).shape[0]
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for p, proj in dist:
-        acc += p * _as_projector(proj, dim, "mixture component is not a projector")
+        proj = np.asarray(proj, dtype=np.complex128)
+        if (proj.shape != (dim, dim)
+                or not np.allclose(proj, proj.conj().T, atol=1e-8, rtol=0.0)
+                or not np.allclose(proj @ proj, proj, atol=1e-8, rtol=0.0)):
+            raise ValueError("mixture component is not a projector")
+        acc += p * proj
     return BinaryPovm(acc)
 
 

@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import mixture_povm, random_binary_povm, random_projector
+from helpers import (
+    mixture_povm,
+    peak_traced_bytes,
+    random_binary_povm,
+    random_projector,
+)
 
 from unclonelab.hilbert.povm import (
     BinaryPovm,
-    ProjImp,
     apply_op_to_register,
     measure_register_projective,
     projective_implementation,
     threshold_measure,
     threshold_measure_register,
 )
-from unclonelab.hilbert.states import StateVector, basis_state, haar_sample
+from unclonelab.hilbert.states import EIG_ATOL, StateVector, basis_state, haar_sample
 from unclonelab.rng import make_rng
 
 
@@ -26,6 +30,26 @@ def plus_projector():
 
 
 # -- projective_implementation ------------------------------------------------
+
+
+def assert_spectral_decomposition(pi, povm):
+    """What ProjImp records without re-checking: float eigenvalues in [0, 1]
+    that never increase, one read-only projector each, and projectors that
+    are Hermitian, idempotent, pairwise orthogonal and complete within
+    EIG_ATOL; together they rebuild the POVM."""
+    assert len(pi.eigenvalues) == len(pi.projectors) > 0
+    assert all(type(p) is float and 0.0 <= p <= 1.0 for p in pi.eigenvalues)
+    assert all(a >= b for a, b in zip(pi.eigenvalues, pi.eigenvalues[1:]))
+    total = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
+    for i, proj in enumerate(pi.projectors):
+        assert proj.shape == (povm.dim, povm.dim) and not proj.flags.writeable
+        assert np.allclose(proj, proj.conj().T, atol=EIG_ATOL, rtol=0.0)
+        assert np.allclose(proj @ proj, proj, atol=EIG_ATOL, rtol=0.0)
+        for other in pi.projectors[i + 1:]:
+            assert np.abs(proj @ other).max() <= EIG_ATOL
+        total += proj
+    assert np.allclose(total, np.eye(povm.dim), atol=EIG_ATOL, rtol=0.0)
+    assert np.max(np.abs(pi.reconstruct() - povm.operator)) < 1e-8
 
 
 def test_projimp_of_projector():
@@ -64,16 +88,37 @@ def test_projimp_reconstruction_random_povms():
     for _ in range(100):
         dim = int(rng.integers(2, 17))
         povm = random_binary_povm(dim, rng)
-        pi = projective_implementation(povm)
-        assert np.max(np.abs(pi.reconstruct() - povm.operator)) < 1e-8
+        assert_spectral_decomposition(projective_implementation(povm), povm)
+
+
+@pytest.mark.parametrize("dim,count", [(2, 1), (4, 3), (16, 7), (16, 16),
+                                       (64, 5), (64, 64)])
+def test_projimp_of_repeated_diagonals(dim, count):
+    # built as games._challenge_povm builds its diagonal: count indicator
+    # rows added one at a time with weight 1/count, so entries repeat up to
+    # the rounding of their different summation orders
+    rng = make_rng(dim * 100 + count)
+    for _ in range(5):
+        acc = np.zeros(dim, dtype=np.complex128)
+        for _ in range(count):
+            acc += (rng.random(dim) < rng.random()) / count
+        povm = BinaryPovm(np.diag(acc))
+        assert_spectral_decomposition(projective_implementation(povm), povm)
+
+
+@pytest.mark.parametrize("diagonal", [
+    # two clusters whose clipped means are less than EIG_ATOL / 2 apart
+    [1 + 1e-8, 1 - 2.5e-9],
+    [0.5] + [0.5 - 1e-8] * 50 + [0.5 - 1.0001e-8],
+])
+def test_projimp_of_near_tolerance_clusters(diagonal):
+    povm = BinaryPovm(np.diag(diagonal))
+    pi = projective_implementation(povm)
+    assert len(pi.eigenvalues) == 2
+    assert_spectral_decomposition(pi, povm)
 
 
 def test_projimp_validation():
-    with pytest.raises(ValueError):
-        ProjImp((0.5, 0.5), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    with pytest.raises(ValueError):
-        # Not a resolution of identity.
-        ProjImp((1.0, 0.0), (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
     with pytest.raises(ValueError):
         BinaryPovm(np.diag([1.5, 0.0]))
 
@@ -215,6 +260,20 @@ def test_register_projective_measure_born():
         hits += outcome == 0
         assert abs(np.linalg.norm(post) - 1.0) < 1e-9
     assert abs(hits / 4000 - 0.36) < 0.03
+
+
+def test_register_measurement_holds_one_branch():
+    # 64 outcomes on register 1 of a (64, 64, 4) joint state: the branches
+    # are built one at a time, never all 64 at once
+    rng = make_rng(17)
+    dims = (64, 64, 4)
+    vec = rng.normal(size=64 * 64 * 4) + 1j * rng.normal(size=64 * 64 * 4)
+    vec /= np.linalg.norm(vec)
+    projectors = [np.diag(row) for row in np.eye(64)]
+    (_, post), peak = peak_traced_bytes(measure_register_projective, vec, dims,
+                                        1, projectors, rng)
+    assert abs(np.linalg.norm(post) - 1.0) < 1e-9
+    assert peak < 4 * vec.nbytes
 
 
 def test_threshold_register_matches_plain_threshold():
