@@ -49,8 +49,8 @@ MAX_COINS_ISSUED = 4
 SN_MESSAGE_BITS = 40
 
 TAG_BITS = 64
-# 16-bit link digests keep signing cheap; tamper rejection rests on
-# preimages, not on the digest width
+# 16-bit link digests keep signing cheap, but a flip in signed bytes that no
+# later check reads passes 1 time in 2^16 (test_detsig.py::TestTamperRule)
 DIGEST_BITS = 16
 
 

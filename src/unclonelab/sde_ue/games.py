@@ -1,12 +1,12 @@
 """Anti-piracy and unclonable-encryption game harnesses.
 
-A desk-scale quantum decryptor is one register of a shared pure state
-plus a deterministic decode function mapping (challenge, measured basis
-index) to an answer. Running a decryptor means measuring its register
-in the computational basis and decoding; testing a decryptor means
-building the mixture-of-projectors test operator over a sampled
-challenge family and threshold-measuring it on the register, so the
-pass bit is an actual projective outcome on the shared state and
+A desk-scale quantum decryptor is one register of a shared pure state,
+a run of qubits, plus a deterministic decode function mapping
+(challenge, measured basis index) to an answer. Running a decryptor
+means measuring its qubits with hilbert.states.measure and decoding;
+testing one means building the mixture-of-projectors test operator over
+a sampled challenge family and threshold-measuring it on the register,
+so the pass bit is an actual projective outcome on the shared state and
 entanglement between registers carries through the post-state.
 
 Games:
@@ -47,12 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..hilbert.povm import (
-    BinaryPovm,
-    measure_register_projective,
-    threshold_measure_register,
-)
-from ..hilbert.states import ATOL, MAX_STATE_AMPLITUDES
+from ..hilbert.povm import BinaryPovm, threshold_measure_register
+from ..hilbert.states import ATOL, MAX_STATE_AMPLITUDES, StateVector, measure
 from .compiler import (
     Sde,
     SdeConfig,
@@ -75,9 +71,10 @@ MAX_DECRYPTOR_QUBITS = 6
 class DeskDecryptors:
     """Joint state over per-party registers plus per-party decoders.
 
-    decoders[i] is called as decode(challenge, z) with z the measured
-    basis index of register i. Distinguishing tests expect a coin in
-    {0, 1}; search-type games expect message bytes.
+    Register i is the run of log2 dims[i] qubits after registers 0..i-1,
+    most significant first; decoders[i] is called as decode(challenge, z)
+    with z the basis index that states.measure reads there. Distinguishing
+    tests expect a coin in {0, 1}; search-type games expect message bytes.
     """
 
     state: np.ndarray
@@ -137,8 +134,11 @@ def _check_decryptors(decs, count: int) -> DeskDecryptors:
 
 
 def _measure_register_basis(vec, dims, idx, rng):
-    projectors = [np.diag(row) for row in np.eye(dims[idx])]
-    return measure_register_projective(vec, dims, idx, projectors, rng)
+    # power-of-two dims: register idx is a run of qubits (see DeskDecryptors)
+    bits = [d.bit_length() - 1 for d in dims]
+    qubits = range(sum(bits[:idx]), sum(bits[: idx + 1]))
+    outcome, post = measure(StateVector(sum(bits), vec), qubits, rng)
+    return outcome, post.amplitudes
 
 
 def _challenge_povm(sde, decoder, dim, challenges, rng, count):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from unclonelab.hilbert.hybrid import HybridState
-from unclonelab.hilbert.povm import BinaryPovm
+from unclonelab.hilbert.povm import BinaryPovm, measure_register_projective
 from unclonelab.hilbert.states import StateVector, tensor
 from unclonelab.primitives.hashes import TAG_OTS, sha256
 
@@ -128,6 +128,14 @@ def mixture_povm(dist):
             raise ValueError("mixture component is not a projector")
         acc += p * proj
     return BinaryPovm(acc)
+
+
+def measure_register_basis_dense(vec, dims, idx, rng):
+    """Computational-basis measurement of register idx by dims[idx] dense
+    diagonal projectors on the joint vector: the reference for
+    games._measure_register_basis, which measures the register's qubits."""
+    projectors = [np.diag(row) for row in np.eye(dims[idx])]
+    return measure_register_projective(vec, dims, idx, projectors, rng)
 
 
 # -- swap test: the exact accept probability, an overlap oracle for tests ----

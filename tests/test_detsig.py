@@ -474,8 +474,8 @@ class TestVerifyWork:
     def test_tamper_sweep_work_count(self, counted):
         # criterion 5's sweep at n = 4 and digest width 8 on one fresh key:
         # the honest signature, every message flip, then every signature
-        # bit flip. At width 8 a flip in a child key the tree does not use
-        # passes when the link digest collides, so some flips are accepted.
+        # bit flip. At width 8 some flips keep their message's digest in a
+        # byte no later check reads, so they are accepted (TestTamperRule).
         hashed, checks = counted
         vk, sk = detsig.setup(self.n, self.tag_bits, make_rng(207),
                               digest_bits=8)
@@ -532,6 +532,72 @@ class TestTamperProperty:
         assert not detsig.verify(warm, m, _flip(blobs[m], bit))
         assert warm._verified == honest
         assert detsig.verify(warm, m, blobs[m])
+
+
+def _digest_kept_flips(blob, m, n, L, tag_len):
+    """Every single-bit flip (as a bit index into blob) that lies in a
+    signed message and keeps that message's first L SHA-256 bits, mapped to
+    whether a later check reads the flipped byte. Worked out on slices of
+    the blob with hashlib alone.
+
+    The signed messages are link t's two child keys and, last, the tag y.
+    Only m's on-path child key in link t is read again, by the next check,
+    as the parent key over the next message: one entry (b, i) per position
+    i, where b is bit i of the next message's digest."""
+    vk_len, sig_len = 64 * L, 32 * L
+    step = 2 * vk_len + sig_len
+    spans = [(t * step, 2 * vk_len) for t in range(n)] + [(n * step, tag_len)]
+
+    def digest(message):
+        return int.from_bytes(hashlib.sha256(message).digest(), "big")
+
+    kept = {}
+    for t, (off, length) in enumerate(spans):
+        message = bytearray(blob[off : off + length])
+        top = digest(message) >> (256 - L)
+        if t < n:
+            side = m >> (n - 1 - t) & 1
+            next_off, next_len = spans[t + 1]
+            next_digest = digest(blob[next_off : next_off + next_len])
+        for pos in range(length):
+            read = False
+            if t < n and pos // vk_len == side:
+                b, i = divmod(pos % vk_len // 32, L)
+                read = b == next_digest >> (255 - i) & 1
+            for bit in range(8):
+                message[pos] ^= 1 << bit
+                if digest(message) >> (256 - L) == top:
+                    kept[8 * (off + pos) + bit] = read
+                message[pos] ^= 1 << bit
+    return kept
+
+
+class TestTamperRule:
+    """Which single-bit flips verify accepts, exactly: a flip in a signed
+    message (a link's two child keys, or y) that keeps the message's first
+    L digest bits, in a byte that no later check reads (an off-path child
+    key, y, or an on-path child key's entry (b, i) where b differs from bit
+    i of the next message's digest). Every other flip is rejected."""
+
+    @pytest.mark.parametrize("n, L, tag_bits, seed, accepted, read", [
+        (2, 4, 8, 50, 415, 121),
+        (3, 4, 16, 51, 583, 196),
+        (4, 3, 8, 52, 1136, 408),
+        (2, 8, 8, 53, 47, 15),
+    ])
+    def test_every_flip(self, n, L, tag_bits, seed, accepted, read):
+        vk, sk = detsig.setup(n, tag_bits, make_rng(seed), digest_bits=L)
+        m = (1 << n) - 2
+        blob = detsig.sign(sk, m).to_bytes()
+        assert detsig.verify(vk, m, blob)
+        kept = _digest_kept_flips(blob, m, n, L, tag_bits // 8)
+        want = {bit for bit, later in kept.items() if not later}
+        got = {bit for bit in range(8 * len(blob))
+               if detsig.verify(vk, m, _flip(blob, bit))}
+        assert got == want
+        # kept digests that verify still rejects: the rule's third clause
+        # is needed
+        assert (len(got), len(kept) - len(want)) == (accepted, read)
 
 
 @functools.cache

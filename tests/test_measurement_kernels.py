@@ -1,8 +1,9 @@
 """The structured measurements against their dense references, bit for
 bit, since reports are compared as golden bytes: hadamard_all's in-place
 butterflies against the moveaxis-and-stack transform, mini_verify on bare
-amplitudes against a chain of four StateVectors, and the decryptor test's
-diagonal mixture against mixture_povm over the dense projectors."""
+amplitudes against a chain of four StateVectors, the decryptor test's
+diagonal mixture against mixture_povm over the dense projectors, and the
+decryptor register's basis measurement against dense diagonal projectors."""
 
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mixture_povm
+from helpers import measure_register_basis_dense, mixture_povm, peak_traced_bytes
 from unclonelab import minischeme as ms
 from unclonelab.hilbert.states import StateVector, basis_state
 from unclonelab.minischeme import hadamard_all
@@ -125,3 +126,34 @@ def test_challenge_povm_matches_dense_mixture(family):
     dense = mixture_povm([(weight, np.diag(np.array(row, dtype=float)))
                           for row in family])
     assert np.array_equal(povm.operator, dense.operator)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 8), (16, 4, 2), (64, 16),
+                                  (2, 2, 2, 2), (1, 4), (8, 1, 2), (1, 1)])
+@pytest.mark.parametrize("seed", range(4))
+def test_register_basis_measurement_matches_dense_projectors(dims, seed):
+    # every register, trivial 1-dim ones included (games._reply builds
+    # them by default): the outcome, the post-state bytes and the rng
+    # position all equal the dense reference's
+    amps = [1, 1j] @ make_rng(seed).normal(size=(2, int(np.prod(dims))))
+    vec = amps / np.linalg.norm(amps)
+    for idx in range(len(dims)):
+        ours, ref = make_rng(100 + seed), make_rng(100 + seed)
+        z, post = games._measure_register_basis(vec, dims, idx, ours)
+        z_ref, post_ref = measure_register_basis_dense(vec, dims, idx, ref)
+        assert z == z_ref
+        assert post.tobytes() == post_ref.tobytes()
+        assert ours.bytes(8) == ref.bytes(8)
+
+
+def test_register_basis_measurement_memory():
+    # register 1 of a (64, 64, 4) joint state: O(1) vectors of the joint
+    # length, not one dense 64 x 64 projector per outcome (10x at the
+    # dense reference)
+    dims = (64, 64, 4)
+    amps = [1, 1j] @ make_rng(18).normal(size=(2, 64 * 64 * 4))
+    vec = amps / np.linalg.norm(amps)
+    (_, post), peak = peak_traced_bytes(games._measure_register_basis, vec,
+                                        dims, 1, make_rng(19))
+    assert abs(np.linalg.norm(post) - 1.0) < 1e-9
+    assert peak < 4 * vec.nbytes
