@@ -1,10 +1,10 @@
 """Label-indexed superpositions with small quantum payloads.
 
 A HybridState is a superposition of branches |label> ⊗ |payload>, where the
-label is a classical tuple (ints and bytes; signature registers too long to
-hold as qubits live here) and the payload is a small dense state. Branches
-with different labels are orthogonal by definition, so inner products reduce
-to a sum over shared labels.
+label is a classical tuple whose parts are ints or bytes, nothing else
+(signature registers too long to hold as qubits live here), and the payload
+is a small dense state. Branches with different labels are orthogonal by
+definition, so inner products reduce to a sum over shared labels.
 
 Branches are stored as unnormalized payload vectors.
 """
@@ -19,7 +19,7 @@ from .states import PROB_FLOOR, StateVector, born_sample
 
 __all__ = ["HybridState"]
 
-_LabelPart = int | bytes | str
+_LabelPart = int | bytes
 _Label = tuple[_LabelPart, ...]
 
 
@@ -27,21 +27,15 @@ def _check_label(label) -> _Label:
     if not isinstance(label, tuple):
         raise TypeError("branch labels must be tuples")
     for part in label:
-        if not isinstance(part, (int, bytes, str)) or isinstance(part, bool):
-            raise TypeError(f"label components must be int, bytes, or str, got {type(part)!r}")
+        if not isinstance(part, (int, bytes)) or isinstance(part, bool):
+            raise TypeError(f"label components must be int or bytes, got {type(part)!r}")
     return label
 
 
 def _label_sort_key(label: _Label):
-    key = []
-    for part in label:
-        if isinstance(part, int):
-            key.append((0, part, b""))
-        elif isinstance(part, bytes):
-            key.append((1, 0, part))
-        else:
-            key.append((2, 0, part.encode()))
-    return tuple(key)
+    # ints sort before bytes, each in its own order
+    return tuple((0, part, b"") if isinstance(part, int) else (1, 0, part)
+                 for part in label)
 
 
 class HybridState:

@@ -22,7 +22,6 @@ __all__ = [
     "StateVector",
     "basis_state",
     "tensor",
-    "born_probabilities",
     "born_sample",
     "measure",
     "haar_sample",
@@ -109,19 +108,11 @@ def _gather_bits(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) ->
     return out
 
 
-def _check_qubits(num_qubits: int, qubits: Sequence[int], what: str) -> None:
+def _check_qubits(num_qubits: int, qubits: Sequence[int]) -> None:
     if len(set(qubits)) != len(qubits):
-        raise ValueError(f"{what} qubits contain duplicates")
+        raise ValueError("measured qubits contain duplicates")
     if any(q < 0 or q >= num_qubits for q in qubits):
-        raise ValueError(f"{what} qubits out of range")
-
-
-def born_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Outcome distribution for measuring the listed qubits, MSB first."""
-    _check_qubits(state.num_qubits, qubits, "measured")
-    indices = np.arange(state.dim, dtype=np.int64)
-    outcomes = _gather_bits(indices, state.num_qubits, qubits)
-    return np.bincount(outcomes, weights=state.probabilities(), minlength=1 << len(qubits))
+        raise ValueError("measured qubits out of range")
 
 
 def born_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -136,9 +127,13 @@ def measure(
     state: StateVector, qubits: Sequence[int], rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Computational-basis measurement; returns (outcome, collapsed state)."""
-    outcome = born_sample(born_probabilities(state, qubits), rng)
-    indices = np.arange(state.dim, dtype=np.int64)
-    keep = _gather_bits(indices, state.num_qubits, qubits) == outcome
+    _check_qubits(state.num_qubits, qubits)
+    outcomes = _gather_bits(np.arange(state.dim, dtype=np.int64),
+                            state.num_qubits, qubits)
+    outcome = born_sample(np.bincount(outcomes, weights=state.probabilities(),
+                                      minlength=1 << len(qubits)), rng)
+    keep = outcomes == outcome
+    del outcomes  # freed before the collapse allocates its vectors
     amps = np.where(keep, state.amplitudes, 0.0)
     amps = amps / np.linalg.norm(amps)
     return outcome, StateVector(state.num_qubits, amps)

@@ -21,8 +21,10 @@ form live with the tests.
 
 small_range_experiment and classical_srd_experiment quantify how much an
 oracle with only ell distinct outputs can be told apart from a fresh one;
-small_range_overlap_mass is the closed-form overlap between the query
-state under such an oracle and its restriction to distinct images.
+small_range_overlap_mass is the closed-form overlap between the uniform
+query state under such an oracle and its restriction to distinct images;
+the paper's small-range experiment queries uniformly, so no other query
+distribution is taken.
 """
 
 from __future__ import annotations
@@ -167,26 +169,18 @@ def type_vs_haar_distance(n: int, t: int) -> dict:
             "method": "exact"}
 
 
-def small_range_overlap_mass(query_probs: list[np.ndarray], index_map: np.ndarray,
-                             ell: int) -> float:
-    """Fast route to the same overlap: probability mass of query tuples
-    whose compressed indices are pairwise distinct (inclusion-exclusion
-    over the compressed cells for k <= 3)."""
-    k = len(query_probs)
-    index_map = np.asarray(index_map)
-    cell = [np.bincount(index_map, weights=p, minlength=ell) for p in query_probs]
+def small_range_overlap_mass(k: int, index_map: np.ndarray, ell: int) -> float:
+    """Fast route to the same overlap for k uniform queries: the probability
+    that k independent uniform inputs land in pairwise-distinct compressed
+    cells (inclusion-exclusion over the cells' shares c, k <= 3)."""
+    cell = np.bincount(index_map, minlength=ell) / len(index_map)
     if k == 1:
         return 1.0
     if k == 2:
-        return float(1.0 - (cell[0] * cell[1]).sum())
+        return float(1.0 - (cell * cell).sum())
     if k == 3:
-        pair = (
-            (cell[0] * cell[1]).sum()
-            + (cell[0] * cell[2]).sum()
-            + (cell[1] * cell[2]).sum()
-        )
-        triple = (cell[0] * cell[1] * cell[2]).sum()
-        return float(1.0 - pair + 2.0 * triple)
+        return float(1.0 - 3.0 * (cell * cell).sum()
+                     + 2.0 * (cell * cell * cell).sum())
     raise ValueError("closed form implemented for k <= 3")
 
 
@@ -210,11 +204,10 @@ def small_range_experiment(k: int, ell: int, domain_bits: int, trials: int,
         raise ValueError(f"domain_bits must be at most {max_bits}")
     _refuse_long(ell=ell, trials=trials)
     size = 1 << domain_bits
-    uniform = [np.full(size, 1.0 / size) for _ in range(k)]
     overlaps = np.empty(trials)
     for i in range(trials):
         index_map = rng.integers(0, ell, size=size)
-        overlaps[i] = small_range_overlap_mass(uniform, index_map, ell)
+        overlaps[i] = small_range_overlap_mass(k, index_map, ell)
     mean = float(overlaps.mean())
     stderr = float(overlaps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return {

@@ -16,9 +16,10 @@ rerunning with the same config and seed reproduces the output exactly
 except for the wall_time_s entry, which strip_wall_time removes for
 comparisons.
 
-plain() converts whatever has a ``tolist`` method (numpy scalars and
-arrays, ``array.array``, ``memoryview``) through that method, so this
-module imports no numpy and building the CLI parser loads none.
+plain() takes only JSON values: dicts (keys become strings), lists,
+tuples (written as lists) and exact bool, int, float, str or None. Any
+other value, a numpy scalar included, raises TypeError naming its type,
+so no value reaches a report through a conversion or a repr.
 """
 
 from __future__ import annotations
@@ -39,20 +40,14 @@ _WALL_CSV = re.compile(r"^wall_time_s,[^\n]*\n?", re.MULTILINE)
 
 
 def plain(value):
-    """Coerce numpy scalars, arrays, bytes, and tuples to JSON-safe types."""
+    """Copy a report value as JSON types; raise TypeError on any other."""
     if isinstance(value, dict):
         return {str(k): plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
-    if hasattr(value, "tolist"):
-        return plain(value.tolist())
-    if isinstance(value, (bytes, bytearray)):
-        return value.hex()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (bool, int, float, str)) or value is None:
+    if type(value) in (bool, int, float, str) or value is None:
         return value
-    return repr(value)
+    raise TypeError(f"report values are JSON types, not {type(value).__name__}")
 
 
 def build_report(experiment: str, config: dict, results: dict,

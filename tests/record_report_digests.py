@@ -9,6 +9,8 @@ its report with wall time stripped, and a short digest per report line
 * every canonical run of acceptance criterion 10 (seed 77);
 * one run for each value of each choice flag, at the flag table's
   defaults otherwise;
+* `prs overlap` at k = 1 and k = 3, the query counts the runs above
+  leave out, at the flag table's defaults otherwise;
 
 each in JSON and CSV. A change that alters report bytes on purpose
 re-records, from the repository root:
@@ -92,10 +94,19 @@ def _choice_runs():
                 yield name, params, trials, CHOICE_SEED
 
 
+def _overlap_runs():
+    from unclonelab.cli import EXPERIMENTS
+
+    defaults = {f.name: f.default for f in EXPERIMENTS["prs overlap"].flags}
+    trials = defaults.pop("trials")
+    for k in (1, 3):
+        yield "prs overlap", dict(defaults, k=k), trials, CHOICE_SEED
+
+
 def plan() -> list[tuple[str, dict, int | None, int, str]]:
     """Every (experiment, params, trials, seed, format), first use kept."""
     runs, seen = [], set()
-    for source in (_suite_runs, _canonical_runs, _choice_runs):
+    for source in (_suite_runs, _canonical_runs, _choice_runs, _overlap_runs):
         for name, params, trials, seed in source():
             for fmt in FORMATS:
                 key = json.dumps([name, params, trials, seed, fmt],

@@ -20,8 +20,8 @@ def two_branch():
     return HybridState.from_terms(
         1,
         [
-            (("a",), 2**-0.5, basis_state(1, 0)),
-            (("b",), 2**-0.5, basis_state(1, 1)),
+            ((b"a",), 2**-0.5, basis_state(1, 0)),
+            ((b"b",), 2**-0.5, basis_state(1, 1)),
         ],
     )
 
@@ -42,6 +42,12 @@ def random_hybrid(rng, payload_qubits, num_labels, label_bits=8):
 def test_norm_validation():
     with pytest.raises(ValueError):
         HybridState.from_terms(0, [((1,), 0.5, SCALAR)])
+
+
+@pytest.mark.parametrize("label", [("a",), (1, "a"), (True,)])
+def test_labels_are_tuples_of_ints_and_bytes(label):
+    with pytest.raises(TypeError):
+        HybridState.from_terms(0, [(label, 1.0, SCALAR)])
 
 
 def test_nan_branch_is_rejected_not_dropped():
@@ -97,12 +103,12 @@ def test_measure_label_example():
     hits = 0
     for _ in range(2000):
         outcome, post = measure(two_branch(), None, rng)
-        assert outcome in [("a",), ("b",)]
+        assert outcome in [(b"a",), (b"b",)]
         assert len(post.labels()) == 1
         label, amp, payload = branch_items(post)[0]
-        want = basis_state(1, 0) if outcome == ("a",) else basis_state(1, 1)
+        want = basis_state(1, 0) if outcome == (b"a",) else basis_state(1, 1)
         assert np.allclose(payload.amplitudes, want.amplitudes, atol=1e-9, rtol=0)
-        hits += outcome == ("a",)
+        hits += outcome == (b"a",)
     assert abs(hits / 2000 - 0.5) < 0.05
 
 
@@ -163,8 +169,8 @@ def test_distance_and_allclose():
     b = HybridState.from_terms(
         1,
         [
-            (("a",), 2**-0.5, basis_state(1, 0)),
-            (("c",), 2**-0.5, basis_state(1, 1)),
+            ((b"a",), 2**-0.5, basis_state(1, 0)),
+            ((b"c",), 2**-0.5, basis_state(1, 1)),
         ],
     )
     assert a.allclose(a)
@@ -203,7 +209,7 @@ def test_operations_preserve_norm(branches, seed):
     for positions in (None, [0], [1]):
         _assert_unit(state.measure_labels(rng, positions=positions)[1])
     # injective: the xor and the swap are both invertible
-    _assert_unit(map_labels(state, lambda label: (label[1], label[0] ^ 5, "x")))
+    _assert_unit(map_labels(state, lambda label: (label[1], label[0] ^ 5, b"x")))
     if q:
         _assert_unit(state.measure_payload(rng)[1])
 

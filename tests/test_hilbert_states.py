@@ -12,7 +12,6 @@ from unclonelab.hilbert import measure
 from unclonelab.hilbert.states import (
     StateVector,
     basis_state,
-    born_probabilities,
     haar_sample,
     state_to_bytes,
 )
@@ -73,13 +72,6 @@ def test_measure_repeat_reproduces_outcome():
         again, post2 = measure(post, [0, 2], rng)
         assert again == outcome
         assert np.allclose(post2.amplitudes, post.amplitudes, atol=1e-9)
-
-
-def test_born_probabilities_sum():
-    rng = make_rng(23)
-    s = haar_sample(4, rng)
-    p = born_probabilities(s, [1, 3])
-    assert abs(p.sum() - 1.0) < 1e-9
 
 
 # -- swap test ----------------------------------------------------------------

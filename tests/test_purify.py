@@ -10,8 +10,8 @@ Independent oracles used here:
   library returns that closed form; the dense averages it no longer
   builds are kept as the oracle, and their eigvalsh trace distance must
   match it.
-* The distinct-image probability mass is re-derived by brute-force tuple
-  enumeration, independent of the bincount fast path.
+* The distinct-image probability mass of uniform queries is re-derived by
+  brute-force tuple enumeration, independent of the bincount fast path.
 * For uniform queries and a uniform random index map the expected k=2
   mass factorizes by linearity: (1 - 1/|X|) * (1 - 1/ell).
 """
@@ -58,13 +58,12 @@ def _td_oracle(n: int, t: int) -> float:
     return 1.0 - math.comb(d, t) / math.comb(d + t - 1, t)
 
 
-def _mass_bruteforce(query_probs, index_map, k: int) -> float:
-    size = len(query_probs[0])
-    total = 0.0
-    for tup in itertools.product(range(size), repeat=k):
-        if len({int(index_map[x]) for x in tup}) == k:
-            total += math.prod(query_probs[j][tup[j]] for j in range(k))
-    return total
+def _mass_bruteforce(index_map, k: int) -> float:
+    # share of the k-tuples of uniform queries with distinct images
+    size = len(index_map)
+    hits = sum(len({int(index_map[x]) for x in tup}) == k
+               for tup in itertools.product(range(size), repeat=k))
+    return hits / size**k
 
 
 def _seeded_haar_generator(q: int):
@@ -297,8 +296,7 @@ class TestSmallRangeStates:
         assert overlap == pytest.approx(1.0, abs=1e-12)
         assert phi0 is not None
         assert phi.allclose(phi0)
-        probs = [np.abs(q) ** 2 for q in queries]
-        assert small_range_overlap_mass(probs, index_map, 4) == 1.0
+        assert small_range_overlap_mass(1, index_map, 4) == 1.0
 
     def test_restriction_support_is_distinct_image_tuples(self):
         params, queries, samples, index_map = self._instance(2, 4, 3, make_rng(31))
@@ -311,12 +309,14 @@ class TestSmallRangeStates:
 
     def test_state_route_matches_both_mass_routes(self):
         rng = make_rng(32)
-        for k in (2, 3):
-            params, queries, samples, index_map = self._instance(k, 4, 3, rng)
+        for k in (1, 2, 3):
+            params, _, samples, index_map = self._instance(k, 4, 3, rng)
+            # uniform queries with random phases
+            queries = [np.exp(2j * np.pi * rng.random(8)) / math.sqrt(8)
+                       for _ in range(k)]
             _, _, overlap = small_range_states(params, queries, samples, index_map)
-            probs = [np.abs(q) ** 2 for q in queries]
-            brute = _mass_bruteforce(probs, index_map, k)
-            fast = small_range_overlap_mass(probs, index_map, 4)
+            brute = _mass_bruteforce(index_map, k)
+            fast = small_range_overlap_mass(k, index_map, 4)
             assert fast == pytest.approx(brute, abs=1e-12)
             assert overlap == pytest.approx(brute, abs=1e-9)
 
@@ -337,7 +337,7 @@ class TestSmallRangeStates:
             small_range_states(SmallRangeParams(4, 4, 0.5, 3),
                                queries + queries, samples, index_map)
         with pytest.raises(ValueError):
-            small_range_overlap_mass([np.ones(4) / 4] * 4, index_map[:4], 4)
+            small_range_overlap_mass(4, index_map[:4], 4)
 
 
 class TestSmallRangeExperiment:
