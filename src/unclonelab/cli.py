@@ -379,6 +379,8 @@ def _prs_srd(cfg: ExperimentConfig) -> tuple[dict, bool]:
 @_experiment("mini demo", "mint, verify, and zero-pad forgery odds",
              Param("n", int, 8, low=2, high=12))
 def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
+    import numpy as np
+
     from . import minischeme
 
     p = cfg.params
@@ -390,7 +392,10 @@ def _mini_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     # the pair is a product state, so the joint acceptance factorizes
     joint = (minischeme.accept_probability(note.sn, kept)
              * minischeme.accept_probability(note.sn, forged))
-    ok = abs(honest - 1.0) <= 1e-9
+    # the verification chain accepts the honest note and leaves it unchanged
+    bit, post = minischeme.mini_verify(note.sn, note.note, rng)
+    ok = (abs(honest - 1.0) <= 1e-9 and bit == 1
+          and np.allclose(post.amplitudes, note.note.amplitudes, rtol=0, atol=1e-9))
     results = {
         "n": n,
         "sn": note.sn.hex(),

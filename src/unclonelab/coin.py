@@ -92,13 +92,10 @@ def _sn_message(sn: bytes) -> int:
     return int.from_bytes(digest[: SN_MESSAGE_BITS // 8], "big")
 
 
-def coin_setup(variant: str, params: CoinParams | None = None,
-               rng: np.random.Generator | None = None,
+def coin_setup(variant: str, params: CoinParams, rng: np.random.Generator
                ) -> tuple[CoinVerifyKey, CoinSecretKey]:
     if variant not in ("prs", "eqsup"):
         raise ValueError("variant must be 'prs' or 'eqsup'")
-    if params is None:
-        params = CoinParams()
     if rng is None:
         raise ValueError("coin_setup needs an rng")
     if not 1 <= params.id_bits <= MAX_ID_BITS:
@@ -229,7 +226,7 @@ ATTACKS: dict[str, Callable] = {
 }
 
 
-def _mint(variant: str, t: int, params: CoinParams | None,
+def _mint(variant: str, t: int, params: CoinParams,
           rng: np.random.Generator) -> tuple[CoinVerifyKey, list[HybridState]]:
     """A fresh bank's verify key and t issued coins. The bank's secret key
     and its signer's keypair store end with this call, so the trials hold
@@ -240,7 +237,7 @@ def _mint(variant: str, t: int, params: CoinParams | None,
 
 
 def counterfeit_game(variant: str, t: int, attack, rng: np.random.Generator,
-                     *, params: CoinParams | None = None,
+                     *, params: CoinParams = CoinParams(),
                      trials: int = 1) -> dict:
     """Issue t identical coins, run the attack, verify its t+1 outputs.
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .primitives.ots import (
     OtsKeypair,
-    ots_gen,
     ots_setup_from_seed,
     ots_sig_len,
     ots_sign,
@@ -104,7 +103,7 @@ def setup(n: int, tag_bits: int, rng: np.random.Generator,
         raise ValueError(f"message bits must be in [1, {MAX_MESSAGE_BITS}]")
     if tag_bits < 8 or tag_bits % 8:
         raise ValueError("tag_bits must be a positive multiple of 8")
-    sk_root = ots_gen(digest_bits, rng)
+    sk_root = ots_setup_from_seed(digest_bits, rng.bytes(32))
     key_prf = pprf_gen(8 + n, 256, rng)
     tag_prf = pprf_gen(n, tag_bits, rng)
     sk = TreeSigSecretKey(sk_root, key_prf, tag_prf, n, digest_bits, tag_bits)
@@ -176,9 +175,10 @@ def _first_departure(sig: bytes, off: int, link: bytes, msg_len: int,
 # accept still hashes all L preimages, and the verdict is the AND of the
 # same checks.
 def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
-    """Whether sig, a TreeSignature or any bytes-like blob, signs m under vk.
+    """Whether sig, a TreeSignature or its bytes, signs m under vk.
 
-    Any other type of sig raises TypeError.
+    Any other type of sig, bytearray and memoryview included, raises
+    TypeError.
     """
     n = vk.n
     if not 0 <= m < (1 << n):
@@ -196,8 +196,8 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
             return False
         sig = sig.to_bytes()
     elif not isinstance(sig, bytes):
-        # memoryview raises TypeError for anything that is not bytes-like
-        sig = memoryview(sig).tobytes()
+        raise TypeError(f"signature must be bytes or a TreeSignature, "
+                        f"got {type(sig).__name__}")
     if len(sig) != signature_len(n, vk.digest_bits, vk.tag_bits):
         return False
     store = vk._verified

@@ -1,12 +1,8 @@
-"""Desk-scale Hilbert-space toolkit: states, hybrid superpositions, measurements."""
+"""Desk-scale Hilbert-space toolkit: states, hybrid superpositions, measurements.
+
+The package re-exports HybridState and the computational-basis measure of
+hilbert.states; every other name lives only in its defining module.
+"""
 
 from .hybrid import HybridState
-from .states import measure as _measure_state_vector
-
-
-def measure(state, regs, rng):
-    """Born measurement: computational-basis qubits for a StateVector, label
-    components for a HybridState (regs None measures the whole label)."""
-    if isinstance(state, HybridState):
-        return state.measure_labels(rng, positions=regs)
-    return _measure_state_vector(state, regs, rng)
+from .states import measure

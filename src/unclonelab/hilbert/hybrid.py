@@ -11,7 +11,7 @@ Branches are stored as unnormalized payload vectors.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -126,24 +126,12 @@ class HybridState:
         total = np.sqrt(sum(np.linalg.norm(v) ** 2 for _, v in kept))
         return HybridState(self.payload_qubits, [(l, v / total) for l, v in kept])
 
-    def measure_labels(
-        self, rng: np.random.Generator, positions: Sequence[int] | None = None
-    ) -> tuple[_Label, "HybridState"]:
-        """Measure label components (all by default); returns (observed, collapsed)."""
-        def proj(label: _Label) -> _Label:
-            if positions is None:
-                return label
-            return tuple(label[p] for p in positions)
-
-        groups: dict[_Label, float] = {}
-        for label, vec in self._branches.items():
-            key = proj(label)
-            groups[key] = groups.get(key, 0.0) + float(np.linalg.norm(vec) ** 2)
-        keys = sorted(groups, key=_label_sort_key)
-        observed = keys[born_sample(np.array([groups[k] for k in keys]), rng)]
-        return observed, self._collapse(
-            [(l, v) for l, v in self._branches.items() if proj(l) == observed]
-        )
+    def measure_labels(self, rng: np.random.Generator) -> tuple[_Label, "HybridState"]:
+        """Measure the whole label; returns (observed, collapsed)."""
+        keys = self.labels()
+        weights = [float(np.linalg.norm(self._branches[k]) ** 2) for k in keys]
+        observed = keys[born_sample(np.array(weights), rng)]
+        return observed, self._collapse([(observed, self._branches[observed])])
 
     def measure_payload(self, rng: np.random.Generator) -> tuple[int, "HybridState"]:
         """Measure the whole payload register in the computational basis."""

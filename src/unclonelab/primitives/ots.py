@@ -15,15 +15,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hashes import TAG_OTS, sha256
 
 __all__ = [
     "MAX_DIGEST_BITS",
     "OtsKeypair",
     "ots_setup_from_seed",
-    "ots_gen",
     "ots_sign",
     "ots_verify",
     "ots_vk_len",
@@ -71,10 +68,6 @@ def ots_setup_from_seed(L: int, seed: bytes) -> OtsKeypair:
                  for row in _PREIMAGE_SUFFIXES for suffix in row[:L]]
     vk = b"".join([sha256(p) for p in preimages])
     return OtsKeypair(L, b"".join(preimages), vk)
-
-
-def ots_gen(L: int, rng: np.random.Generator) -> OtsKeypair:
-    return ots_setup_from_seed(L, rng.bytes(32))
 
 
 def _digest_bits(message: bytes, L: int) -> list[int]:

@@ -50,7 +50,6 @@ from .onesde import (
     one_enc,
     one_pk_len,
     one_setup,
-    one_setup_rng,
     tag_of_pk,
 )
 
@@ -196,11 +195,10 @@ class SdeSecretKey:
     tag: bytes
 
 
-def sde_setup(config: SdeConfig | None = None,
-              rng: np.random.Generator | None = None) -> Sde:
+def sde_setup(config: SdeConfig, rng: np.random.Generator) -> Sde:
     if rng is None:
         raise ValueError("sde_setup needs an rng")
-    return Sde(fe=fe_setup(rng), config=config or SdeConfig())
+    return Sde(fe=fe_setup(rng), config=config)
 
 
 def sde_kg(sde: Sde, msk: bytes, rng: np.random.Generator | None = None, *,
@@ -215,7 +213,7 @@ def sde_kg(sde: Sde, msk: bytes, rng: np.random.Generator | None = None, *,
     if randomness is not None:
         one = one_setup(config.mini_n, randomness)
     elif rng is not None:
-        one = one_setup_rng(config.mini_n, rng)
+        one = one_setup(config.mini_n, rng.bytes(32))
     else:
         raise ValueError("sde_kg needs an rng or explicit randomness")
 

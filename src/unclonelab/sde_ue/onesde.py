@@ -25,8 +25,6 @@ from __future__ import annotations
 import hmac
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..hilbert.states import StateVector
 from ..minischeme import (
     note_state,
@@ -82,12 +80,6 @@ def one_setup(n: int, randomness: bytes) -> MockOneSde:
     space = subspace_from_randomness(n, stream[TAG_LEN + _TOKEN_LEN:])
     pk = tag + token + sn_bytes(space)
     return MockOneSde(one_pk=pk, one_sk=(note_state(space), token), tag=tag)
-
-
-def one_setup_rng(n: int, rng: np.random.Generator) -> MockOneSde:
-    if rng is None:
-        raise ValueError("one_setup_rng needs an rng")
-    return one_setup(n, rng.bytes(32))
 
 
 def one_enc(pk: bytes, m: bytes, randomness: bytes) -> bytes:

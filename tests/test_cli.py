@@ -237,6 +237,22 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["results"]["verified"] is False
 
+    @pytest.mark.parametrize("verdict", ["reject", "changed"])
+    def test_mini_demo_needs_the_chain_to_return_the_note(self, monkeypatch,
+                                                          capsys, verdict):
+        from unclonelab import minischeme
+        from unclonelab.hilbert.states import basis_state
+
+        def mini_verify(sn, note, rng):
+            if verdict == "reject":
+                return 0, note
+            return 1, basis_state(note.num_qubits, 0)
+
+        monkeypatch.setattr(minischeme, "mini_verify", mini_verify)
+        code, out, _ = _capture(capsys, ["mini", "demo", "--seed", "1"])
+        assert code == 2
+        assert json.loads(out)["results"]["honest_accept"] == pytest.approx(1.0)
+
     @pytest.mark.parametrize("signature", ["zz", "abc"])
     def test_bad_signature_names_the_flag(self, capsys, signature):
         code, out, err = _capture(

@@ -76,7 +76,7 @@ class TestSetup:
         with pytest.raises(ValueError):
             coin_setup("prs", CoinParams(mini_n=5), rng)
         with pytest.raises(ValueError):
-            coin_setup("prs", CoinParams())
+            coin_setup("prs", CoinParams(), None)
 
 
 class TestGenBanknote:
@@ -276,7 +276,8 @@ def _verify_through_state_vectors(vk, candidate):
 
 def _measure_clone_through_dispatcher(vk, coins, rng):
     """The measure-clone attack reading its payload through branch_items
-    and the hilbert.measure dispatcher, as it once did."""
+    and a basis measurement of every payload qubit, the route it once took
+    through the hilbert.measure dispatcher."""
     observed, collapsed = coins[0].measure_labels(rng)
     payload = branch_items(collapsed)[0][2]
     outcome, _ = measure(payload, list(range(payload.num_qubits)), rng)

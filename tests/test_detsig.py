@@ -6,7 +6,6 @@ import functools
 import hashlib
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 from unclonelab import detsig
 from unclonelab.primitives import hashes
 from unclonelab.primitives.ots import (
-    ots_gen,
     ots_setup_from_seed,
     ots_sig_len,
     ots_sign,
@@ -135,13 +133,11 @@ class TestSignVerify:
                 assert not detsig.verify(vk, m, bytes([fill]) * size)
         assert not vk._verified
 
-    def test_any_bytes_like_blob(self):
+    def test_bytes_and_tree_signature(self):
         vk, sk = detsig.setup(4, 16, make_rng(33), digest_bits=8)
         blob = detsig.sign(sk, 7).to_bytes()
         bad = _flip(blob, 8 * len(blob) - 1)
-        for kind in (bytes, bytearray, memoryview,
-                     lambda b: memoryview(bytearray(b)),
-                     lambda b: np.frombuffer(b, np.uint8)):
+        for kind in (bytes, lambda b: detsig.signature_from_bytes(b, 4, 8, 16)):
             assert detsig.verify(dataclasses.replace(vk), 7, kind(blob))
             assert detsig.verify(vk, 7, kind(blob))
             assert not detsig.verify(vk, 7, kind(bad))
@@ -154,6 +150,15 @@ class TestSignVerify:
         with pytest.raises(TypeError):
             detsig.verify(vk, 7, sig)
         assert not vk._verified
+
+    @pytest.mark.parametrize("kind", (bytearray, memoryview))
+    def test_bytes_like_but_not_bytes_raises_type_error(self, kind):
+        vk, sk = detsig.setup(4, 16, make_rng(33), digest_bits=8)
+        blob = detsig.sign(sk, 7).to_bytes()
+        with pytest.raises(TypeError, match="bytes or a TreeSignature"):
+            detsig.verify(vk, 7, kind(blob))
+        assert not vk._verified
+        assert detsig.verify(vk, 7, blob)
 
     def test_every_message_bit_flip_rejected(self):
         rng = make_rng(7)
@@ -614,7 +619,7 @@ def _store_rule_fixture():
     pl0, _, sigpl = sigs[m].links[0]
     rng = make_rng(41)
     while True:
-        own = ots_gen(4, rng)
+        own = ots_setup_from_seed(4, rng.bytes(32))
         if ots_verify(vk.vk_root, pl0 + own.vk, sigpl, 4):
             break
     c0, c1, _ = sigs[m].links[1]

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import branch_items, canonical_bytes, map_labels
-from unclonelab.hilbert import measure
 from unclonelab.hilbert.hybrid import HybridState
 from unclonelab.hilbert.states import StateVector, basis_state, haar_sample
 from unclonelab.rng import make_rng
@@ -102,7 +101,7 @@ def test_measure_label_example():
     rng = make_rng(40)
     hits = 0
     for _ in range(2000):
-        outcome, post = measure(two_branch(), None, rng)
+        outcome, post = two_branch().measure_labels(rng)
         assert outcome in [(b"a",), (b"b",)]
         assert len(post.labels()) == 1
         label, amp, payload = branch_items(post)[0]
@@ -112,7 +111,7 @@ def test_measure_label_example():
     assert abs(hits / 2000 - 0.5) < 0.05
 
 
-def test_measure_label_positions_subset():
+def test_measure_label_collapses_to_the_observed_label():
     s = HybridState.from_terms(
         0,
         [
@@ -122,12 +121,13 @@ def test_measure_label_positions_subset():
         ],
     )
     rng = make_rng(41)
-    outcome, post = s.measure_labels(rng, positions=[0])
-    if outcome == (0,):
-        assert len(post.labels()) == 2
-    else:
-        assert outcome == (1,)
-        assert post.labels() == [(1, 7)]
+    seen = set()
+    for _ in range(200):
+        outcome, post = s.measure_labels(rng)
+        assert post.labels() == [outcome]
+        assert np.allclose(post.branch_vector(outcome), [1.0], atol=1e-12, rtol=0)
+        seen.add(outcome)
+    assert seen == {(0, 7), (0, 9), (1, 7)}
 
 
 def test_measure_payload_collapse():
@@ -206,8 +206,7 @@ def test_operations_preserve_norm(branches, seed):
     state = HybridState(q, pairs)
     _assert_unit(state)
     rng = make_rng(seed)
-    for positions in (None, [0], [1]):
-        _assert_unit(state.measure_labels(rng, positions=positions)[1])
+    _assert_unit(state.measure_labels(rng)[1])
     # injective: the xor and the swap are both invertible
     _assert_unit(map_labels(state, lambda label: (label[1], label[0] ^ 5, b"x")))
     if q:

@@ -7,7 +7,8 @@ pin them to the library's. Each name is imported from the module that
 defines it, so a package ``__init__`` re-exports nothing and loading one
 submodule loads no sibling. Every public def, class and method is reached
 from the library itself, is a CLI handler, or is allowlisted with the gate
-that keeps it, so no API arrives that only its own unit tests call. A
+that keeps it, so no API arrives that only its own unit tests call; an
+allowlisted name that the library reaches is a stale entry and fails. A
 module-level def or class is reached only through its own module: an
 import of it, a `<module alias>.name` attribute, or a use in that module;
 a method is reached by an attribute read of its name (`obj.name`), so a
@@ -30,8 +31,8 @@ from unclonelab.cli import EXPERIMENTS
 
 _SRC = str(Path(unclonelab.__file__).resolve().parents[1])
 _PKG = Path(_SRC) / "unclonelab"
-# the one name a package __init__ defines is hilbert's measure dispatcher,
-# and these are the two imports it needs
+# the two names a package __init__ re-exports: hilbert's HybridState and
+# states.measure
 _INIT_IMPORTS = {("hilbert", "HybridState"), ("hilbert", "measure")}
 
 
@@ -227,15 +228,11 @@ _REACH_ALLOWLIST = {
         "criterion 8: threshold measurement is repeatable on its post state",
     "hilbert.povm.ProjImp.reconstruct":
         "criterion 8: the projective implementation reconstructs its POVM",
-    "hilbert.measure": "perfbench traces it as the hilbert.measure span",
     "report.strip_wall_time":
         "criterion 10 and cli-suite compare reports with wall time stripped",
     "cli._Parser.error": "argparse calls it on every parse error",
     "hilbert.hybrid.HybridState.allclose":
         "criterion 6: a verified honest coin comes back unchanged",
-    "minischeme.mini_verify":
-        "the subspace verification chain (project, Hadamard, project onto "
-        "the dual) that the minischeme rate tests run",
 }
 
 
@@ -336,7 +333,7 @@ def test_every_public_name_is_reached_from_the_library():
     for name, path, line in _attribute_reads():
         refs.setdefault(name, []).append((path, line))
     defs = list(_public_defs())
-    unreached = []
+    unreached, stale = [], []
     for qualname, node, path in defs:
         owner, name = qualname.rsplit(".", 1)
         if owner == _module_name(path):
@@ -344,12 +341,16 @@ def test_every_public_name_is_reached_from_the_library():
         else:
             reached = any(not (p == path and node.lineno <= line <= node.end_lineno)
                           for p, line in refs.get(name, ()))
+        if reached and qualname in _REACH_ALLOWLIST:
+            stale.append(qualname)
         if not (reached or _is_cli_handler(node) or qualname in _REACH_ALLOWLIST):
             unreached.append(qualname)
     assert not unreached, (
         "public names nothing in src/ references; use them from the library, "
         "move them to tests/helpers.py or allowlist them with a reason: "
         + ", ".join(unreached))
+    # an allowlist reason goes stale once the library reaches the name
+    assert not stale, "allowlisted names the library reaches: " + ", ".join(stale)
     assert set(_REACH_ALLOWLIST) <= {q for q, _, _ in defs}
 
 

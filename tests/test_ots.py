@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helpers import ots_preimage, ots_rows
 
 from unclonelab.primitives.ots import (
-    ots_gen,
     ots_setup_from_seed,
     ots_sig_len,
     ots_sign,
@@ -46,19 +45,19 @@ def _tamper_cases(draw):
 class TestSetup:
     def test_lengths(self):
         for bits in (1, 8, 16, 256):
-            kp = ots_gen(bits, make_rng(bits))
+            kp = ots_setup_from_seed(bits, make_rng(bits).bytes(32))
             assert len(kp.vk) == ots_vk_len(bits) == 2 * bits * 32
             assert len(ots_sign(kp, b"x")) == ots_sig_len(bits) == bits * 32
 
     def test_vk_rows_hash_sk_rows(self):
-        kp = ots_gen(8, make_rng(1))
+        kp = ots_setup_from_seed(8, make_rng(1).bytes(32))
         sk, vk = ots_rows(kp.sk, 8), ots_rows(kp.vk, 8)
         for b in range(2):
             for i in range(8):
                 assert vk[b][i] == hashlib.sha256(sk[b][i]).digest()
 
     def test_vk_bytes_layout_row0_then_row1(self):
-        kp = ots_gen(4, make_rng(2))
+        kp = ots_setup_from_seed(4, make_rng(2).bytes(32))
         blob = kp.vk
         vk = ots_rows(kp.vk, 4)
         for i in range(4):
@@ -106,25 +105,25 @@ class TestSetup:
 
     def test_distinct_rng_keys_differ(self):
         rng = make_rng(3)
-        vks = {ots_gen(8, rng).vk for _ in range(100)}
+        vks = {ots_setup_from_seed(8, rng.bytes(32)).vk for _ in range(100)}
         assert len(vks) == 100
 
 
 class TestSignVerify:
     def test_round_trip_100_random_messages(self):
         rng = make_rng(4)
-        kp = ots_gen(32, rng)
+        kp = ots_setup_from_seed(32, rng.bytes(32))
         for _ in range(100):
             msg = rng.bytes(int(rng.integers(0, 200)))
             assert ots_verify(kp.vk, msg, ots_sign(kp, msg), 32)
 
     def test_empty_and_long_messages(self):
-        kp = ots_gen(16, make_rng(5))
+        kp = ots_setup_from_seed(16, make_rng(5).bytes(32))
         for msg in (b"", b"\x00" * 10_000):
             assert ots_verify(kp.vk, msg, ots_sign(kp, msg), 16)
 
     def test_deterministic_signatures(self):
-        kp = ots_gen(16, make_rng(6))
+        kp = ots_setup_from_seed(16, make_rng(6).bytes(32))
         assert ots_sign(kp, b"same message") == ots_sign(kp, b"same message")
 
     def test_golden_signature(self):
@@ -134,14 +133,14 @@ class TestSignVerify:
         assert sig[:8].hex() == "24278cf09e8a75c1"
 
     def test_signature_is_chosen_preimages(self):
-        kp = ots_gen(8, make_rng(7))
+        kp = ots_setup_from_seed(8, make_rng(7).bytes(32))
         msg = b"preimage check"
         sig = ots_sign(kp, msg)
         for i, bit in enumerate(_digest_bits(msg, 8)):
             assert sig[32 * i : 32 * (i + 1)] == ots_rows(kp.sk, 8)[bit][i]
 
     def test_exhaustive_single_bit_sig_tamper(self):
-        kp = ots_gen(16, make_rng(8))
+        kp = ots_setup_from_seed(16, make_rng(8).bytes(32))
         msg = b"tamper target"
         sig = bytearray(ots_sign(kp, msg))
         vk = kp.vk
@@ -166,13 +165,13 @@ class TestSignVerify:
                 assert not ots_verify(kp.vk, m2, sig, 8)
 
     def test_wrong_vk_rejected(self):
-        kp1 = ots_gen(16, make_rng(10))
-        kp2 = ots_gen(16, make_rng(11))
+        kp1 = ots_setup_from_seed(16, make_rng(10).bytes(32))
+        kp2 = ots_setup_from_seed(16, make_rng(11).bytes(32))
         sig = ots_sign(kp1, b"msg")
         assert not ots_verify(kp2.vk, b"msg", sig, 16)
 
     def test_bad_lengths_return_false(self):
-        kp = ots_gen(16, make_rng(12))
+        kp = ots_setup_from_seed(16, make_rng(12).bytes(32))
         sig = ots_sign(kp, b"msg")
         assert not ots_verify(kp.vk, b"msg", sig[:-1], 16)
         assert not ots_verify(kp.vk[:-1], b"msg", sig, 16)
@@ -197,7 +196,7 @@ class TestSignVerify:
             return real(data)
 
         monkeypatch.setattr(ots_module, "sha256", counting)
-        kp = ots_gen(24, make_rng(13))
+        kp = ots_setup_from_seed(24, make_rng(13).bytes(32))
         sig = ots_sign(kp, b"msg")
         for j in range(24):
             bad = bytearray(sig)
@@ -220,7 +219,7 @@ class TestSignVerify:
             return real(data)
 
         monkeypatch.setattr(ots_module, "sha256", counting)
-        kp = ots_gen(24, make_rng(14))
+        kp = ots_setup_from_seed(24, make_rng(14).bytes(32))
         sig = ots_sign(kp, b"msg")
         for j in range(24):
             bad = bytearray(sig)
@@ -233,7 +232,7 @@ class TestSignVerify:
             assert len(calls) == 1 + 24
 
     def test_first_outside_range_raises(self):
-        kp = ots_gen(8, make_rng(15))
+        kp = ots_setup_from_seed(8, make_rng(15).bytes(32))
         sig = ots_sign(kp, b"msg")
         for first in (-1, 8, 9, 256):
             with pytest.raises(ValueError):

@@ -51,7 +51,6 @@ from unclonelab.sde_ue.onesde import (
     one_enc,
     one_pk_len,
     one_setup,
-    one_setup_rng,
     sn_len,
     tag_of_pk,
 )
@@ -150,7 +149,7 @@ class TestMockOne:
         assert c.one_pk != a.one_pk
 
     def test_round_trip_and_deterministic_ct(self):
-        one = one_setup_rng(8, make_rng(20))
+        one = one_setup(8, make_rng(20).bytes(32))
         m = b"\x0b"
         r = b"r" * 16
         ct1 = one_enc(one.one_pk, m, r)
@@ -160,7 +159,7 @@ class TestMockOne:
         assert len(ct1) == one_ct_len(len(m))
 
     def test_pk_layout(self):
-        one = one_setup_rng(8, make_rng(21))
+        one = one_setup(8, make_rng(21).bytes(32))
         assert len(one.one_pk) == one_pk_len(8)
         assert tag_of_pk(one.one_pk) == one.tag
         sn = one.one_pk[32:]  # after the 16-byte tag and the 16-byte token
@@ -172,8 +171,8 @@ class TestMockOne:
 
     def test_foreign_ciphertext_fails(self):
         rng = make_rng(24)
-        one = one_setup_rng(8, rng)
-        other = one_setup_rng(8, rng)
+        one = one_setup(8, rng.bytes(32))
+        other = one_setup(8, rng.bytes(32))
         ct = one_enc(one.one_pk, b"\x07", b"t" * 16)
         flipped = ct[:-1] + bytes([ct[-1] ^ 1])
         assert one_dec(one.one_sk, flipped) is FAIL
@@ -319,7 +318,7 @@ class TestReModeTable:
 class TestSde:
     def test_round_trip_all_messages_all_keys(self):
         rng = make_rng(40)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         sks = [sde_kg(sde, sde.msk, rng) for _ in range(5)]
         for value in range(16):
             ct = sde_enc(sde, sde.pk, value, rng)
@@ -330,7 +329,7 @@ class TestSde:
         rng = make_rng(41)
         seen = set()
         for _ in range(100):
-            sde = sde_setup(rng=rng)
+            sde = sde_setup(CFG, rng)
             a = sde_kg(sde, sde.msk, rng)
             b = sde_kg(sde, sde.msk, rng)
             assert a.tag != b.tag
@@ -340,7 +339,7 @@ class TestSde:
 
     def test_any_key_decrypts_any_honest_ciphertext(self):
         rng = make_rng(42)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         sk_i = sde_kg(sde, sde.msk, rng)
         sk_j = sde_kg(sde, sde.msk, rng)
         ct = sde_enc(sde, sde.pk, 12, rng)
@@ -348,8 +347,8 @@ class TestSde:
 
     def test_foreign_ciphertexts_fail(self):
         rng = make_rng(43)
-        sde = sde_setup(rng=rng)
-        other = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
+        other = sde_setup(CFG, rng)
         sk = sde_kg(sde, sde.msk, rng)
         ct = sde_enc(sde, sde.pk, 5, rng)
         assert sde_dec(sde, sk, bytes(sde_ct_len(sde.config))) is FAIL
@@ -359,7 +358,7 @@ class TestSde:
 
     def test_key_generation_classically_determined(self):
         rng = make_rng(44)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         a = sde_kg(sde, sde.msk, randomness=b"kg-seed-000000000000")
         b = sde_kg(sde, sde.msk, randomness=b"kg-seed-000000000000")
         assert a.fsk == b.fsk
@@ -368,7 +367,7 @@ class TestSde:
 
     def test_key_fields(self):
         rng = make_rng(45)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         sk = sde_kg(sde, sde.msk, rng)
         assert tag_of_pk(sk.one_pk) == sk.tag
         note = sk.one_sk[0]
@@ -378,7 +377,7 @@ class TestSde:
 
     def test_message_normalization(self):
         rng = make_rng(46)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         sk = sde_kg(sde, sde.msk, rng)
         ct = sde_enc(sde, sde.pk, b"\x0f", rng)
         assert sde_dec(sde, sk, ct) == b"\x0f"
@@ -393,13 +392,13 @@ class TestSde:
 
     def test_usage_errors(self):
         rng = make_rng(47)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         with pytest.raises(ValueError):
             sde_kg(sde, b"wrong-msk", rng)
         with pytest.raises(ValueError):
             sde_kg(sde, sde.msk)
         with pytest.raises(ValueError):
-            sde_setup()
+            sde_setup(CFG, None)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -411,7 +410,7 @@ class TestSde:
 class TestUe:
     def test_round_trip_100(self):
         rng = make_rng(50)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
         for _ in range(100):
             value = int(rng.integers(0, 16))
@@ -420,7 +419,7 @@ class TestUe:
 
     def test_pad_length_matches_message_length(self):
         rng = make_rng(51)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
         msk, s = keys.ek
         assert msk == sde.msk
@@ -428,7 +427,7 @@ class TestUe:
 
     def test_decryption_key_is_a_ciphertext_of_the_pad(self):
         rng = make_rng(52)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
         ct = ue_enc(sde, keys.ek, 7, rng)
         # the shipped instance opens the key ciphertext to the pad, and
@@ -439,7 +438,7 @@ class TestUe:
 
     def test_enc_classically_determined(self):
         rng = make_rng(53)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
         r = b"shared-kg-randomness-0000"
         a = ue_enc(sde, keys.ek, 3, kg_randomness=r)
@@ -454,7 +453,7 @@ class TestUe:
 
     def test_wrong_key_ciphertext_fails(self):
         rng = make_rng(54)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
         ct = ue_enc(sde, keys.ek, 7, rng)
         assert ue_dec(sde, bytes(len(keys.dk)), ct) is FAIL
@@ -463,7 +462,7 @@ class TestUe:
 class TestEkdkWrapper:
     def test_keys_identical(self):
         rng = make_rng(60)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         wrapper = ue_ekdk_transform(sde)
         for _ in range(5):
             ek, dk = wrapper.kg(rng)
@@ -472,7 +471,7 @@ class TestEkdkWrapper:
 
     def test_round_trip_100(self):
         rng = make_rng(61)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         wrapper = ue_ekdk_transform(sde)
         ek, dk = wrapper.kg(rng)
         for _ in range(100):
@@ -482,7 +481,7 @@ class TestEkdkWrapper:
 
     def test_wrong_pad_fails(self):
         rng = make_rng(62)
-        sde = sde_setup(rng=rng)
+        sde = sde_setup(CFG, rng)
         wrapper = ue_ekdk_transform(sde)
         ek, dk = wrapper.kg(rng)
         ct = wrapper.enc(ek, 4, rng)
