@@ -41,6 +41,7 @@ class TreeSigSecretKey:
     n: int
     digest_bits: int
     tag_bits: int
+    # tree node -> the one-time keypair derived there
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -50,7 +51,7 @@ class TreeSigVerifyKey:
     n: int
     digest_bits: int
     tag_bits: int
-    # tree node -> (parent vk, link bytes) of a link that passed ots_verify
+    # tree node -> link bytes that passed ots_verify there
     _verified: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -91,10 +92,11 @@ def signature_from_bytes(blob: bytes, n: int, digest_bits: int, tag_bits: int) -
     return TreeSignature(tuple(links), y, isig)
 
 
-def _prefix_input(depth: int, value: int, n: int) -> int:
+def _prefix_input(node: int, n: int) -> int:
     # length byte then the prefix bits left-aligned in an n-bit field, so
     # prefixes of different depths never collide
-    return (depth << n) | (value << (n - depth))
+    depth = node.bit_length() - 1
+    return (depth << n) | (node ^ 1 << depth) << (n - depth)
 
 
 def setup(n: int, tag_bits: int, rng: np.random.Generator,
@@ -115,25 +117,25 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
     if not 0 <= m < (1 << sk.n):
         raise ValueError("message out of range for this key")
     n = sk.n
-    # both children of every prefix of m, (depth, value) for depth 1..n; the
-    # keypairs not yet cached derive from one walk over their PRF inputs
-    nodes = [(t, (m >> (n - t)) ^ side) for t in range(1, n + 1) for side in (0, 1)]
-    keys = {node: sk._cache.get(node) for node in nodes}
+    leaf = m | 1 << n
+    # nodes by id prefix | 1 << depth: m's node at depth t is leaf >> (n - t),
+    # its sibling node ^ 1 and its parent node >> 1. Of both children at
+    # depths 1..n, the keypairs not yet cached derive from one PRF walk
+    path = [leaf >> (n - t) for t in range(1, n + 1)]
+    keys = {node: sk._cache.get(node) for on in path for node in (on, on ^ 1)}
     missing = [node for node, kp in keys.items() if kp is None]
-    seeds = pprf_eval_many(sk.key_prf, [_prefix_input(t, v, n) for t, v in missing])
+    seeds = pprf_eval_many(sk.key_prf, [_prefix_input(node, n) for node in missing])
     for node, seed in zip(missing, seeds):
         keys[node] = ots_setup_from_seed(sk.digest_bits, seed)
         if len(sk._cache) < STORE_CAP:
             sk._cache[node] = keys[node]
-    keys[(0, 0)] = sk.sk_root
+    keys[1] = sk.sk_root
     links = []
-    for t in range(1, n + 1):
-        parent_value = m >> (n - (t - 1))
-        pl0 = keys[(t, parent_value << 1)].vk
-        pl1 = keys[(t, (parent_value << 1) | 1)].vk
-        links.append((pl0, pl1, ots_sign(keys[(t - 1, parent_value)], pl0 + pl1)))
+    for node in path:
+        pl0, pl1 = keys[node & ~1].vk, keys[node | 1].vk
+        links.append((pl0, pl1, ots_sign(keys[node >> 1], pl0 + pl1)))
     y = pprf_eval(sk.tag_prf, m)
-    isig = ots_sign(keys[(n, m)], y)
+    isig = ots_sign(keys[leaf], y)
     return TreeSignature(tuple(links), y, isig)
 
 
@@ -157,23 +159,21 @@ def _first_departure(sig: bytes, off: int, link: bytes, msg_len: int,
 
 # Verified-link store, one per verify key, in the manner of SPHINCS path
 # reuse. It maps a tree node, by its integer id prefix | 1 << depth, to the
-# parent key and the link bytes that passed ots_verify there; the leaf check
-# (y, isig) is node m | 1 << n. Entries are write-once and chained: a call
-# stores a node only into an empty slot below the cap, and only while every
-# level above it in this call matched its stored link or was stored by this
-# call. So each stored node's parent key is the on-path child key inside its
-# parent node's stored link (vk_root at depth 0). While every level so far
-# has matched, a hit is one in-place compare of the stored link against the
-# blob, since the parent is implied; after the first level that did not, a
-# hit also compares the stored parent against the blob's on-path child key.
-# A hit stands for a check with exactly those inputs; only a miss slices the
-# parent, message and preimages from the blob and calls ots_verify. When a
-# miss meets a stored node and the blob repeats that link's message, the
-# blob's preimages differ from the stored ones, which passed (or only its
-# parent differs), so ots_verify checks first the preimage where the blob
-# departs from the stored link. That orders the checks and skips none: an
-# accept still hashes all L preimages, and the verdict is the AND of the
-# same checks.
+# link bytes that passed ots_verify there; the leaf check (y, isig) is node
+# m | 1 << n. Entries are write-once and chained: a call stores a node only
+# into an empty slot below the cap, and only while every level above it in
+# this call matched its stored link or was stored by this call. So each
+# stored link passed under the on-path child key inside its parent node's
+# stored link (vk_root at depth 0), and while a call stays chained that is
+# the blob's parent key too: a hit is one in-place compare of the stored
+# link against the blob. The store is read only while the call is chained;
+# from the first level that did not match, every level runs ots_verify.
+# Only a check slices the parent, message and preimages from the blob. When
+# a chained level meets a stored node and the blob repeats that link's
+# message, the blob's preimages differ from the stored ones, which passed,
+# so ots_verify checks first the preimage where the blob departs from the
+# stored link. That orders the checks and skips none: an accept still
+# hashes all L preimages, and the verdict is the AND of the same checks.
 def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
     """Whether sig, a TreeSignature or its bytes, signs m under vk.
 
@@ -207,21 +207,20 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
     for t in range(n + 1):
         off = t * step
         node = leaf >> (n - t)
-        hit = store.get(node)
-        # the parent key is vk_root at depth 0, else m's child key in link
-        # t - 1; only a hit after the chain broke needs to compare it
-        if (hit is None or not sig.startswith(hit[1], off) or not chained
-                and not sig.startswith(hit[0], off - step + (node & 1) * vk_len)):
+        hit = store.get(node) if chained else None
+        if hit is None or not sig.startswith(hit, off):
+            # the parent key is vk_root at depth 0, else m's child key in
+            # link t - 1
             parent_at = off - step + (node & 1) * vk_len
             parent = vk.vk_root if t == 0 else sig[parent_at : parent_at + vk_len]
             split = off + (2 * vk_len if t < n else tag_len)
             end = split + sig_len
             first = 0 if hit is None else _first_departure(
-                sig, off, hit[1], split - off, vk.digest_bits)
+                sig, off, hit, split - off, vk.digest_bits)
             if not ots_verify(parent, sig[off:split], sig[split:end],
                               vk.digest_bits, first):
                 return False
             chained = chained and hit is None and len(store) < STORE_CAP
             if chained:
-                store[node] = (parent, sig[off:end])
+                store[node] = sig[off:end]
     return True

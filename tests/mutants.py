@@ -1,0 +1,178 @@
+"""Mutant catalog and runner: each entry deletes one check or breaks one
+invariant by an exact source substitution, and names the tests that must
+fail on it.
+
+    python tests/mutants.py
+
+copies the repository, without caches, to a temporary directory, applies
+each mutant in turn, runs that mutant's killer tests with ``pytest -x -q``
+and prints KILLED or SURVIVED with the time taken. A mutant is killed only
+when its killers run and fail (pytest exit 1); any other pytest exit, such as
+a collection error, is a runner error. It exits 1 if any mutant survives and
+2 on a runner error. It is not part of tier-1; ``tests/test_mutants.py``
+checks there that every entry still applies and every killer exists.
+
+A change that rewrites a mutated line updates its entry and re-states the
+killer; a change that deletes a runtime check or a branch adds an entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    stands_for: str  # the invariant or check the substitution breaks
+    path: str        # relative to the repository root
+    old: str         # occurs exactly once in path
+    new: str
+    killers: tuple[str, ...]  # pytest node ids, relative to the root
+
+
+CATALOG = (
+    Mutant(
+        "payload-phase",
+        "measure_payload keeps each branch's complex amplitude at the outcome",
+        "src/unclonelab/hilbert/hybrid.py",
+        "new[outcome] = vec[outcome]",
+        "new[outcome] = abs(vec[outcome])",
+        ("tests/test_hilbert_hybrid.py::test_measure_payload_collapse",),
+    ),
+    Mutant(
+        "born-floor",
+        "Born weights below PROB_FLOOR are exactly impossible",
+        "src/unclonelab/hilbert/states.py",
+        "probs = np.where(probs < PROB_FLOOR, 0.0, probs)",
+        "probs = np.where(probs < 0.0, 0.0, probs)",
+        ("tests/test_hilbert_states.py::test_born_sample_weights_below_floor_are_exactly_zero",),
+    ),
+    Mutant(
+        "store-read-after-break",
+        "verify reads its link store only while every level so far matched "
+        "it or was stored: a stored link implies its parent key only then",
+        "src/unclonelab/detsig.py",
+        "hit = store.get(node) if chained else None",
+        "hit = store.get(node)",
+        ("tests/test_detsig.py::TestVerifiedLinkStore::test_link_under_replaced_parent_key_rejected",),
+    ),
+    Mutant(
+        "store-write-once",
+        "a stored link is never replaced",
+        "src/unclonelab/detsig.py",
+        "chained = chained and hit is None and len(store) < STORE_CAP",
+        "chained = chained and len(store) < STORE_CAP",
+        ("tests/test_detsig.py::TestStoreRule",),
+    ),
+    Mutant(
+        "store-write-chained",
+        "a link is stored only while every level above it matched its stored "
+        "link or was stored by the same call",
+        "src/unclonelab/detsig.py",
+        "chained = chained and hit is None and len(store) < STORE_CAP",
+        "chained = hit is None and len(store) < STORE_CAP",
+        ("tests/test_detsig.py::TestStoreRule",),
+    ),
+    Mutant(
+        "store-miss-rejects",
+        "a link that differs from the stored one at its node may still be "
+        "valid: a flip can keep the truncated digest",
+        "src/unclonelab/detsig.py",
+        "            if not ots_verify(parent, sig[off:split], sig[split:end],",
+        "            if hit is not None or not ots_verify(parent, sig[off:split], sig[split:end],",
+        ("tests/test_detsig.py::TestSeed2KeptDigestFlips",),
+    ),
+    Mutant(
+        "signer-cap",
+        "the signer's keypair store stops growing at STORE_CAP",
+        "src/unclonelab/detsig.py",
+        "        if len(sk._cache) < STORE_CAP:",
+        "        if True:",
+        ("tests/test_coin.py::TestVerify::test_one_cap_bounds_every_store",),
+    ),
+    Mutant(
+        "ots-extra-sha256",
+        "the verifier's hash count: one sha256 for the message digest",
+        "src/unclonelab/primitives/ots.py",
+        '    # stop at the first preimage that does not hash to its vk entry\n'
+        '    digest = int.from_bytes(sha256(message), "big")',
+        '    # stop at the first preimage that does not hash to its vk entry\n'
+        '    digest = int.from_bytes(sha256(message), "big") + 0 * len(sha256(message))',
+        ("tests/test_detsig.py::TestVerifyWork",),
+    ),
+    Mutant(
+        "ots-skip-last",
+        "ots_verify checks every one of the L preimages",
+        "src/unclonelab/primitives/ots.py",
+        "for i in range(first, first + L):",
+        "for i in range(first, first + L - 1):",
+        ("tests/test_ots.py",),
+    ),
+)
+
+
+def _pytest(tree: Path, tests) -> int:
+    """pytest's exit code for tests run on tree: 0 all passed, 1 some
+    failed, anything else the tests did not run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutant: Mutant, tree: Path) -> int:
+    """pytest's exit code for mutant's killers on tree with mutant applied;
+    tree's file is restored afterwards."""
+    path = tree / mutant.path
+    source = path.read_text()
+    assert source.count(mutant.old) == 1, f"{mutant.name}: old must occur once"
+    path.write_text(source.replace(mutant.old, mutant.new))
+    try:
+        return _pytest(tree, mutant.killers)
+    finally:
+        path.write_text(source)
+
+
+def main() -> int:
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench",
+            "*.pyc", "*.egg-info"))
+        # a killer that fails unmutated would count every mutant as killed
+        killers = dict.fromkeys(k for m in CATALOG for k in m.killers)
+        code = _pytest(tree, killers)
+        if code != 0:
+            print(f"the killer tests exit {code} on the unmutated tree",
+                  file=sys.stderr)
+            return 2
+        for mutant in CATALOG:
+            start = time.perf_counter()
+            code = run(mutant, tree)
+            if code not in (0, 1):
+                print(f"{mutant.name}: the killer tests exit {code} without "
+                      "running to a verdict", file=sys.stderr)
+                return 2
+            killed = code == 1
+            survived += not killed
+            print(f"{'KILLED' if killed else 'SURVIVED':8} {mutant.name:24} "
+                  f"{time.perf_counter() - start:6.1f} s", flush=True)
+    print(f"{len(CATALOG) - survived} of {len(CATALOG)} killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

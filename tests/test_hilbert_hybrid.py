@@ -131,17 +131,22 @@ def test_measure_label_collapses_to_the_observed_label():
 
 
 def test_measure_payload_collapse():
-    rng = make_rng(42)
-    s = HybridState.from_terms(
-        1,
-        [
-            ((0,), 2**-0.5, basis_state(1, 0)),
-            ((1,), 2**-0.5, StateVector(1, [2**-0.5, 2**-0.5])),
-        ],
-    )
-    outcome, post = s.measure_payload(rng)
-    for _, _, payload in branch_items(post):
-        assert abs(abs(payload.amplitudes[outcome]) - 1.0) < 1e-9
+    # three labels whose payload amplitudes carry distinct complex phases:
+    # the post-state keeps each branch's amplitude at the outcome, phase and
+    # all, renormalized over the branches
+    vecs = {(l,): np.exp(0.7j * (l + 1) * np.arange(1, 5)) for l in range(3)}
+    state = HybridState(2, [(l, v / math.sqrt(12)) for l, v in vecs.items()])
+    seen = set()
+    for seed in range(12):
+        outcome, post = state.measure_payload(make_rng(seed))
+        seen.add(outcome)
+        total = math.sqrt(sum(abs(v[outcome]) ** 2 for v in vecs.values()))
+        assert post.labels() == list(vecs)
+        for label, vec in vecs.items():
+            want = np.zeros(4, dtype=complex)
+            want[outcome] = vec[outcome] / total
+            assert np.allclose(post.branch_vector(label), want, atol=1e-12)
+    assert len(seen) > 1
 
 
 def test_canonical_bytes_order_independent():

@@ -12,6 +12,7 @@ from unclonelab.hilbert import measure
 from unclonelab.hilbert.states import (
     StateVector,
     basis_state,
+    born_sample,
     haar_sample,
     state_to_bytes,
 )
@@ -163,3 +164,25 @@ def test_haar_sample_checks_the_dense_cap_before_sampling():
     # a 22-qubit vector alone would take 64 MB
     _, peak = peak_traced_bytes(_rejected, haar_sample, 22, make_rng(0))
     assert peak < 1 << 20
+
+
+class _RecordingGenerator:
+    """Stands in for a generator: choice(k, p=...) records p, returns 0."""
+
+    def __init__(self):
+        self.p = None
+
+    def choice(self, k, p):
+        assert len(p) == k
+        self.p = p
+        return 0
+
+
+def test_born_sample_weights_below_floor_are_exactly_zero():
+    rng = _RecordingGenerator()
+    weights = np.array([0.25, 1e-13, 0.75 - 1e-13])
+    assert born_sample(weights, rng) == 0
+    kept = 1.0 - 1e-13
+    assert rng.p[1] == 0.0
+    assert np.allclose(rng.p, [0.25 / kept, 0.0, (0.75 - 1e-13) / kept],
+                       rtol=0, atol=1e-15)
