@@ -413,12 +413,11 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     from .primitives.hashes import sha256
     from .sde_ue.compiler import (SdeConfig, message_to_bytes, sde_ct_len,
                                   sde_dec, sde_enc, sde_kg, sde_setup)
-    from .sde_ue.fail import FAIL
 
     p = cfg.params
     rng = make_rng(cfg.seed)
     sde = sde_setup(SdeConfig(message_bits=p["message_bits"]), rng)
-    sks = [sde_kg(sde, sde.msk, rng) for _ in range(p["keys"])]
+    sks = [sde_kg(sde, sde.msk, rng.bytes(32)) for _ in range(p["keys"])]
     failures = 0
     for value in range(1 << p["message_bits"]):
         ct = sde_enc(sde, sde.pk, value, rng)
@@ -426,7 +425,7 @@ def _sde_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
             if sde_dec(sde, sk, ct) != message_to_bytes(sde.config, value):
                 failures += 1
     foreign_rejected = sde_dec(sde, sks[0],
-                               bytes(sde_ct_len(sde.config))) is FAIL
+                               bytes(sde_ct_len(sde.config))) is None
     ok = failures == 0 and foreign_rejected
     results = {
         "message_bits": p["message_bits"],
@@ -454,12 +453,12 @@ def _ue_demo(cfg: ExperimentConfig) -> tuple[dict, bool]:
     space = 1 << p["message_bits"]
     failures = 0
     for value in range(space):
-        ct = ue_enc(sde, keys.ek, value, rng)
+        ct = ue_enc(sde, keys.ek, value, rng.bytes(32))
         if ue_dec(sde, keys.dk, ct) != message_to_bytes(sde.config, value):
             failures += 1
     shared = rng.bytes(32)
-    a = ue_enc(sde, keys.ek, 1, kg_randomness=shared)
-    b = ue_enc(sde, keys.ek, 1, kg_randomness=shared)
+    a = ue_enc(sde, keys.ek, 1, shared)
+    b = ue_enc(sde, keys.ek, 1, shared)
     determined = (a.masked == b.masked
                   and a.sde_sk.one_pk == b.sde_sk.one_pk)
     wrapper = ue_ekdk_transform(sde)

@@ -1,10 +1,10 @@
 """Quantum-coin constructions over the toy subspace banknotes.
 
-Both variants issue one fixed pure state: a superposition over an id
-register whose branch x carries the serial number, a signature over it,
-and the banknote payload, all derived deterministically from the secret
-key. The prs variant weights branch x by a pseudorandom binary phase;
-the eqsup variant uses uniform amplitudes.
+Both variants issue one fixed pure state, and a coin is that HybridState:
+a superposition over an id register whose branch x carries the serial
+number, a signature over it, and the banknote payload, all derived
+deterministically from the secret key. The prs variant weights branch x
+by a pseudorandom binary phase; the eqsup variant uses uniform amplitudes.
 
 Verification is realized as exact projector arithmetic: the acceptance
 projector keeps branches whose signature verifies and projects their
@@ -82,11 +82,6 @@ class CoinVerifyKey:
                             compare=False)
 
 
-@dataclass(frozen=True)
-class Coin:
-    state: HybridState
-
-
 def _sn_message(sn: bytes) -> int:
     digest = hashlib.sha256(sn).digest()
     return int.from_bytes(digest[: SN_MESSAGE_BITS // 8], "big")
@@ -111,7 +106,7 @@ def coin_setup(variant: str, params: CoinParams, rng: np.random.Generator
     )
 
 
-def gen_banknote(sk: CoinSecretKey) -> Coin:
+def gen_banknote(sk: CoinSecretKey) -> HybridState:
     """One coin: branch x holds |x, sn_x, sig_x> with the banknote payload.
 
     Everything downstream of the keys is deterministic, so repeated calls
@@ -127,7 +122,7 @@ def gen_banknote(sk: CoinSecretKey) -> Coin:
         bank = mini_gen(sk.mini_n, rand)
         sig = detsig.sign(sk.sgk, _sn_message(bank.sn))
         terms.append(((x, bank.sn, sig.to_bytes()), complex(amps[x]), bank.note))
-    return Coin(HybridState.from_terms(sk.mini_n, terms))
+    return HybridState.from_terms(sk.mini_n, terms)
 
 
 def _accept_vector(vk: CoinVerifyKey, sn: bytes, sig: bytes) -> np.ndarray | None:
@@ -233,7 +228,7 @@ def _mint(variant: str, t: int, params: CoinParams,
     only the verify key."""
     vk, sk = coin_setup(variant, params, rng)
     # gen_banknote is deterministic: derive the state once, issue it t times
-    return vk, [gen_banknote(sk).state] * t if t else []
+    return vk, [gen_banknote(sk)] * t if t else []
 
 
 def counterfeit_game(variant: str, t: int, attack, rng: np.random.Generator,

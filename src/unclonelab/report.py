@@ -33,10 +33,10 @@ from . import __version__
 
 SCHEMA_VERSION = 1
 
-# wall time is the one nondeterministic field; these patterns excise it
-# from either rendering without disturbing the rest of the bytes
-_WALL_JSON = re.compile(r',?\n\s*"wall_time_s": [0-9eE+.-]+')
-_WALL_CSV = re.compile(r"^wall_time_s,[^\n]*\n?", re.MULTILINE)
+# wall time is the one nondeterministic field; both searches start at its
+# literal name, and strip_wall_time widens a match to the whole entry
+_WALL_JSON = re.compile(r'"wall_time_s": [0-9eE+.-]+')
+_WALL_CSV = re.compile(r"wall_time_s,[^\n]*\n?")
 
 
 def plain(value):
@@ -96,6 +96,28 @@ def render(report: dict, fmt: str) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _csv_row(m: re.Match) -> str:
+    at = m.start()
+    return "" if m.string[at - 1:at] in ("", "\n") else m.group()
+
+
 def strip_wall_time(text: str) -> str:
-    """Drop the wall-time entry so rendered reports can be compared."""
-    return _WALL_CSV.sub("", _WALL_JSON.sub("", text))
+    """Drop the wall-time entry so rendered reports can be compared.
+
+    A JSON entry goes from the first newline of the whitespace before it,
+    or from a comma just before that newline; a CSV row goes only where
+    it starts a line. The CSV pass reads the JSON pass's output."""
+    parts, keep = [], 0
+    for m in _WALL_JSON.finditer(text):
+        start = m.start()
+        while start > keep and text[start - 1].isspace():
+            start -= 1
+        cut = text.find("\n", start, m.start())
+        if cut < 0:
+            continue
+        if text[cut - 1:cut] == ",":
+            cut -= 1
+        parts.append(text[keep:cut])
+        keep = m.end()
+    parts.append(text[keep:])
+    return _WALL_CSV.sub(_csv_row, "".join(parts))

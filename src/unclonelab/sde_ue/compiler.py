@@ -7,9 +7,10 @@ ciphertext is a functional sealing of (message, PRF key, mode, spare
 public-key slot, spare ciphertext slot). Honest encryption always seals
 mode 0 with zeroed spare slots; the other modes and slots exist so that
 the re-encryption function's full branch table is exercised directly in
-tests. Decryption applies the functional key, which re-encrypts the
-message under the wrapped single-key instance with PRF-derived
-randomness, and then opens that inner ciphertext.
+tests. Key generation is a function of its randomness bytes. Decryption
+applies the functional key, which re-encrypts the message under the
+wrapped single-key instance with PRF-derived randomness, then opens that
+inner ciphertext; None stands for a failed MAC at either layer.
 
 The re-encryption branch table, given constants one_pk with tag t and
 input fields (m, K, mode, one_pk', one_ct*), with t' the tag of
@@ -41,7 +42,6 @@ from ..primitives.pprf import (
     pprf_key_from_bytes,
     pprf_key_to_bytes,
 )
-from .fail import FAIL
 from .mockfe import MockFe, fe_ct_len, fe_dec, fe_enc, fe_kg, fe_setup
 from .onesde import (
     MockOneSde,
@@ -99,14 +99,12 @@ class ReInput:
 
 def message_to_bytes(config: SdeConfig, m) -> bytes:
     """Normalize an int or bytes message to the configured width."""
-    if isinstance(m, (bytes, bytearray)):
-        m = bytes(m)
+    value = m
+    if isinstance(m, bytes):
         if len(m) != config.msg_len:
             raise ValueError(f"message must be {config.msg_len} bytes")
         value = int.from_bytes(m, "big")
-    elif isinstance(m, int):
-        value = m
-    else:
+    elif not isinstance(m, int):
         raise ValueError("message must be int or bytes")
     if not 0 <= value < (1 << config.message_bits):
         raise ValueError(f"message out of range for {config.message_bits} bits")
@@ -152,10 +150,9 @@ def _prf_randomness(key: PprfKey, one_pk: bytes) -> bytes:
     return pprf_eval(key, point)
 
 
-def re_eval(one: MockOneSde, x, config: SdeConfig) -> bytes:
-    """Run the re-encryption branch table for the instance one."""
-    if isinstance(x, (bytes, bytearray)):
-        x = re_input_from_bytes(bytes(x), config)
+def re_eval(one: MockOneSde, data: bytes, config: SdeConfig) -> bytes:
+    """Run the re-encryption branch table of instance one on encoded input."""
+    x = re_input_from_bytes(data, config)
     if x.mode not in (0, 1, 2):
         raise ValueError(f"malformed mode {x.mode}")
     rand = _prf_randomness(pprf_key_from_bytes(x.key), one.one_pk)
@@ -201,21 +198,14 @@ def sde_setup(config: SdeConfig, rng: np.random.Generator) -> Sde:
     return Sde(fe=fe_setup(rng), config=config)
 
 
-def sde_kg(sde: Sde, msk: bytes, rng: np.random.Generator | None = None, *,
-           randomness: bytes | None = None) -> SdeSecretKey:
+def sde_kg(sde: Sde, msk: bytes, randomness: bytes) -> SdeSecretKey:
     """Issue a decryption key: fresh single-key instance + functional key.
 
-    With explicit randomness the output is classically determined: the
-    same bytes reproduce the same instance, note amplitudes, and key
-    handle.
+    The output is classically determined: the same randomness bytes
+    reproduce the same instance, note amplitudes, and key handle.
     """
     config = sde.config
-    if randomness is not None:
-        one = one_setup(config.mini_n, randomness)
-    elif rng is not None:
-        one = one_setup(config.mini_n, rng.bytes(32))
-    else:
-        raise ValueError("sde_kg needs an rng or explicit randomness")
+    one = one_setup(config.mini_n, randomness)
 
     def fn(xb: bytes) -> bytes:
         return re_eval(one, xb, config)
@@ -241,11 +231,9 @@ def sde_enc(sde: Sde, pk: bytes, m, rng: np.random.Generator) -> bytes:
 
 
 def sde_dec(sde: Sde, sk: SdeSecretKey, ct: bytes):
-    """Decrypt via the functional key; FAIL on foreign ciphertexts."""
+    """Decrypt via the functional key; None on foreign ciphertexts."""
     inner = fe_dec(sde.fe, sk.fsk, ct)
-    if inner is FAIL:
-        return FAIL
-    return one_dec(sk.one_sk, inner)
+    return None if inner is None else one_dec(sk.one_sk, inner)
 
 
 def sde_ct_len(config: SdeConfig) -> int:

@@ -21,12 +21,12 @@ Games:
   identical-challenge  one message is sampled and encrypted once; every
                        decryptor runs on that same ciphertext and must
                        output the message.
-  multi-challenge-ue   q independent ciphertexts of one message go to
-                       the adversary, which splits a state into q+1
-                       registers; each party then receives the
-                       decryption key and must output the message.
+  multi-challenge-ue   q ciphertexts of one message, each under 32 fresh
+                       key-generation bytes, go to the adversary, which
+                       splits a state into q+1 registers; each party then
+                       receives the decryption key and must output it.
   multi-copy-ue        as above with q exact copies generated under one
-                       explicit randomness; the harness checks the
+                       draw of those bytes; the harness checks the
                        copies are branch-identical before proceeding.
 
 The distinguishing-test challenge family is balanced over the coin, so
@@ -60,7 +60,6 @@ from .compiler import (
     sde_kg,
     sde_setup,
 )
-from .fail import FAIL
 from .ue import UeCiphertext, ue_dec, ue_enc, ue_kg
 
 MAX_Q = 3
@@ -180,7 +179,7 @@ def _test_registers(decs, test, line, transcript):
 
 def _run_key_game(game, adversary, q, gamma, rng, config, samples):
     sde = sde_setup(config, rng)
-    sks = tuple(sde_kg(sde, sde.msk, rng) for _ in range(q))
+    sks = tuple(sde_kg(sde, sde.msk, rng.bytes(32)) for _ in range(q))
     transcript = [
         "step 1: setup ran; public key sent to adversary",
         f"step 2: adversary sent 1^{q}; {q} decryption keys issued and sent",
@@ -245,9 +244,7 @@ def _run_ue_game(game, adversary, q, gamma, rng, config, samples):
     m = random_message(config, rng)
     if game == "multi-copy-ue":
         kg_randomness = rng.bytes(32)
-        cts = tuple(
-            ue_enc(sde, keys.ek, m, kg_randomness=kg_randomness) for _ in range(q)
-        )
+        cts = tuple(ue_enc(sde, keys.ek, m, kg_randomness) for _ in range(q))
         first = cts[0]
         for ct in cts[1:]:
             same = (
@@ -263,7 +260,7 @@ def _run_ue_game(game, adversary, q, gamma, rng, config, samples):
             f"randomness sent"
         )
     else:
-        cts = tuple(ue_enc(sde, keys.ek, m, rng) for _ in range(q))
+        cts = tuple(ue_enc(sde, keys.ek, m, rng.bytes(32)) for _ in range(q))
         transcript.append(
             f"step 3: one message sampled; {q} independent ciphertexts sent"
         )
@@ -357,7 +354,7 @@ def _decoder(view: GameView, i: int):
 
     def decode(challenge, z):
         m = run(challenge)
-        return m if m is not FAIL else blank
+        return m if m is not None else blank
 
     return decode
 

@@ -3,11 +3,11 @@
 A ciphertext seals the plaintext under an authenticated symmetric layer
 (sha256 keystream plus HMAC) held by the scheme instance. Functional
 decryption keys are handles into a registry of python callables; Dec
-authenticates the ciphertext, recovers the plaintext, and applies the
-registered function. Anyone holding the instance can decrypt anything,
-so the hiding property is explicitly vacuous. What the mock preserves
-is the data flow Dec(KG(msk, f), Enc(pk, x)) = f(x), which is the part
-the surrounding compiler exercises.
+authenticates the ciphertext (None if the MAC fails), recovers the
+plaintext, and applies the registered function. Anyone holding the
+instance can decrypt anything, so the hiding property is explicitly
+vacuous. What the mock preserves is the data flow
+Dec(KG(msk, f), Enc(pk, x)) = f(x), the part the compiler exercises.
 
 Key handles are random bytes checked on use: passing keys from one
 instance to another fails loudly instead of silently decrypting under
@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from ..primitives.hashes import expand_stream, sha256, xor_bytes
-from .fail import FAIL
 
 _NONCE_LEN = 16
 _MAC_LEN = 16
@@ -89,17 +88,17 @@ def fe_ct_len(plaintext_len: int) -> int:
 
 
 def fe_dec(fe: MockFe, fsk: bytes, ct: bytes):
-    """Authenticate ct, recover x, and return fn(x); FAIL on foreign bytes."""
+    """Authenticate ct, recover x, and return fn(x); None on foreign bytes."""
     if fsk not in fe.issued_keys:
         raise ValueError("unknown functional key handle")
     if len(ct) < _NONCE_LEN + _MAC_LEN:
-        return FAIL
+        return None
     nonce = ct[:_NONCE_LEN]
     body = ct[_NONCE_LEN:-_MAC_LEN]
     mac = ct[-_MAC_LEN:]
     want = hmac.new(fe._seal_key, nonce + body, "sha256").digest()[:_MAC_LEN]
     if not hmac.compare_digest(mac, want):
-        return FAIL
+        return None
     x = xor_bytes(body, _keystream(fe._seal_key, nonce, len(body)))
     _, fn = fe.issued_keys[fsk]
     return fn(x)

@@ -15,7 +15,7 @@ reproduce the same tag, token, subspace, and therefore the same note
 amplitudes. Encryption takes explicit randomness for the same reason,
 so a caller deriving it from a PRF gets bit-identical ciphertexts.
 
-Dec authenticates the token via the ciphertext MAC and returns FAIL on
+Dec authenticates the token via the ciphertext MAC and returns None on
 foreign bytes. It does not measure the note, where a real scheme would
 consume its quantum key.
 """
@@ -34,7 +34,6 @@ from ..minischeme import (
     subspace_from_randomness,
 )
 from ..primitives.hashes import expand_stream, sha256, xor_bytes
-from .fail import FAIL
 
 TAG_LEN = 16
 _TOKEN_LEN = 16
@@ -94,15 +93,15 @@ def one_enc(pk: bytes, m: bytes, randomness: bytes) -> bytes:
 
 
 def one_dec(one_sk: tuple[StateVector, bytes], ct: bytes):
-    """Token-check ct and recover m; FAIL on foreign bytes."""
+    """Token-check ct and recover m; None on foreign bytes."""
     _, token = one_sk
     if len(ct) < _ENC_R_LEN + _MAC_LEN:
-        return FAIL
+        return None
     r = ct[:_ENC_R_LEN]
     body = ct[_ENC_R_LEN:-_MAC_LEN]
     mac = ct[-_MAC_LEN:]
     want = hmac.new(token, r + body, "sha256").digest()[:_MAC_LEN]
     if not hmac.compare_digest(mac, want):
-        return FAIL
+        return None
     stream = expand_stream(sha256(b"onectr" + token + r), len(body))
     return xor_bytes(body, stream)

@@ -8,9 +8,8 @@ with the shipped instance and strip the pad. The quantum part of a
 ciphertext is therefore the issued key's banknote state, which is what
 makes the ciphertext the unclonable object in this layer.
 
-ue_enc is classically determined whenever the caller supplies the key
-generation randomness explicitly: the same bytes reproduce the same
-instance (note amplitudes included) and the masking is deterministic.
+ue_enc is a deterministic function of its inputs, note amplitudes
+included; ue_dec returns None on bytes it cannot authenticate.
 
 The ekdk wrapper makes the two keys identical: both become a random
 string s as long as a decryption key, and each ciphertext carries the
@@ -34,7 +33,6 @@ from .compiler import (
     sde_enc,
     sde_kg,
 )
-from .fail import FAIL
 
 
 @dataclass(frozen=True)
@@ -58,19 +56,17 @@ def ue_kg(sde: Sde, rng: np.random.Generator) -> UeKeys:
 
 
 def ue_enc(sde: Sde, ek: tuple[bytes, bytes], m,
-           rng: np.random.Generator | None = None, *,
-           kg_randomness: bytes | None = None) -> UeCiphertext:
+           kg_randomness: bytes) -> UeCiphertext:
+    """Issue a key from kg_randomness and mask m; deterministic in its inputs."""
     msk, s = ek
     m = message_to_bytes(sde.config, m)
-    sk = sde_kg(sde, msk, rng, randomness=kg_randomness)
+    sk = sde_kg(sde, msk, kg_randomness)
     return UeCiphertext(sde_sk=sk, masked=xor_bytes(m, s))
 
 
 def ue_dec(sde: Sde, dk: bytes, ct: UeCiphertext):
     s = sde_dec(sde, ct.sde_sk, dk)
-    if s is FAIL:
-        return FAIL
-    return xor_bytes(ct.masked, s)
+    return None if s is None else xor_bytes(ct.masked, s)
 
 
 # -- identical encryption and decryption keys ---------------------------------
@@ -99,7 +95,7 @@ class EkdkUe:
         if len(ek_prime) != self.pad_len:
             raise ValueError(f"key must be {self.pad_len} bytes")
         keys = ue_kg(self.sde, rng)
-        inner = ue_enc(self.sde, keys.ek, m, rng)
+        inner = ue_enc(self.sde, keys.ek, m, rng.bytes(32))
         return EkdkCiphertext(inner=inner, pad=xor_bytes(keys.dk, ek_prime))
 
     def dec(self, dk_prime: bytes, ct: EkdkCiphertext):

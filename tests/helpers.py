@@ -4,6 +4,7 @@ library routines that the library now computes another way."""
 import functools
 import itertools
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import dataclass
@@ -262,3 +263,14 @@ def small_range_states(params: SmallRangeParams, query_amplitudes: list[np.ndarr
     )
     overlap = abs(phi.inner(phi0)) ** 2
     return phi, phi0, float(overlap)
+
+
+# report.strip_wall_time's reference: the JSON entry with the newline that
+# opens it, the whitespace after and an optional comma before, then a CSV
+# row that starts a line, each pass a regex without a literal prefix
+_WALL_JSON = re.compile(r',?\n\s*"wall_time_s": [0-9eE+.-]+')
+_WALL_CSV = re.compile(r"^wall_time_s,[^\n]*\n?", re.MULTILINE)
+
+
+def strip_wall_time_regex(text: str) -> str:
+    return _WALL_CSV.sub("", _WALL_JSON.sub("", text))

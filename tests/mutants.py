@@ -118,6 +118,133 @@ CATALOG = (
         "for i in range(first, first + L - 1):",
         ("tests/test_ots.py",),
     ),
+    Mutant(
+        "pprf-copath-seed",
+        "a punctured key agrees with the full key off the punctured set",
+        "src/unclonelab/primitives/pprf.py",
+        "copath[(depth, child)] = prg_child(seed, bit)",
+        "copath[(depth, child)] = prg_child(seed, 1 - bit)",
+        ("tests/test_pprf.py::TestPuncturedCorrectness::test_exhaustive_l1_4_all_sets_up_to_3",),
+    ),
+    Mutant(
+        "measure-collapse",
+        "states.measure collapses onto the observed outcome",
+        "src/unclonelab/hilbert/states.py",
+        "amps = np.where(keep, state.amplitudes, 0.0)",
+        "amps = np.array(state.amplitudes)",
+        ("tests/test_hilbert_states.py::test_measure_collapses_entangled_pair",),
+    ),
+    Mutant(
+        "coin-honest-accept",
+        "coin_verify accepts an honest coin with bit 1",
+        "src/unclonelab/coin.py",
+        "bit = 1 if prob >= 1.0 - 1e-9 else 0",
+        "bit = 1 if prob >= 1.0 + 1e-9 else 0",
+        ("tests/test_coin.py::TestVerify::test_honest_coin_accepted_exactly",),
+    ),
+    Mutant(
+        "cluster-tolerance",
+        "eigensolver values within EIG_ATOL form one eigenvalue",
+        "src/unclonelab/hilbert/povm.py",
+        "eigs[start] - eigs[i] > EIG_ATOL",
+        "eigs[start] - eigs[i] > 0.0",
+        ("tests/test_hilbert_povm.py::test_projimp_of_near_tolerance_clusters",),
+    ),
+    Mutant(
+        "threshold-compare",
+        "a threshold test passes when the eigenvalue equals the threshold",
+        "src/unclonelab/hilbert/povm.py",
+        "return int(pi.eigenvalues[outcome] >= threshold), post",
+        "return int(pi.eigenvalues[outcome] > threshold), post",
+        ("tests/test_sde_ue.py::TestGameOutcomes::test_perfect_decryptors_distinguishing",),
+    ),
+    Mutant(
+        "register-bit-order",
+        "a register's qubits are read most significant first",
+        "src/unclonelab/hilbert/states.py",
+        "bit = (indices >> (num_qubits - 1 - q)) & 1",
+        "bit = (indices >> q) & 1",
+        ("tests/test_measurement_kernels.py::test_register_basis_measurement_matches_dense_projectors",),
+    ),
+    Mutant(
+        "zero-pad-payload",
+        "the zero-pad attack pads with the all-zero payload",
+        "src/unclonelab/coin.py",
+        "(observed, 1.0, basis_state(vk.mini_n, 0))",
+        "(observed, 1.0, basis_state(vk.mini_n, 1))",
+        ("tests/test_coin.py::TestCounterfeitGame::test_zero_pad_rate_near_envelope",),
+    ),
+    Mutant(
+        "coin-store-rejects",
+        "the coin verify key never stores a rejected label",
+        "src/unclonelab/coin.py",
+        "    if not detsig.verify(vk.vk, _sn_message(sn), sig):\n"
+        "        return None\n",
+        "    if not detsig.verify(vk.vk, _sn_message(sn), sig):\n"
+        "        vk._accepted[key] = None\n"
+        "        return None\n",
+        ("tests/test_coin.py::TestVerify::test_only_accepted_signatures_remembered",),
+    ),
+    Mutant(
+        "hybrid-floor",
+        "a HybridState drops branches whose norm is below PROB_FLOOR",
+        "src/unclonelab/hilbert/hybrid.py",
+        "if not np.linalg.norm(vec) < PROB_FLOOR:",
+        "if not np.linalg.norm(vec) < 0.0:",
+        ("tests/test_hilbert_hybrid.py::test_merge_cancellation_drops_branch",),
+    ),
+    Mutant(
+        "mini-reject-norm",
+        "mini_verify renormalizes a rejected post-state by 1 - p",
+        "src/unclonelab/minischeme.py",
+        "post /= np.sqrt(max(1 - p, 1e-300))",
+        "post /= np.sqrt(max(p, 1e-300))",
+        ("tests/test_minischeme.py::TestVerify::test_zero_state_empirical_rate",),
+    ),
+    Mutant(
+        "srd-stderr",
+        "the SRD stderr takes the larger of the two binomial variances",
+        "src/unclonelab/purify.py",
+        '"stderr": math.sqrt(max(p_small * (1 - p_small), p_full * (1 - p_full))',
+        '"stderr": math.sqrt(min(p_small * (1 - p_small), p_full * (1 - p_full))',
+        ("tests/test_report_digests.py",),
+    ),
+    Mutant(
+        "one-dec-mac",
+        "one_dec returns None on bytes whose MAC fails, not their plaintext",
+        "src/unclonelab/sde_ue/onesde.py",
+        "    if not hmac.compare_digest(mac, want):\n"
+        "        return None\n"
+        '    stream = expand_stream(sha256(b"onectr" + token + r), len(body))',
+        '    stream = expand_stream(sha256(b"onectr" + token + r), len(body))',
+        ("tests/test_sde_ue.py::TestMockOne::test_foreign_ciphertext_fails",),
+    ),
+    Mutant(
+        "sde-dec-bottom",
+        "sde_dec's failure symbol is None, not an empty message",
+        "src/unclonelab/sde_ue/compiler.py",
+        "return None if inner is None else one_dec(sk.one_sk, inner)",
+        'return b"" if inner is None else one_dec(sk.one_sk, inner)',
+        ("tests/test_sde_ue.py::TestSde::test_foreign_ciphertexts_fail",),
+    ),
+    Mutant(
+        "one-setup-length",
+        "one_setup, and so sde_kg, refuses randomness under "
+        "MIN_SETUP_RANDOMNESS bytes",
+        "src/unclonelab/sde_ue/onesde.py",
+        "if len(randomness) < MIN_SETUP_RANDOMNESS:",
+        "if False:",
+        ("tests/test_sde_ue.py::TestMockOne::test_parameter_errors",),
+    ),
+    Mutant(
+        "strip-comma",
+        "strip_wall_time removes the comma before a JSON wall-time entry",
+        "src/unclonelab/report.py",
+        '        if text[cut - 1:cut] == ",":\n'
+        "            cut -= 1\n",
+        "",
+        ("tests/test_cli.py::TestReportModule::test_strip_wall_time_matches_regex_reference",),
+    ),
 )
 
 

@@ -41,6 +41,7 @@ from unclonelab.sde_ue.compiler import (
     SdeConfig,
     message_to_bytes,
     re_eval,
+    re_input_to_bytes,
     sde_dec,
     sde_enc,
     sde_kg,
@@ -192,10 +193,10 @@ def test_criterion_06_coin_correctness():
             vk, sk = coin_setup(variant, CoinParams(), rng)
             first = gen_banknote(sk)
             second = gen_banknote(sk)
-            assert first.state.inner(second.state) == 1.0
-            bit, post, p = coin_verify(vk, first.state)
+            assert first.inner(second) == 1.0
+            bit, post, p = coin_verify(vk, first)
             assert (bit, p) == (1, 1.0)
-            assert post.allclose(first.state)
+            assert post.allclose(first)
             setups += 1
     assert setups == 50
     print("criterion 6 PASS: 50 setups across both variants, honest "
@@ -274,7 +275,7 @@ def test_criterion_09_sde_ue_wiring():
     rng = make_rng(213)
 
     sde = sde_setup(config, rng)
-    keys = [sde_kg(sde, sde.msk, rng) for _ in range(5)]
+    keys = [sde_kg(sde, sde.msk, rng.bytes(32)) for _ in range(5)]
     round_trip_failures = 0
     for value in range(16):
         ct = sde_enc(sde, sde.pk, value, rng)
@@ -299,7 +300,8 @@ def test_criterion_09_sde_ue_wiring():
                     one_pk=other_pk,
                     one_ct=bytes(rng.bytes(config.inner_ct_len)),
                 )
-                assert re_eval(one, x, config) == _re_oracle(one, x)
+                data = re_input_to_bytes(x, config)
+                assert re_eval(one, data, config) == _re_oracle(one, x)
                 cases += 1
     assert cases == 3 * 3 * 16
 
@@ -307,7 +309,7 @@ def test_criterion_09_sde_ue_wiring():
     ue_failures = 0
     for _ in range(100):
         value = int(rng.integers(0, 16))
-        ct = ue_enc(sde, ue_keys.ek, value, rng)
+        ct = ue_enc(sde, ue_keys.ek, value, rng.bytes(32))
         if ue_dec(sde, ue_keys.dk, ct) != bytes([value]):
             ue_failures += 1
     assert ue_failures == 0
@@ -324,8 +326,8 @@ def test_criterion_09_sde_ue_wiring():
     assert ekdk_failures == 0
 
     shared = rng.bytes(32)
-    a = ue_enc(sde, ue_keys.ek, 5, kg_randomness=shared)
-    b = ue_enc(sde, ue_keys.ek, 5, kg_randomness=shared)
+    a = ue_enc(sde, ue_keys.ek, 5, shared)
+    b = ue_enc(sde, ue_keys.ek, 5, shared)
     assert a.masked == b.masked
     assert a.sde_sk.fsk == b.sde_sk.fsk
     assert a.sde_sk.one_pk == b.sde_sk.one_pk

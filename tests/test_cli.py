@@ -18,10 +18,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import peak_traced_bytes
+from helpers import peak_traced_bytes, strip_wall_time_regex
 from unclonelab import cli, report
 from unclonelab.cli import (
     EXPERIMENTS,
@@ -801,6 +801,21 @@ class TestReportModule:
         other = report.render_csv(
             report.build_report("x", {}, {"v": 1}, 1, 9.876))
         assert report.strip_wall_time(other) == stripped
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from((
+        '"wall_time_s": ', "wall_time_s,", ",", "\n", " ", "\t", "\u2003",
+        "\x1c", "1", "2.5e-3", "-", "x", '"', "}")), max_size=24).map("".join))
+    # no comma; a whitespace run holding several newlines; a CSV row at the
+    # start; one at the end without a newline; a comma that the JSON pass
+    # removes to put a CSV row at a line start
+    @example('{\n  "v": 1\n  "wall_time_s": 0.5\n}\n')
+    @example('{"v": 1, \n\t\n \u2003\n\x1c "wall_time_s": 2e-05}')
+    @example("wall_time_s,0.5\nkey,value\n")
+    @example("key,value\nwall_time_s,0.5")
+    @example('\n,\n"wall_time_s": 1wall_time_s,3\nx')
+    def test_strip_wall_time_matches_regex_reference(self, text):
+        assert report.strip_wall_time(text) == strip_wall_time_regex(text)
 
     def test_csv_layout(self):
         rep = report.build_report("x", {"n": 2}, {"xs": [1, 2]}, 7, 0.1)

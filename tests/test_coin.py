@@ -19,7 +19,6 @@ from helpers import branch_items, canonical_bytes, map_labels, peak_traced_bytes
 from unclonelab import coin, detsig
 from unclonelab.coin import (
     ATTACKS,
-    Coin,
     CoinParams,
     coin_setup,
     coin_verify,
@@ -60,8 +59,8 @@ class TestSetup:
     def test_fixed_seed_determinism(self):
         a = coin_setup("eqsup", CoinParams(), make_rng(77))
         b = coin_setup("eqsup", CoinParams(), make_rng(77))
-        coin_a = gen_banknote(a[1]).state
-        coin_b = gen_banknote(b[1]).state
+        coin_a = gen_banknote(a[1])
+        coin_b = gen_banknote(b[1])
         assert coin_a.allclose(coin_b)
         assert coin_a.labels() == coin_b.labels()
 
@@ -83,14 +82,14 @@ class TestGenBanknote:
     def test_returns_fixed_pure_state(self, eqsup_instance):
         _, sk, coin = eqsup_instance
         again = gen_banknote(sk)
-        assert isinstance(coin, Coin)
-        assert coin.state.allclose(again.state)
-        assert coin.state.inner(again.state) == 1.0
-        assert coin.state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert isinstance(coin, HybridState)
+        assert coin.allclose(again)
+        assert coin.inner(again) == 1.0
+        assert coin.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_count_and_label_shape(self, eqsup_instance):
         _, sk, coin = eqsup_instance
-        labels = coin.state.labels()
+        labels = coin.labels()
         assert len(labels) == 1 << sk.id_bits
         assert sorted(lab[0] for lab in labels) == list(range(16))
         for lab in labels:
@@ -99,23 +98,23 @@ class TestGenBanknote:
     def test_branches_recomputable_from_secret_key(self, eqsup_instance):
         # independent walk: PRF randomness, banknote, signature per id
         vk, sk, coin = eqsup_instance
-        for x, sn, sig in coin.state.labels():
+        for x, sn, sig in coin.labels():
             bank = mini_gen(sk.mini_n, pprf_eval(sk.prf, x))
             assert sn == bank.sn
             expected = detsig.sign(sk.sgk, _sn_msg(sn)).to_bytes()
             assert sig == expected
             assert detsig.verify(vk.vk, _sn_msg(sn), sig)
-            vec = coin.state.branch_vector((x, sn, sig))
+            vec = coin.branch_vector((x, sn, sig))
             assert np.allclose(vec, 0.25 * bank.note.amplitudes)
 
     def test_eqsup_amplitudes_exactly_uniform(self, eqsup_instance):
         _, _, coin = eqsup_instance
-        for _, amp, _ in branch_items(coin.state):
+        for _, amp, _ in branch_items(coin):
             assert abs(amp) == 0.25
 
     def test_prs_amplitudes_signed_uniform(self, prs_instance):
         _, _, coin = prs_instance
-        for _, amp, _ in branch_items(coin.state):
+        for _, amp, _ in branch_items(coin):
             assert abs(amp) == 0.25
 
     @pytest.mark.parametrize("variant, calls", [("eqsup", 113_076),
@@ -146,14 +145,14 @@ def _sn_msg(sn: bytes) -> int:
 class TestVerify:
     def test_honest_coin_accepted_exactly(self, eqsup_instance, prs_instance):
         for vk, _, coin in (eqsup_instance, prs_instance):
-            bit, post, p = coin_verify(vk, coin.state)
+            bit, post, p = coin_verify(vk, coin)
             assert bit == 1
             assert p == 1.0
-            assert post.allclose(coin.state)
+            assert post.allclose(coin)
 
     def test_idempotent_on_accepted_states(self, eqsup_instance):
         vk, _, coin = eqsup_instance
-        _, post, _ = coin_verify(vk, coin.state)
+        _, post, _ = coin_verify(vk, coin)
         bit2, post2, p2 = coin_verify(vk, post)
         assert bit2 == 1
         assert p2 == pytest.approx(1.0, abs=1e-12)
@@ -161,10 +160,10 @@ class TestVerify:
 
     def test_flipped_sig_byte_costs_that_branch(self, eqsup_instance):
         vk, _, coin = eqsup_instance
-        x0, sn0, sig0 = coin.state.labels()[0]
+        x0, sn0, sig0 = coin.labels()[0]
         bad = bytes([sig0[0] ^ 1]) + sig0[1:]
         tampered = map_labels(
-            coin.state, lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
+            coin, lambda lab: (lab[0], lab[1], bad) if lab[0] == x0 else lab)
         bit, post, p = coin_verify(vk, tampered)
         assert bit == 0
         assert p == 1.0 - 0.25**2
@@ -173,7 +172,7 @@ class TestVerify:
 
     def test_only_accepted_signatures_remembered(self):
         vk, sk = coin_setup("eqsup", CoinParams(), make_rng(103))
-        state = gen_banknote(sk).state
+        state = gen_banknote(sk)
         x0, sn0, sig0 = state.labels()[0]
         bad = sig0[:-1] + bytes([sig0[-1] ^ 1])
         tampered = map_labels(
@@ -188,10 +187,10 @@ class TestVerify:
 
     def test_one_cap_bounds_every_store(self, monkeypatch):
         _, want_sk = coin_setup("eqsup", CoinParams(), make_rng(104))
-        want = gen_banknote(want_sk).state
+        want = gen_banknote(want_sk)
         monkeypatch.setattr(detsig, "STORE_CAP", 3)
         vk, sk = coin_setup("eqsup", CoinParams(), make_rng(104))
-        state = gen_banknote(sk).state
+        state = gen_banknote(sk)
         # signing past the cap derives the same keys it no longer keeps
         assert state.labels() == want.labels()
         assert len(sk.sgk._cache) == 3
@@ -202,7 +201,7 @@ class TestVerify:
 
     def test_zero_padded_forgery_probability(self, eqsup_instance):
         vk, _, coin = eqsup_instance
-        x0, sn0, sig0 = coin.state.labels()[0]
+        x0, sn0, sig0 = coin.labels()[0]
         forged = HybridState.from_terms(
             vk.mini_n, [((x0, sn0, sig0), 1.0, basis_state(vk.mini_n, 0))])
         bit, post, p = coin_verify(vk, forged)
@@ -224,14 +223,14 @@ class TestVerify:
             coin_verify(vk, HybridState.from_terms(
                 2, [((0, b"", b""), 1.0, basis_state(2, 0))]))
         with pytest.raises(ValueError):
-            coin_verify(vk, map_labels(coin.state, lambda lab: lab[:2]))
+            coin_verify(vk, map_labels(coin, lambda lab: lab[:2]))
 
     def test_honest_acceptance_random_setups(self):
         rng = make_rng(103)
         for i in range(6):
             variant = "prs" if i % 2 else "eqsup"
             vk, sk = coin_setup(variant, CoinParams(), rng)
-            state = gen_banknote(sk).state
+            state = gen_banknote(sk)
             bit, post, p = coin_verify(vk, state)
             assert (bit, p) == (1, 1.0)
             assert post.allclose(state)
@@ -244,7 +243,7 @@ class TestVerify:
                                         seed):
         vk, sk = coin_setup(variant, CoinParams(id_bits, mini_n),
                             make_rng(seed))
-        state = gen_banknote(sk).state
+        state = gen_banknote(sk)
         bit, post, p = coin_verify(vk, state)
         assert (bit, p) == (1, 1.0)
         assert post.allclose(state)
@@ -291,7 +290,7 @@ def small_instances():
     out = []
     for variant in ("eqsup", "prs"):
         vk, sk = coin_setup(variant, CoinParams(2, 4), make_rng(110))
-        out.append((vk, gen_banknote(sk).state))
+        out.append((vk, gen_banknote(sk)))
     return out
 
 

@@ -42,7 +42,6 @@ from unclonelab.sde_ue.compiler import (
     sde_kg,
     sde_setup,
 )
-from unclonelab.sde_ue.fail import FAIL
 from unclonelab.sde_ue.games import ADVERSARIES, GAMES, DeskDecryptors, run_game
 from unclonelab.sde_ue.mockfe import fe_dec, fe_enc, fe_kg, fe_setup
 from unclonelab.sde_ue.onesde import (
@@ -61,6 +60,10 @@ CFG = SdeConfig()
 
 def _prf_point(pk: bytes, input_bits: int = 64) -> int:
     return int.from_bytes(sha256(pk)[:8], "big") >> (64 - input_bits)
+
+
+def _re_eval(one, x: ReInput) -> bytes:
+    return re_eval(one, re_input_to_bytes(x, CFG), CFG)
 
 
 def _re_oracle(one, x: ReInput) -> bytes:
@@ -117,9 +120,9 @@ class TestMockFe:
         fsk = fe_kg(fe, fe.msk, lambda x: x, b"id")
         ct = fe_enc(fe, fe.pk, b"payload", rng)
         flipped = ct[:-1] + bytes([ct[-1] ^ 1])
-        assert fe_dec(fe, fsk, flipped) is FAIL
-        assert fe_dec(fe, fsk, ct[:10]) is FAIL
-        assert fe_dec(fe, fsk, fe_enc(other, other.pk, b"payload", rng)) is FAIL
+        assert fe_dec(fe, fsk, flipped) is None
+        assert fe_dec(fe, fsk, ct[:10]) is None
+        assert fe_dec(fe, fsk, fe_enc(other, other.pk, b"payload", rng)) is None
         assert fe_dec(fe, fsk, ct) == b"payload"
 
     def test_usage_errors(self):
@@ -175,9 +178,9 @@ class TestMockOne:
         other = one_setup(8, rng.bytes(32))
         ct = one_enc(one.one_pk, b"\x07", b"t" * 16)
         flipped = ct[:-1] + bytes([ct[-1] ^ 1])
-        assert one_dec(one.one_sk, flipped) is FAIL
-        assert one_dec(one.one_sk, ct[:8]) is FAIL
-        assert one_dec(one.one_sk, one_enc(other.one_pk, b"\x07", b"t" * 16)) is FAIL
+        assert one_dec(one.one_sk, flipped) is None
+        assert one_dec(one.one_sk, ct[:8]) is None
+        assert one_dec(one.one_sk, one_enc(other.one_pk, b"\x07", b"t" * 16)) is None
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
@@ -248,7 +251,7 @@ class TestReModeTable:
                         one_pk=pk_other,
                         one_ct=bytes(rng.bytes(CFG.inner_ct_len)),
                     )
-                    assert re_eval(one, x, CFG) == _re_oracle(one, x)
+                    assert _re_eval(one, x) == _re_oracle(one, x)
                     cases += 1
         assert cases == 3 * 3 * 16
 
@@ -257,12 +260,12 @@ class TestReModeTable:
         rng = make_rng(32)
         key = pprf_key_to_bytes(pprf_gen(64, 128, rng))
         m = message_to_bytes(CFG, 9)
-        base = re_eval(lo, ReInput(m, key, 0, bytes(CFG.pk_len),
-                                   bytes(CFG.inner_ct_len)), CFG)
+        base = _re_eval(lo, ReInput(m, key, 0, bytes(CFG.pk_len),
+                                    bytes(CFG.inner_ct_len)))
         for _ in range(8):
             x = ReInput(m, key, 0, bytes(rng.bytes(CFG.pk_len)),
                         bytes(rng.bytes(CFG.inner_ct_len)))
-            assert re_eval(lo, x, CFG) == base
+            assert _re_eval(lo, x) == base
         # and the output decrypts to m under the instance key
         assert one_dec(lo.one_sk, base) == m
 
@@ -271,7 +274,7 @@ class TestReModeTable:
         key = pprf_key_to_bytes(pprf_gen(64, 128, make_rng(33)))
         marker = b"\xa5" * CFG.inner_ct_len
         x = ReInput(message_to_bytes(CFG, 3), key, 2, lo.one_pk, marker)
-        assert re_eval(lo, x, CFG) == marker
+        assert _re_eval(lo, x) == marker
 
     def test_mode1_greater_tag_equals_mode0(self):
         lo, hi = self._instances()
@@ -279,21 +282,14 @@ class TestReModeTable:
         m = message_to_bytes(CFG, 14)
         x1 = ReInput(m, key, 1, lo.one_pk, bytes(CFG.inner_ct_len))
         x0 = ReInput(m, key, 0, bytes(CFG.pk_len), bytes(CFG.inner_ct_len))
-        assert re_eval(hi, x1, CFG) == re_eval(hi, x0, CFG)
+        assert _re_eval(hi, x1) == _re_eval(hi, x0)
 
     def test_suppressed_branch_encrypts_zeros(self):
         lo, hi = self._instances()
         key = pprf_key_to_bytes(pprf_gen(64, 128, make_rng(35)))
         x = ReInput(message_to_bytes(CFG, 15), key, 1, hi.one_pk,
                     bytes(CFG.inner_ct_len))
-        assert one_dec(lo.one_sk, re_eval(lo, x, CFG)) == bytes(CFG.msg_len)
-
-    def test_accepts_serialized_input(self):
-        lo, hi = self._instances()
-        key = pprf_key_to_bytes(pprf_gen(64, 128, make_rng(36)))
-        x = ReInput(message_to_bytes(CFG, 6), key, 1, hi.one_pk,
-                    bytes(CFG.inner_ct_len))
-        assert re_eval(lo, re_input_to_bytes(x, CFG), CFG) == re_eval(lo, x, CFG)
+        assert one_dec(lo.one_sk, _re_eval(lo, x)) == bytes(CFG.msg_len)
 
     def test_malformed_mode(self):
         lo, _ = self._instances()
@@ -302,7 +298,7 @@ class TestReModeTable:
             x = ReInput(bytes(CFG.msg_len), key, mode, bytes(CFG.pk_len),
                         bytes(CFG.inner_ct_len))
             with pytest.raises(ValueError, match="mode"):
-                re_eval(lo, x, CFG)
+                _re_eval(lo, x)
 
     def test_randomness_is_the_prf_at_the_hashed_pk(self):
         lo, _ = self._instances()
@@ -312,14 +308,14 @@ class TestReModeTable:
         x = ReInput(m, pprf_key_to_bytes(prf), 0, bytes(CFG.pk_len),
                     bytes(CFG.inner_ct_len))
         expected = one_enc(lo.one_pk, m, pprf_eval(prf, _prf_point(lo.one_pk)))
-        assert re_eval(lo, x, CFG) == expected
+        assert _re_eval(lo, x) == expected
 
 
 class TestSde:
     def test_round_trip_all_messages_all_keys(self):
         rng = make_rng(40)
         sde = sde_setup(CFG, rng)
-        sks = [sde_kg(sde, sde.msk, rng) for _ in range(5)]
+        sks = [sde_kg(sde, sde.msk, rng.bytes(32)) for _ in range(5)]
         for value in range(16):
             ct = sde_enc(sde, sde.pk, value, rng)
             for sk in sks:
@@ -330,8 +326,8 @@ class TestSde:
         seen = set()
         for _ in range(100):
             sde = sde_setup(CFG, rng)
-            a = sde_kg(sde, sde.msk, rng)
-            b = sde_kg(sde, sde.msk, rng)
+            a = sde_kg(sde, sde.msk, rng.bytes(32))
+            b = sde_kg(sde, sde.msk, rng.bytes(32))
             assert a.tag != b.tag
             seen.add(a.tag)
             seen.add(b.tag)
@@ -340,8 +336,8 @@ class TestSde:
     def test_any_key_decrypts_any_honest_ciphertext(self):
         rng = make_rng(42)
         sde = sde_setup(CFG, rng)
-        sk_i = sde_kg(sde, sde.msk, rng)
-        sk_j = sde_kg(sde, sde.msk, rng)
+        sk_i = sde_kg(sde, sde.msk, rng.bytes(32))
+        sk_j = sde_kg(sde, sde.msk, rng.bytes(32))
         ct = sde_enc(sde, sde.pk, 12, rng)
         assert sde_dec(sde, sk_i, ct) == sde_dec(sde, sk_j, ct) == bytes([12])
 
@@ -349,18 +345,18 @@ class TestSde:
         rng = make_rng(43)
         sde = sde_setup(CFG, rng)
         other = sde_setup(CFG, rng)
-        sk = sde_kg(sde, sde.msk, rng)
+        sk = sde_kg(sde, sde.msk, rng.bytes(32))
         ct = sde_enc(sde, sde.pk, 5, rng)
-        assert sde_dec(sde, sk, bytes(sde_ct_len(sde.config))) is FAIL
-        assert sde_dec(sde, sk, ct[:-3]) is FAIL
-        assert sde_dec(sde, sk, sde_enc(other, other.pk, 5, rng)) is FAIL
+        assert sde_dec(sde, sk, bytes(sde_ct_len(sde.config))) is None
+        assert sde_dec(sde, sk, ct[:-3]) is None
+        assert sde_dec(sde, sk, sde_enc(other, other.pk, 5, rng)) is None
         assert sde_dec(sde, sk, ct) == bytes([5])
 
     def test_key_generation_classically_determined(self):
         rng = make_rng(44)
         sde = sde_setup(CFG, rng)
-        a = sde_kg(sde, sde.msk, randomness=b"kg-seed-000000000000")
-        b = sde_kg(sde, sde.msk, randomness=b"kg-seed-000000000000")
+        a = sde_kg(sde, sde.msk, b"kg-seed-000000000000")
+        b = sde_kg(sde, sde.msk, b"kg-seed-000000000000")
         assert a.fsk == b.fsk
         assert a.one_pk == b.one_pk
         assert np.array_equal(a.one_sk[0].amplitudes, b.one_sk[0].amplitudes)
@@ -368,7 +364,7 @@ class TestSde:
     def test_key_fields(self):
         rng = make_rng(45)
         sde = sde_setup(CFG, rng)
-        sk = sde_kg(sde, sde.msk, rng)
+        sk = sde_kg(sde, sde.msk, rng.bytes(32))
         assert tag_of_pk(sk.one_pk) == sk.tag
         note = sk.one_sk[0]
         assert isinstance(note, StateVector)
@@ -378,7 +374,7 @@ class TestSde:
     def test_message_normalization(self):
         rng = make_rng(46)
         sde = sde_setup(CFG, rng)
-        sk = sde_kg(sde, sde.msk, rng)
+        sk = sde_kg(sde, sde.msk, rng.bytes(32))
         ct = sde_enc(sde, sde.pk, b"\x0f", rng)
         assert sde_dec(sde, sk, ct) == b"\x0f"
         with pytest.raises(ValueError):
@@ -389,14 +385,14 @@ class TestSde:
             sde_enc(sde, sde.pk, b"\x00\x00", rng)
         with pytest.raises(ValueError):
             sde_enc(sde, sde.pk, 1.5, rng)
+        with pytest.raises(ValueError):
+            sde_enc(sde, sde.pk, bytearray(b"\x0f"), rng)
 
     def test_usage_errors(self):
         rng = make_rng(47)
         sde = sde_setup(CFG, rng)
         with pytest.raises(ValueError):
-            sde_kg(sde, b"wrong-msk", rng)
-        with pytest.raises(ValueError):
-            sde_kg(sde, sde.msk)
+            sde_kg(sde, b"wrong-msk", rng.bytes(32))
         with pytest.raises(ValueError):
             sde_setup(CFG, None)
 
@@ -414,7 +410,7 @@ class TestUe:
         keys = ue_kg(sde, rng)
         for _ in range(100):
             value = int(rng.integers(0, 16))
-            ct = ue_enc(sde, keys.ek, value, rng)
+            ct = ue_enc(sde, keys.ek, value, rng.bytes(32))
             assert ue_dec(sde, keys.dk, ct) == bytes([value])
 
     def test_pad_length_matches_message_length(self):
@@ -429,7 +425,7 @@ class TestUe:
         rng = make_rng(52)
         sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
-        ct = ue_enc(sde, keys.ek, 7, rng)
+        ct = ue_enc(sde, keys.ek, 7, rng.bytes(32))
         # the shipped instance opens the key ciphertext to the pad, and
         # the mask cancels: m = (m xor s) xor s
         s = sde_dec(sde, ct.sde_sk, keys.dk)
@@ -441,22 +437,22 @@ class TestUe:
         sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
         r = b"shared-kg-randomness-0000"
-        a = ue_enc(sde, keys.ek, 3, kg_randomness=r)
-        b = ue_enc(sde, keys.ek, 3, kg_randomness=r)
+        a = ue_enc(sde, keys.ek, 3, r)
+        b = ue_enc(sde, keys.ek, 3, r)
         assert a.masked == b.masked
         assert a.sde_sk.fsk == b.sde_sk.fsk
         assert a.sde_sk.one_pk == b.sde_sk.one_pk
         assert np.array_equal(a.sde_sk.one_sk[0].amplitudes,
                               b.sde_sk.one_sk[0].amplitudes)
-        c = ue_enc(sde, keys.ek, 3, kg_randomness=b"different-randomness-0000")
+        c = ue_enc(sde, keys.ek, 3, b"different-randomness-0000")
         assert c.sde_sk.one_pk != a.sde_sk.one_pk
 
     def test_wrong_key_ciphertext_fails(self):
         rng = make_rng(54)
         sde = sde_setup(CFG, rng)
         keys = ue_kg(sde, rng)
-        ct = ue_enc(sde, keys.ek, 7, rng)
-        assert ue_dec(sde, bytes(len(keys.dk)), ct) is FAIL
+        ct = ue_enc(sde, keys.ek, 7, rng.bytes(32))
+        assert ue_dec(sde, bytes(len(keys.dk)), ct) is None
 
 
 class TestEkdkWrapper:
@@ -486,7 +482,7 @@ class TestEkdkWrapper:
         ek, dk = wrapper.kg(rng)
         ct = wrapper.enc(ek, 4, rng)
         wrong = bytes([dk[0] ^ 1]) + dk[1:]
-        assert wrapper.dec(wrong, ct) is FAIL
+        assert wrapper.dec(wrong, ct) is None
         with pytest.raises(ValueError):
             wrapper.dec(dk[:-1], ct)
         with pytest.raises(ValueError):
