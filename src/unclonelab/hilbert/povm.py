@@ -7,7 +7,10 @@ state in the corresponding eigenspace, so a second measurement returns the
 same outcome. Its eigenvalues, one per cluster of eigensolver values within
 EIG_ATOL, never increase; tests/test_hilbert_povm.py pins its invariants.
 Threshold measurement outputs 1 iff the observed eigenvalue clears the
-threshold; it is the repeatable test used by the decryptor games.
+threshold; it is the repeatable test used by the decryptor games. On one
+register of a joint state, each eigenspace is weighed by the register's
+reduced density matrix, and only the sampled projector is applied to the
+joint vector.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ __all__ = [
     "ProjImp",
     "projective_implementation",
     "threshold_measure",
-    "apply_op_to_register",
-    "measure_register_projective",
     "threshold_measure_register",
 ]
 
@@ -124,43 +125,6 @@ def threshold_measure(
     return bit, StateVector(state.num_qubits, post)
 
 
-# -- register-local application on joint states ------------------------------
-
-
-def apply_op_to_register(
-    vec: np.ndarray, op: np.ndarray, dims: Sequence[int], idx: int
-) -> np.ndarray:
-    """Apply (I (x) op (x) I) to a joint vector over registers of the given dims."""
-    if math.prod(dims) != vec.shape[0]:
-        raise ValueError("register dims do not factor the joint dimension")
-    before, after = math.prod(dims[:idx]), math.prod(dims[idx + 1 :])
-    cube = vec.reshape(before, dims[idx], after)
-    return np.einsum("ij,ajb->aib", op, cube).reshape(-1)
-
-
-def measure_register_projective(
-    vec: np.ndarray,
-    dims: Sequence[int],
-    idx: int,
-    projectors: Sequence[np.ndarray],
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Projectively measure one register of a joint state; returns (outcome, collapsed).
-
-    Holds one branch at a time: each is discarded once its probability is
-    read, and the sampled one is rebuilt by the same expression.
-    """
-    probs = np.array([
-        float(np.linalg.norm(apply_op_to_register(vec, proj, dims, idx)) ** 2)
-        for proj in projectors
-    ])
-    if abs(probs.sum() - 1.0) > 1e-7:
-        raise ValueError("projector family does not resolve the register identity")
-    outcome = born_sample(probs, rng)
-    branch = apply_op_to_register(vec, projectors[outcome], dims, idx)
-    return outcome, branch / np.linalg.norm(branch)
-
-
 def threshold_measure_register(
     povm: BinaryPovm,
     threshold: float,
@@ -169,7 +133,22 @@ def threshold_measure_register(
     idx: int,
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray]:
-    """Threshold-measure a POVM acting on one register of a joint pure state."""
+    """Threshold-measure a POVM acting on one register of a joint pure state.
+
+    Views vec as a (before, d, after) cube around register idx. Cluster k's
+    weight is Re tr(P_k rho), with rho the register's d x d reduced density
+    matrix; only the sampled projector is applied to the joint vector.
+    """
+    if math.prod(dims) != vec.shape[0]:
+        raise ValueError("register dims do not factor the joint dimension")
     pi = projective_implementation(povm)
-    outcome, post = measure_register_projective(vec, dims, idx, pi.projectors, rng)
-    return int(pi.eigenvalues[outcome] >= threshold), post
+    cube = vec.reshape(math.prod(dims[:idx]), dims[idx], -1)
+    rho = np.einsum("aib,ajb->ij", cube, cube.conj())
+    weights = np.array([np.einsum("ij,ji->", proj, rho).real
+                        for proj in pi.projectors])
+    if abs(weights.sum() - 1.0) > 1e-7:  # the projectors sum to I: |vec|^2
+        raise ValueError("joint vector is not normalized")
+    outcome = born_sample(weights, rng)
+    branch = np.einsum("ij,ajb->aib", pi.projectors[outcome], cube).reshape(-1)
+    bit = int(pi.eigenvalues[outcome] >= threshold)
+    return bit, branch / np.linalg.norm(branch)

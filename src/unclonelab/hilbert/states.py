@@ -81,9 +81,6 @@ class StateVector:
     def dim(self) -> int:
         return 1 << self.num_qubits
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """|index> in the computational basis."""
@@ -99,22 +96,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def _gather_bits(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
-    """Pack the listed qubits of each basis index into an integer, MSB first."""
-    out = np.zeros_like(indices)
-    for q in qubits:
-        bit = (indices >> (num_qubits - 1 - q)) & 1
-        out = (out << 1) | bit
-    return out
-
-
-def _check_qubits(num_qubits: int, qubits: Sequence[int]) -> None:
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("measured qubits contain duplicates")
-    if any(q < 0 or q >= num_qubits for q in qubits):
-        raise ValueError("measured qubits out of range")
-
-
 def born_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an outcome index from Born weights: weights below PROB_FLOOR are
     impossible, and the rest are renormalized before sampling."""
@@ -126,17 +107,25 @@ def born_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
 def measure(
     state: StateVector, qubits: Sequence[int], rng: np.random.Generator
 ) -> tuple[int, StateVector]:
-    """Computational-basis measurement; returns (outcome, collapsed state)."""
-    _check_qubits(state.num_qubits, qubits)
-    outcomes = _gather_bits(np.arange(state.dim, dtype=np.int64),
-                            state.num_qubits, qubits)
-    outcome = born_sample(np.bincount(outcomes, weights=state.probabilities(),
-                                      minlength=1 << len(qubits)), rng)
-    keep = outcomes == outcome
-    del outcomes  # freed before the collapse allocates its vectors
-    amps = np.where(keep, state.amplitudes, 0.0)
-    amps = amps / np.linalg.norm(amps)
-    return outcome, StateVector(state.num_qubits, amps)
+    """Computational-basis measurement of a run of qubits; returns (outcome,
+    collapsed state).
+
+    The run is contiguous and ascending, possibly empty; the outcome reads
+    its bits with the first qubit on top. The amplitudes are viewed as a
+    (before, 2^len, after) cube: the outcome weights are its marginal over
+    the middle axis, and the collapse zeroes every other middle slice.
+    """
+    qubits = list(qubits)
+    start = qubits[0] if qubits else 0
+    stop = start + len(qubits)
+    if qubits != list(range(start, stop)) or not 0 <= start <= stop <= state.num_qubits:
+        raise ValueError("measured qubits are not an ascending run within the state")
+    cube = state.amplitudes.reshape(1 << start, 1 << len(qubits), -1)
+    outcome = born_sample(np.sum(np.abs(cube) ** 2, axis=(0, 2)), rng)
+    amps = np.zeros_like(cube)
+    amps[:, outcome] = cube[:, outcome]
+    amps /= np.linalg.norm(amps)
+    return outcome, StateVector(state.num_qubits, amps.reshape(-1))
 
 
 def haar_sample(num_qubits: int, rng: np.random.Generator) -> StateVector:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from unclonelab.hilbert.hybrid import HybridState
-from unclonelab.hilbert.povm import BinaryPovm, measure_register_projective
-from unclonelab.hilbert.states import StateVector, tensor
+from unclonelab.hilbert.povm import BinaryPovm, projective_implementation
+from unclonelab.hilbert.states import StateVector, born_sample, tensor
 from unclonelab.primitives.hashes import TAG_OTS, sha256
 
 
@@ -131,12 +131,61 @@ def mixture_povm(dist):
     return BinaryPovm(acc)
 
 
+# -- per-projector measurements of a joint state: the dense references for
+# the register's reduced density matrix and the qubit-run cube view
+
+
+def apply_op_to_register(vec, op, dims, idx):
+    """(I (x) op (x) I) applied to a joint vector over registers of dims."""
+    if math.prod(dims) != vec.shape[0]:
+        raise ValueError("register dims do not factor the joint dimension")
+    before, after = math.prod(dims[:idx]), math.prod(dims[idx + 1:])
+    cube = vec.reshape(before, dims[idx], after)
+    return np.einsum("ij,ajb->aib", op, cube).reshape(-1)
+
+
+def measure_register_projective(vec, dims, idx, projectors, rng):
+    """Projectively measure register idx of a joint state by applying every
+    projector to the joint vector; returns (outcome, collapsed vector)."""
+    probs = np.array([
+        float(np.linalg.norm(apply_op_to_register(vec, proj, dims, idx)) ** 2)
+        for proj in projectors
+    ])
+    if abs(probs.sum() - 1.0) > 1e-7:
+        raise ValueError("projector family does not resolve the register identity")
+    outcome = born_sample(probs, rng)
+    branch = apply_op_to_register(vec, projectors[outcome], dims, idx)
+    return outcome, branch / np.linalg.norm(branch)
+
+
+def threshold_measure_register_dense(povm, threshold, vec, dims, idx, rng):
+    """povm.threshold_measure_register with one joint-vector pass per
+    eigenspace projector to weigh it."""
+    pi = projective_implementation(povm)
+    outcome, post = measure_register_projective(vec, dims, idx, pi.projectors, rng)
+    return int(pi.eigenvalues[outcome] >= threshold), post
+
+
 def measure_register_basis_dense(vec, dims, idx, rng):
     """Computational-basis measurement of register idx by dims[idx] dense
     diagonal projectors on the joint vector: the reference for
     games._measure_register_basis, which measures the register's qubits."""
     projectors = [np.diag(row) for row in np.eye(dims[idx])]
     return measure_register_projective(vec, dims, idx, projectors, rng)
+
+
+def measure_bits_dense(state, qubits, rng):
+    """states.measure by gathering the listed qubits' bits of every basis
+    index, MSB first, and summing Born weights per outcome with bincount."""
+    indices = np.arange(state.dim, dtype=np.int64)
+    outcomes = np.zeros_like(indices)
+    for q in qubits:
+        outcomes = (outcomes << 1) | ((indices >> (state.num_qubits - 1 - q)) & 1)
+    weights = np.abs(state.amplitudes) ** 2
+    outcome = born_sample(np.bincount(outcomes, weights=weights,
+                                      minlength=1 << len(qubits)), rng)
+    amps = np.where(outcomes == outcome, state.amplitudes, 0.0)
+    return outcome, StateVector(state.num_qubits, amps / np.linalg.norm(amps))
 
 
 # -- swap test: the exact accept probability, an overlap oracle for tests ----

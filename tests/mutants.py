@@ -130,9 +130,17 @@ CATALOG = (
         "measure-collapse",
         "states.measure collapses onto the observed outcome",
         "src/unclonelab/hilbert/states.py",
-        "amps = np.where(keep, state.amplitudes, 0.0)",
-        "amps = np.array(state.amplitudes)",
+        "amps = np.zeros_like(cube)",
+        "amps = np.array(cube)",
         ("tests/test_hilbert_states.py::test_measure_collapses_entangled_pair",),
+    ),
+    Mutant(
+        "measure-run-check",
+        "states.measure takes only an ascending run of the state's qubits",
+        "src/unclonelab/hilbert/states.py",
+        "if qubits != list(range(start, stop)) or not 0 <= start <= stop <= state.num_qubits:",
+        "if not 0 <= start <= stop <= state.num_qubits:",
+        ("tests/test_hilbert_states.py::test_measure_takes_an_ascending_run_within_the_state",),
     ),
     Mutant(
         "coin-honest-accept",
@@ -154,16 +162,52 @@ CATALOG = (
         "threshold-compare",
         "a threshold test passes when the eigenvalue equals the threshold",
         "src/unclonelab/hilbert/povm.py",
-        "return int(pi.eigenvalues[outcome] >= threshold), post",
-        "return int(pi.eigenvalues[outcome] > threshold), post",
+        "bit = int(pi.eigenvalues[outcome] >= threshold)",
+        "bit = int(pi.eigenvalues[outcome] > threshold)",
         ("tests/test_sde_ue.py::TestGameOutcomes::test_perfect_decryptors_distinguishing",),
     ),
     Mutant(
+        "threshold-repeatable",
+        "a threshold test leaves the state in the observed eigenspace, so "
+        "a second test returns the same bit",
+        "src/unclonelab/hilbert/povm.py",
+        "return bit, branch / np.linalg.norm(branch)",
+        "return bit, vec",
+        ("tests/test_hilbert_povm.py::test_threshold_repeatable_on_post_state",),
+    ),
+    Mutant(
+        "threshold-norm",
+        "a threshold test's post-state is normalized",
+        "src/unclonelab/hilbert/povm.py",
+        "return bit, branch / np.linalg.norm(branch)",
+        "return bit, branch",
+        ("tests/test_hilbert_povm.py::test_register_projective_measure_born",),
+    ),
+    Mutant(
+        "register-norm-check",
+        "threshold_measure_register refuses a joint vector whose cluster "
+        "weights do not sum to 1",
+        "src/unclonelab/hilbert/povm.py",
+        "if abs(weights.sum() - 1.0) > 1e-7:",
+        "if False:",
+        ("tests/test_hilbert_povm.py::test_register_threshold_checks_its_input",),
+    ),
+    Mutant(
+        "reduced-density-trace",
+        "a cluster's weight is Re tr(P_k rho), not the trace against rho's "
+        "transpose",
+        "src/unclonelab/hilbert/povm.py",
+        'np.einsum("ij,ji->", proj, rho)',
+        'np.einsum("ij,ij->", proj, rho)',
+        ("tests/test_measurement_kernels.py::test_register_threshold_matches_dense_projectors",),
+    ),
+    Mutant(
         "register-bit-order",
-        "a register's qubits are read most significant first",
+        "a run's qubits are counted from the most significant end of a "
+        "basis index",
         "src/unclonelab/hilbert/states.py",
-        "bit = (indices >> (num_qubits - 1 - q)) & 1",
-        "bit = (indices >> q) & 1",
+        "cube = state.amplitudes.reshape(1 << start, 1 << len(qubits), -1)",
+        "cube = state.amplitudes.reshape(-1, 1 << len(qubits), 1 << start)",
         ("tests/test_measurement_kernels.py::test_register_basis_measurement_matches_dense_projectors",),
     ),
     Mutant(

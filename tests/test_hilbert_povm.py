@@ -6,16 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    apply_op_to_register,
     mixture_povm,
     peak_traced_bytes,
     random_binary_povm,
     random_projector,
 )
 
+from unclonelab.hilbert import povm as povm_module
 from unclonelab.hilbert.povm import (
     BinaryPovm,
-    apply_op_to_register,
-    measure_register_projective,
     projective_implementation,
     threshold_measure,
     threshold_measure_register,
@@ -238,6 +238,8 @@ def test_threshold_dimension_mismatch():
 
 
 def test_apply_op_to_register_matches_kron():
+    # the dense reference in tests/helpers.py that the register tests
+    # are checked against
     rng = make_rng(11)
     dims = [2, 3, 4]
     vec = rng.normal(size=24) + 1j * rng.normal(size=24)
@@ -250,30 +252,85 @@ def test_apply_op_to_register_matches_kron():
 
 def test_register_projective_measure_born():
     rng = make_rng(12)
-    # Register 0 of |psi> (x) |0>: measuring it follows psi's Born weights.
+    # Register 0 of |psi> (x) |0>: the test of |0><0| on it follows psi's
+    # Born weights.
     psi = StateVector(1, [0.6, 0.8])
     vec = np.kron(psi.amplitudes, np.array([1.0, 0.0], dtype=complex))
-    projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    povm = BinaryPovm(np.diag([1.0, 0.0]))
     hits = 0
     for _ in range(4000):
-        outcome, post = measure_register_projective(vec, [2, 2], 0, projs, rng)
-        hits += outcome == 0
+        bit, post = threshold_measure_register(povm, 0.5, vec, [2, 2], 0, rng)
+        hits += bit
         assert abs(np.linalg.norm(post) - 1.0) < 1e-9
     assert abs(hits / 4000 - 0.36) < 0.03
 
 
+def test_register_threshold_checks_its_input():
+    povm = BinaryPovm(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="do not factor"):
+        threshold_measure_register(povm, 0.5, np.ones(6) / 6**0.5, [2, 2], 0,
+                                   make_rng(0))
+    with pytest.raises(ValueError, match="not normalized"):
+        threshold_measure_register(povm, 0.5, np.ones(4) / 4, [2, 2], 1,
+                                   make_rng(0))
+
+
+def _joint_state(dims, seed):
+    amps = [1, 1j] @ make_rng(seed).normal(size=(2, int(np.prod(dims))))
+    return amps / np.linalg.norm(amps)
+
+
 def test_register_measurement_holds_one_branch():
-    # 64 outcomes on register 1 of a (64, 64, 4) joint state: the branches
-    # are built one at a time, never all 64 at once
-    rng = make_rng(17)
-    dims = (64, 64, 4)
-    vec = rng.normal(size=64 * 64 * 4) + 1j * rng.normal(size=64 * 64 * 4)
-    vec /= np.linalg.norm(vec)
-    projectors = [np.diag(row) for row in np.eye(64)]
-    (_, post), peak = peak_traced_bytes(measure_register_projective, vec, dims,
-                                        1, projectors, rng)
+    # register 1 of a (64, 64, 16) joint state under a diagonal of four
+    # challenge rows, as the games build it: O(1) vectors of the joint
+    # length. Each eigenspace projector is a dense d x d matrix, so the
+    # POVM has few clusters here; the work test below takes 64.
+    dims = (64, 64, 16)
+    vec = _joint_state(dims, 17)
+    rows = make_rng(18).random((4, 64)) < 0.5
+    povm = BinaryPovm(np.diag(rows.mean(axis=0)))
+    (_, post), peak = peak_traced_bytes(threshold_measure_register, povm, 0.5,
+                                        vec, dims, 1, make_rng(19))
     assert abs(np.linalg.norm(post) - 1.0) < 1e-9
     assert peak < 4 * vec.nbytes
+
+
+class _CountingNumpy:
+    """numpy for the povm module, counting the calls that take a d x d
+    matrix and return an array of the joint length: one operator applied
+    to the joint vector."""
+
+    def __init__(self, d, size):
+        self.d, self.size, self.count = d, size, 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if (isinstance(out, np.ndarray) and out.size == self.size
+                    and any(np.shape(a) == (self.d, self.d) for a in args)):
+                self.count += 1
+            return out
+
+        return counted
+
+
+def test_register_threshold_applies_one_projector(monkeypatch):
+    # 64 clusters on register 1 of a (64, 64, 16) state: the weights come
+    # from the register's reduced density matrix, so only the sampled
+    # projector touches the joint vector, not one per cluster and then
+    # the sampled one again
+    dims = (64, 64, 16)
+    vec = _joint_state(dims, 20)
+    povm = BinaryPovm(np.diag(np.linspace(0.0, 1.0, 64)))
+    counter = _CountingNumpy(64, vec.size)
+    monkeypatch.setattr(povm_module, "np", counter)
+    _, post = threshold_measure_register(povm, 0.5, vec, dims, 1, make_rng(21))
+    assert counter.count == 1
+    assert abs(np.linalg.norm(post) - 1.0) < 1e-9
 
 
 def test_threshold_register_matches_plain_threshold():

@@ -69,10 +69,27 @@ def test_measure_repeat_reproduces_outcome():
     rng = make_rng(17)
     for _ in range(50):
         s = haar_sample(3, rng)
-        outcome, post = measure(s, [0, 2], rng)
-        again, post2 = measure(post, [0, 2], rng)
+        outcome, post = measure(s, [1, 2], rng)
+        again, post2 = measure(post, [1, 2], rng)
         assert again == outcome
         assert np.allclose(post2.amplitudes, post.amplitudes, atol=1e-9)
+
+
+@pytest.mark.parametrize("qubits", [[0, 2], [1, 0], [2, 1], [0, 0], [-1, 0],
+                                    [2, 3], [3], [0, 1, 2, 3]])
+def test_measure_takes_an_ascending_run_within_the_state(qubits):
+    with pytest.raises(ValueError, match="ascending run"):
+        measure(haar_sample(3, make_rng(18)), qubits, make_rng(19))
+
+
+def test_measure_of_the_empty_run_draws_once():
+    s = haar_sample(3, make_rng(20))
+    rng, ref = make_rng(21), make_rng(21)
+    outcome, post = measure(s, [], rng)
+    ref.random()
+    assert outcome == 0
+    assert np.allclose(post.amplitudes, s.amplitudes, atol=1e-12)
+    assert rng.bytes(8) == ref.bytes(8)
 
 
 # -- swap test ----------------------------------------------------------------

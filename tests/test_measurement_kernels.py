@@ -2,8 +2,10 @@
 bit, since reports are compared as golden bytes: hadamard_all's in-place
 butterflies against the moveaxis-and-stack transform, mini_verify on bare
 amplitudes against a chain of four StateVectors, the decryptor test's
-diagonal mixture against mixture_povm over the dense projectors, and the
-decryptor register's basis measurement against dense diagonal projectors."""
+diagonal mixture against mixture_povm over the dense projectors, the
+decryptor register's basis measurement against dense diagonal projectors,
+the register threshold test against one joint-vector pass per eigenspace
+projector, and states.measure against a per-qubit bit gather."""
 
 from types import SimpleNamespace
 
@@ -12,9 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import measure_register_basis_dense, mixture_povm, peak_traced_bytes
+from helpers import (
+    measure_bits_dense,
+    measure_register_basis_dense,
+    mixture_povm,
+    peak_traced_bytes,
+    random_binary_povm,
+    threshold_measure_register_dense,
+)
 from unclonelab import minischeme as ms
-from unclonelab.hilbert.states import StateVector, basis_state
+from unclonelab.hilbert.povm import BinaryPovm, threshold_measure_register
+from unclonelab.hilbert.states import StateVector, basis_state, haar_sample, measure
 from unclonelab.minischeme import hadamard_all
 from unclonelab.rng import make_rng
 from unclonelab.sde_ue import games
@@ -128,8 +138,11 @@ def test_challenge_povm_matches_dense_mixture(family):
     assert np.array_equal(povm.operator, dense.operator)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 8), (16, 4, 2), (64, 16),
-                                  (2, 2, 2, 2), (1, 4), (8, 1, 2), (1, 1)])
+_REGISTER_DIMS = [(2, 2, 2), (4, 8), (16, 4, 2), (64, 16), (2, 2, 2, 2), (1, 4),
+                  (8, 1, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("dims", _REGISTER_DIMS)
 @pytest.mark.parametrize("seed", range(4))
 def test_register_basis_measurement_matches_dense_projectors(dims, seed):
     # every register, trivial 1-dim ones included (games._reply builds
@@ -157,3 +170,58 @@ def test_register_basis_measurement_memory():
                                         dims, 1, make_rng(19))
     assert abs(np.linalg.norm(post) - 1.0) < 1e-9
     assert peak < 4 * vec.nbytes
+
+
+def _repeated_diagonal(dim, rng):
+    # 1-6 indicator rows summed with weight 1/count, as
+    # games._challenge_povm sums them: values repeat
+    count = int(rng.integers(1, 7))
+    acc = np.zeros(dim, dtype=np.complex128)
+    for _ in range(count):
+        acc += (rng.random(dim) < rng.random()) / count
+    return BinaryPovm(np.diag(acc))
+
+
+@pytest.mark.parametrize("dims", _REGISTER_DIMS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_register_threshold_matches_dense_projectors(dims, seed, diagonal):
+    # every register: the bit and the rng position equal the reference's,
+    # which weighs each eigenspace by a pass over the joint vector; the
+    # post-state bytes are equal for diagonal operators (every game) and
+    # within 1e-12 for dense complex ones
+    amps = [1, 1j] @ make_rng(seed).normal(size=(2, int(np.prod(dims))))
+    vec = amps / np.linalg.norm(amps)
+    draw = make_rng(200 + seed)
+    for idx in range(len(dims)):
+        povm = (_repeated_diagonal(dims[idx], draw) if diagonal
+                else random_binary_povm(dims[idx], draw))
+        threshold = float(draw.random())
+        ours, ref = make_rng(300 + seed), make_rng(300 + seed)
+        bit, post = threshold_measure_register(povm, threshold, vec, dims, idx,
+                                               ours)
+        bit_ref, post_ref = threshold_measure_register_dense(
+            povm, threshold, vec, dims, idx, ref)
+        assert bit == bit_ref
+        assert ours.bytes(8) == ref.bytes(8)
+        if diagonal:
+            assert post.tobytes() == post_ref.tobytes()
+        else:
+            assert np.max(np.abs(post - post_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("seed", range(3))
+def test_measure_matches_bit_gather(n, seed):
+    # every contiguous run, the empty one included: the outcome, the
+    # post-state bytes and the rng position equal the reference's
+    state = haar_sample(n, make_rng(seed))
+    for start in range(n + 1):
+        for stop in range(start, n + 1):
+            ours, ref = make_rng(400 + seed), make_rng(400 + seed)
+            outcome, post = measure(state, range(start, stop), ours)
+            outcome_ref, post_ref = measure_bits_dense(
+                state, range(start, stop), ref)
+            assert outcome == outcome_ref
+            assert post.amplitudes.tobytes() == post_ref.amplitudes.tobytes()
+            assert ours.bytes(8) == ref.bytes(8)
