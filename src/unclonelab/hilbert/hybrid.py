@@ -112,9 +112,16 @@ class HybridState:
         return complex(total)
 
     def distance(self, other: "HybridState") -> float:
-        """Euclidean norm of the difference of the two states."""
-        gap2 = self.norm() ** 2 + other.norm() ** 2 - 2.0 * self.inner(other).real
-        return float(np.sqrt(max(gap2, 0.0)))
+        """Euclidean norm of the difference of the two states, summed over
+        the literal branch differences, so a state is at distance exactly 0
+        from itself."""
+        if self.payload_qubits != other.payload_qubits:
+            raise ValueError("payload sizes differ")
+        zero = np.zeros(1 << self.payload_qubits, dtype=np.complex128)
+        gap2 = sum(np.linalg.norm(self._branches.get(label, zero)
+                                  - other._branches.get(label, zero)) ** 2
+                   for label in self._branches | other._branches)
+        return float(np.sqrt(gap2))
 
     def allclose(self, other: "HybridState", atol: float = 1e-9) -> bool:
         return self.payload_qubits == other.payload_qubits and self.distance(other) <= atol
@@ -148,9 +155,3 @@ class HybridState:
             new[outcome] = vec[outcome]
             kept.append((label, new))
         return outcome, self._collapse(kept)
-
-    def __repr__(self):
-        return (
-            f"HybridState(payload_qubits={self.payload_qubits}, "
-            f"branches={len(self._branches)}, norm={self.norm():.6f})"
-        )

@@ -5,12 +5,13 @@ element; the reject element is I - P). Its projective implementation is the
 spectral decomposition: measuring it yields an eigenvalue p_i and leaves the
 state in the corresponding eigenspace, so a second measurement returns the
 same outcome. Its eigenvalues, one per cluster of eigensolver values within
-EIG_ATOL, never increase; tests/test_hilbert_povm.py pins its invariants.
+EIG_ATOL, never increase, and each comes with its block of orthonormal
+eigenvector columns; tests/test_hilbert_povm.py pins its invariants.
 Threshold measurement outputs 1 iff the observed eigenvalue clears the
 threshold; it is the repeatable test used by the decryptor games. On one
-register of a joint state, each eigenspace is weighed by the register's
-reduced density matrix, and only the sampled projector is applied to the
-joint vector.
+register of a joint state, each eigenspace is weighed by the squared norm of
+the register's coefficients in its block, and only the sampled block maps
+its coefficients back onto the joint vector.
 """
 
 from __future__ import annotations
@@ -62,28 +63,22 @@ class BinaryPovm:
 
 @dataclass(frozen=True)
 class ProjImp:
-    """Spectral decomposition of a binary POVM: eigenvalues with eigenspace projectors.
+    """Spectral decomposition of a binary POVM: eigenvalues with eigenvector blocks.
 
     A plain record of what projective_implementation builds: eigenvalues in
     [0, 1] that never increase (two neighbours may differ by less than
-    EIG_ATOL after clipping), and read-only projectors that are Hermitian,
-    idempotent, mutually orthogonal and complete within EIG_ATOL. Nothing
+    EIG_ATOL after clipping), and for eigenvalue k a read-only d x k_k block
+    B_k of eigenvector columns. The blocks' columns together form a unitary
+    within EIG_ATOL, so B_k B_k^dagger is eigenspace k's projector. Nothing
     re-checks these here; tests/test_hilbert_povm.py pins them.
     """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
+    bases: tuple[np.ndarray, ...]
 
     def reconstruct(self) -> np.ndarray:
-        """sum_i p_i Pi_i; equals the POVM operator within the eigensolver tolerance."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for p, proj in zip(self.eigenvalues, self.projectors):
-            out += p * proj
-        return out
+        """sum_k p_k B_k B_k^dagger; equals the POVM operator within the eigensolver tolerance."""
+        return sum(p * (b @ b.conj().T) for p, b in zip(self.eigenvalues, self.bases))
 
 
 def projective_implementation(povm: BinaryPovm) -> ProjImp:
@@ -91,18 +86,16 @@ def projective_implementation(povm: BinaryPovm) -> ProjImp:
     eigs, vecs = np.linalg.eigh(povm.operator)
     order = np.argsort(eigs)[::-1]
     eigs, vecs = eigs[order], vecs[:, order]
+    vecs.setflags(write=False)
     values: list[float] = []
-    projectors: list[np.ndarray] = []
+    bases: list[np.ndarray] = []
     start = 0
     for i in range(1, len(eigs) + 1):
         if i == len(eigs) or eigs[start] - eigs[i] > EIG_ATOL:
-            block = vecs[:, start:i]
             values.append(float(np.clip(np.mean(eigs[start:i]), 0.0, 1.0)))
-            proj = block @ block.conj().T
-            proj.setflags(write=False)
-            projectors.append(proj)
+            bases.append(vecs[:, start:i])
             start = i
-    return ProjImp(tuple(values), tuple(projectors))
+    return ProjImp(tuple(values), tuple(bases))
 
 
 def threshold_measure(
@@ -117,8 +110,6 @@ def threshold_measure(
     in one eigenspace and re-running returns the same bit. It is the
     one-register case of threshold_measure_register.
     """
-    if state.dim != povm.dim:
-        raise ValueError("state and measurement dimensions differ")
     bit, post = threshold_measure_register(
         povm, threshold, state.amplitudes, (state.dim,), 0, rng
     )
@@ -136,19 +127,22 @@ def threshold_measure_register(
     """Threshold-measure a POVM acting on one register of a joint pure state.
 
     Views vec as a (before, d, after) cube around register idx. Cluster k's
-    weight is Re tr(P_k rho), with rho the register's d x d reduced density
-    matrix; only the sampled projector is applied to the joint vector.
+    coefficients are B_k^dagger applied to the cube, and its weight is their
+    squared norm; the branch is B_k applied to the sampled cluster's
+    coefficients, the only product of joint length.
     """
     if math.prod(dims) != vec.shape[0]:
         raise ValueError("register dims do not factor the joint dimension")
+    if povm.dim != dims[idx]:
+        raise ValueError(f"POVM and register dimensions differ: "
+                         f"{povm.dim} != {dims[idx]}")
     pi = projective_implementation(povm)
     cube = vec.reshape(math.prod(dims[:idx]), dims[idx], -1)
-    rho = np.einsum("aib,ajb->ij", cube, cube.conj())
-    weights = np.array([np.einsum("ij,ji->", proj, rho).real
-                        for proj in pi.projectors])
-    if abs(weights.sum() - 1.0) > 1e-7:  # the projectors sum to I: |vec|^2
+    coefs = [b.conj().T @ cube for b in pi.bases]
+    weights = np.array([np.linalg.norm(c) ** 2 for c in coefs])
+    if abs(weights.sum() - 1.0) > 1e-7:  # the blocks form a unitary: |vec|^2
         raise ValueError("joint vector is not normalized")
     outcome = born_sample(weights, rng)
-    branch = np.einsum("ij,ajb->aib", pi.projectors[outcome], cube).reshape(-1)
+    branch = (pi.bases[outcome] @ coefs[outcome]).reshape(-1)
     bit = int(pi.eigenvalues[outcome] >= threshold)
     return bit, branch / np.linalg.norm(branch)

@@ -134,20 +134,12 @@ def compiler_equivalence_check(spec: GenStateSpec, n: int, t: int,
 
     conditional = _distinct_product_conditional(phases, payloads, chosen, n)
     eta = symmetrized_state(list(chosen), [payloads[x] for x in chosen])
-    # the conditional state equals eta times the transcript's phase product;
-    # compare the literal branch vectors so the gap sits at the rounding
-    # floor instead of amplifying cancellation through inner products
+    # the conditional state equals eta times the transcript's phase product
     sign = float(np.prod([phases[x] for x in chosen]))
-    cond_labels = set(conditional.labels())
-    eta_labels = set(eta.labels())
-    zero = np.zeros(1 << eta.payload_qubits, dtype=np.complex128)
-    gap_sq = 0.0
-    for label in cond_labels | eta_labels:
-        va = conditional.branch_vector(label) if label in cond_labels else zero
-        vb = eta.branch_vector(label) if label in eta_labels else zero
-        gap_sq += float(np.linalg.norm(va - sign * vb) ** 2)
-    gap = math.sqrt(gap_sq)
-    return {"n": n, "t": t, "chosen_labels": list(chosen), "exact_gap": float(gap)}
+    signed = HybridState(eta.payload_qubits, [(label, sign * eta.branch_vector(label))
+                                              for label in eta.labels()])
+    gap = conditional.distance(signed)
+    return {"n": n, "t": t, "chosen_labels": list(chosen), "exact_gap": gap}
 
 
 def type_vs_haar_distance(n: int, t: int) -> dict:

@@ -36,7 +36,7 @@ MAX_ISSUED_KEYS = 256
 class MockFe:
     pk: bytes
     msk: bytes
-    issued_keys: dict[bytes, tuple[bytes, Callable[[bytes], bytes]]] = field(
+    issued_keys: dict[bytes, Callable[[bytes], bytes]] = field(
         default_factory=dict, repr=False
     )
     _seal_key: bytes = field(default=b"", repr=False)
@@ -64,7 +64,7 @@ def fe_kg(fe: MockFe, msk: bytes, fn: Callable[[bytes], bytes],
     if len(fe.issued_keys) >= MAX_ISSUED_KEYS:
         raise ValueError("issued-key registry is full")
     handle = sha256(b"fskey" + msk + descriptor)[:16]
-    fe.issued_keys[handle] = (descriptor, fn)
+    fe.issued_keys[handle] = fn
     return handle
 
 
@@ -100,5 +100,4 @@ def fe_dec(fe: MockFe, fsk: bytes, ct: bytes):
     if not hmac.compare_digest(mac, want):
         return None
     x = xor_bytes(body, _keystream(fe._seal_key, nonce, len(body)))
-    _, fn = fe.issued_keys[fsk]
-    return fn(x)
+    return fe.issued_keys[fsk](x)

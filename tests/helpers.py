@@ -132,7 +132,7 @@ def mixture_povm(dist):
 
 
 # -- per-projector measurements of a joint state: the dense references for
-# the register's reduced density matrix and the qubit-run cube view
+# the register's eigenvector-block coefficients and the qubit-run cube view
 
 
 def apply_op_to_register(vec, op, dims, idx):
@@ -159,10 +159,12 @@ def measure_register_projective(vec, dims, idx, projectors, rng):
 
 
 def threshold_measure_register_dense(povm, threshold, vec, dims, idx, rng):
-    """povm.threshold_measure_register with one joint-vector pass per
-    eigenspace projector to weigh it."""
+    """povm.threshold_measure_register with one dense projector
+    Pi_k = B_k B_k^dagger per eigenspace and one joint-vector pass per
+    projector to weigh it."""
     pi = projective_implementation(povm)
-    outcome, post = measure_register_projective(vec, dims, idx, pi.projectors, rng)
+    projectors = [b @ b.conj().T for b in pi.bases]
+    outcome, post = measure_register_projective(vec, dims, idx, projectors, rng)
     return int(pi.eigenvalues[outcome] >= threshold), post
 
 

@@ -193,13 +193,22 @@ CATALOG = (
         ("tests/test_hilbert_povm.py::test_register_threshold_checks_its_input",),
     ),
     Mutant(
-        "reduced-density-trace",
-        "a cluster's weight is Re tr(P_k rho), not the trace against rho's "
-        "transpose",
+        "block-coefficients",
+        "a cluster's coefficients are its block's conjugate transpose "
+        "applied to the register, not its plain transpose",
         "src/unclonelab/hilbert/povm.py",
-        'np.einsum("ij,ji->", proj, rho)',
-        'np.einsum("ij,ij->", proj, rho)',
+        "coefs = [b.conj().T @ cube for b in pi.bases]",
+        "coefs = [b.T @ cube for b in pi.bases]",
         ("tests/test_measurement_kernels.py::test_register_threshold_matches_dense_projectors",),
+    ),
+    Mutant(
+        "register-dimension-check",
+        "threshold_measure_register refuses a POVM whose dimension is not "
+        "the register's",
+        "src/unclonelab/hilbert/povm.py",
+        "if povm.dim != dims[idx]:",
+        "if False:",
+        ("tests/test_hilbert_povm.py::test_register_threshold_checks_the_register_dimension",),
     ),
     Mutant(
         "register-bit-order",
@@ -228,6 +237,15 @@ CATALOG = (
         "        vk._accepted[key] = None\n"
         "        return None\n",
         ("tests/test_coin.py::TestVerify::test_only_accepted_signatures_remembered",),
+    ),
+    Mutant(
+        "distance-label-union",
+        "HybridState.distance counts every label of either state, so a "
+        "branch only the other state holds adds its norm",
+        "src/unclonelab/hilbert/hybrid.py",
+        "for label in self._branches | other._branches)",
+        "for label in self._branches)",
+        ("tests/test_hilbert_hybrid.py::test_distance_and_allclose",),
     ),
     Mutant(
         "hybrid-floor",

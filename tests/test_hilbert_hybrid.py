@@ -180,6 +180,18 @@ def test_distance_and_allclose():
     )
     assert a.allclose(a)
     assert a.distance(b) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="payload sizes differ"):
+        a.distance(random_hybrid(make_rng(30), 2, 3))
+
+
+def test_distance_to_itself_is_exactly_zero():
+    # summed over branch differences, not as |a|^2 + |b|^2 - 2 Re<a, b>,
+    # which left up to 3e-8 here and failed allclose's 1e-9
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        a = random_hybrid(rng, int(rng.integers(0, 5)), int(rng.integers(1, 20)))
+        assert a.distance(a) == 0.0
+        assert a.allclose(a)
 
 
 def test_immutability():

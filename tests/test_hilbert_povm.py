@@ -16,6 +16,7 @@ from helpers import (
 from unclonelab.hilbert import povm as povm_module
 from unclonelab.hilbert.povm import (
     BinaryPovm,
+    ProjImp,
     projective_implementation,
     threshold_measure,
     threshold_measure_register,
@@ -34,21 +35,22 @@ def plus_projector():
 
 def assert_spectral_decomposition(pi, povm):
     """What ProjImp records without re-checking: float eigenvalues in [0, 1]
-    that never increase, one read-only projector each, and projectors that
-    are Hermitian, idempotent, pairwise orthogonal and complete within
-    EIG_ATOL; together they rebuild the POVM."""
-    assert len(pi.eigenvalues) == len(pi.projectors) > 0
+    that never increase, one read-only d x k block of eigenvector columns
+    each, and blocks whose columns together form a unitary within EIG_ATOL:
+    orthonormal and complete. Together they rebuild the POVM."""
+    assert len(pi.eigenvalues) == len(pi.bases) > 0
     assert all(type(p) is float and 0.0 <= p <= 1.0 for p in pi.eigenvalues)
     assert all(a >= b for a, b in zip(pi.eigenvalues, pi.eigenvalues[1:]))
-    total = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
-    for i, proj in enumerate(pi.projectors):
-        assert proj.shape == (povm.dim, povm.dim) and not proj.flags.writeable
-        assert np.allclose(proj, proj.conj().T, atol=EIG_ATOL, rtol=0.0)
-        assert np.allclose(proj @ proj, proj, atol=EIG_ATOL, rtol=0.0)
-        for other in pi.projectors[i + 1:]:
-            assert np.abs(proj @ other).max() <= EIG_ATOL
-        total += proj
-    assert np.allclose(total, np.eye(povm.dim), atol=EIG_ATOL, rtol=0.0)
+    dim = povm.operator.shape[0]
+    for block in pi.bases:
+        assert block.ndim == 2 and block.shape[0] == dim and block.shape[1] > 0
+        assert not block.flags.writeable
+    unitary = np.hstack(pi.bases)
+    assert unitary.shape == (dim, dim)
+    assert np.allclose(unitary.conj().T @ unitary, np.eye(dim), atol=EIG_ATOL,
+                       rtol=0.0)
+    assert np.allclose(unitary @ unitary.conj().T, np.eye(dim), atol=EIG_ATOL,
+                       rtol=0.0)
     assert np.max(np.abs(pi.reconstruct() - povm.operator)) < 1e-8
 
 
@@ -56,14 +58,17 @@ def test_projimp_of_projector():
     proj = random_projector(4, 2, make_rng(1))
     pi = projective_implementation(BinaryPovm(proj))
     assert pi.eigenvalues == (1.0, 0.0)
-    assert np.allclose(pi.projectors[0], proj, atol=1e-8)
-    assert np.allclose(pi.projectors[1], np.eye(4) - proj, atol=1e-8)
+    accept, reject = pi.bases
+    assert accept.shape == reject.shape == (4, 2)
+    assert np.allclose(accept @ accept.conj().T, proj, atol=1e-8)
+    assert np.allclose(reject @ reject.conj().T, np.eye(4) - proj, atol=1e-8)
 
 
 def test_projimp_of_half_identity():
     pi = projective_implementation(BinaryPovm(np.eye(2) / 2))
     assert pi.eigenvalues == (0.5,)
-    assert np.allclose(pi.projectors[0], np.eye(2))
+    (block,) = pi.bases
+    assert np.allclose(block @ block.conj().T, np.eye(2))
 
 
 def test_projimp_mixture_statistics_vs_trace_oracle():
@@ -76,8 +81,8 @@ def test_projimp_mixture_statistics_vs_trace_oracle():
     for _ in range(20):
         psi = haar_sample(1, rng)
         accept = sum(
-            p * float(np.linalg.norm(proj @ psi.amplitudes) ** 2)
-            for p, proj in zip(pi.eigenvalues, pi.projectors)
+            p * float(np.linalg.norm(block.conj().T @ psi.amplitudes) ** 2)
+            for p, block in zip(pi.eigenvalues, pi.bases)
         )
         direct = float((psi.amplitudes.conj() @ povm.operator @ psi.amplitudes).real)
         assert abs(accept - direct) < 1e-9
@@ -275,61 +280,70 @@ def test_register_threshold_checks_its_input():
                                    make_rng(0))
 
 
+@pytest.mark.parametrize("povm_dim,dims,idx", [(1, (2, 4), 0), (2, (2, 4), 1),
+                                               (4, (2, 4), 0), (3, (3, 1), 1)])
+def test_register_threshold_checks_the_register_dimension(povm_dim, dims, idx):
+    # on |0>, a 1-dim POVM on register 0 of (2, 4) once broadcast to a
+    # 4-amplitude post-state of an 8-amplitude joint vector: every mismatch
+    # is refused, naming both dimensions
+    vec = np.zeros(int(np.prod(dims)))
+    vec[0] = 1.0
+    povm = BinaryPovm(np.eye(povm_dim) / 2)
+    with pytest.raises(ValueError, match=f"differ: {povm_dim} != {dims[idx]}"):
+        threshold_measure_register(povm, 0.5, vec, dims, idx, make_rng(0))
+
+
 def _joint_state(dims, seed):
     amps = [1, 1j] @ make_rng(seed).normal(size=(2, int(np.prod(dims))))
     return amps / np.linalg.norm(amps)
 
 
 def test_register_measurement_holds_one_branch():
-    # register 1 of a (64, 64, 16) joint state under a diagonal of four
-    # challenge rows, as the games build it: O(1) vectors of the joint
-    # length. Each eigenspace projector is a dense d x d matrix, so the
-    # POVM has few clusters here; the work test below takes 64.
+    # register 1 of a (64, 64, 16) joint state under a 64-cluster diagonal:
+    # O(1) vectors of the joint length and no d x d matrix per cluster
     dims = (64, 64, 16)
     vec = _joint_state(dims, 17)
-    rows = make_rng(18).random((4, 64)) < 0.5
-    povm = BinaryPovm(np.diag(rows.mean(axis=0)))
+    povm = BinaryPovm(np.diag(np.linspace(0.0, 1.0, 64)))
     (_, post), peak = peak_traced_bytes(threshold_measure_register, povm, 0.5,
                                         vec, dims, 1, make_rng(19))
     assert abs(np.linalg.norm(post) - 1.0) < 1e-9
     assert peak < 4 * vec.nbytes
 
 
-class _CountingNumpy:
-    """numpy for the povm module, counting the calls that take a d x d
-    matrix and return an array of the joint length: one operator applied
-    to the joint vector."""
+class _CountingBlock(np.ndarray):
+    """An eigenvector block that records the size of every matrix product
+    it takes part in; its conjugate and transpose stay counting blocks."""
 
-    def __init__(self, d, size):
-        self.d, self.size, self.count = d, size, 0
+    sizes: list[int] = []
 
-    def __getattr__(self, name):
-        attr = getattr(np, name)
-        if not callable(attr) or isinstance(attr, type):
-            return attr
-
-        def counted(*args, **kwargs):
-            out = attr(*args, **kwargs)
-            if (isinstance(out, np.ndarray) and out.size == self.size
-                    and any(np.shape(a) == (self.d, self.d) for a in args)):
-                self.count += 1
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if ufunc is np.matmul:
+            _CountingBlock.sizes.append(out.size)
             return out
-
-        return counted
+        return out.view(_CountingBlock)
 
 
 def test_register_threshold_applies_one_projector(monkeypatch):
-    # 64 clusters on register 1 of a (64, 64, 16) state: the weights come
-    # from the register's reduced density matrix, so only the sampled
-    # projector touches the joint vector, not one per cluster and then
-    # the sampled one again
+    # 64 clusters on register 1 of a (64, 64, 16) state: each cluster's
+    # coefficients take one small product, together one joint vector's
+    # worth, and only the sampled block maps back onto the joint vector
     dims = (64, 64, 16)
     vec = _joint_state(dims, 20)
     povm = BinaryPovm(np.diag(np.linspace(0.0, 1.0, 64)))
-    counter = _CountingNumpy(64, vec.size)
-    monkeypatch.setattr(povm_module, "np", counter)
+    plain = povm_module.projective_implementation
+
+    def counting(povm):
+        pi = plain(povm)
+        return ProjImp(pi.eigenvalues,
+                       tuple(b.view(_CountingBlock) for b in pi.bases))
+
+    monkeypatch.setattr(povm_module, "projective_implementation", counting)
+    monkeypatch.setattr(_CountingBlock, "sizes", [])
     _, post = threshold_measure_register(povm, 0.5, vec, dims, 1, make_rng(21))
-    assert counter.count == 1
+    sizes = _CountingBlock.sizes
+    assert len(sizes) == 65 and sizes.count(vec.size) == 1
+    assert sum(sizes) == 2 * vec.size
     assert abs(np.linalg.norm(post) - 1.0) < 1e-9
 
 
