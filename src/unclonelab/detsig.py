@@ -11,8 +11,7 @@ their concatenation, then a PRF tag for the message signed by the leaf key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .primitives.ots import (
     OtsKeypair,
@@ -23,6 +22,9 @@ from .primitives.ots import (
     ots_vk_len,
 )
 from .primitives.pprf import PprfKey, pprf_eval, pprf_eval_many, pprf_gen
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_MESSAGE_BITS = 56  # prefix encoding prepends a length byte
 
@@ -139,24 +141,6 @@ def sign(sk: TreeSigSecretKey, m: int) -> TreeSignature:
     return TreeSignature(tuple(links), y, isig)
 
 
-def _first_departure(sig: bytes, off: int, link: bytes, msg_len: int,
-                     L: int) -> int:
-    """The first preimage at which sig, read from off, departs from a stored
-    link whose message (its first msg_len bytes) sig repeats; 0 if sig's
-    message differs."""
-    link = memoryview(link)
-    if not sig.startswith(link[:msg_len], off):
-        return 0
-    lo, hi = 0, L  # sig repeats the link's first lo preimages, not its first hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sig.startswith(link[: msg_len + 32 * mid], off):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 # Verified-link store, one per verify key, in the manner of SPHINCS path
 # reuse. It maps a tree node, by its integer id prefix | 1 << depth, to the
 # link bytes that passed ots_verify there; the leaf check (y, isig) is node
@@ -170,15 +154,18 @@ def _first_departure(sig: bytes, off: int, link: bytes, msg_len: int,
 # from the first level that did not match, every level runs ots_verify.
 # Only a check slices the parent, message and preimages from the blob. When
 # a chained level meets a stored node and the blob repeats that link's
-# message, the blob's preimages differ from the stored ones, which passed,
-# so ots_verify checks first the preimage where the blob departs from the
-# stored link. That orders the checks and skips none: an accept still
-# hashes all L preimages, and the verdict is the AND of the same checks.
+# message, the blob's preimages differ from the stored ones, which passed:
+# the highest set bit of their XOR lies in the first preimage where the
+# blob departs, and ots_verify checks that one first. That orders the
+# checks and skips none: an accept still hashes all L preimages, and the
+# verdict is the AND of the same checks.
 def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
     """Whether sig, a TreeSignature or its bytes, signs m under vk.
 
-    Any other type of sig, bytearray and memoryview included, raises
-    TypeError.
+    A TreeSignature counts only as the parse of its own bytes, so its
+    fields must have the sizes signature_from_bytes gives them and its
+    links must be tuples. Any other type of sig, bytearray and memoryview
+    included, raises TypeError.
     """
     n = vk.n
     if not 0 <= m < (1 << n):
@@ -187,14 +174,14 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
     sig_len = ots_sig_len(vk.digest_bits)
     tag_len = vk.tag_bits // 8
     if isinstance(sig, TreeSignature):
-        # check every field: joined, mis-sized fields could shift into a
-        # blob of valid length
-        if (len(sig.links) != n
-                or any(tuple(map(len, link)) != (vk_len, vk_len, sig_len)
-                       for link in sig.links)
-                or len(sig.y) != tag_len or len(sig.isig) != sig_len):
+        # joined, mis-sized fields could shift into a blob of valid length
+        blob = sig.to_bytes()
+        try:  # raises on a wrong length, or on widths that setup refuses
+            if signature_from_bytes(blob, n, vk.digest_bits, vk.tag_bits) != sig:
+                return False
+        except ValueError:
             return False
-        sig = sig.to_bytes()
+        sig = blob
     elif not isinstance(sig, bytes):
         raise TypeError(f"signature must be bytes or a TreeSignature, "
                         f"got {type(sig).__name__}")
@@ -215,8 +202,11 @@ def verify(vk: TreeSigVerifyKey, m: int, sig: TreeSignature | bytes) -> bool:
             parent = vk.vk_root if t == 0 else sig[parent_at : parent_at + vk_len]
             split = off + (2 * vk_len if t < n else tag_len)
             end = split + sig_len
-            first = 0 if hit is None else _first_departure(
-                sig, off, hit, split - off, vk.digest_bits)
+            first = 0
+            if hit is not None and sig.startswith(memoryview(hit)[: split - off], off):
+                gap = (int.from_bytes(sig[split:end], "big")
+                       ^ int.from_bytes(hit[split - off :], "big"))
+                first = (sig_len - (gap.bit_length() + 7) // 8) // 32
             if not ots_verify(parent, sig[off:split], sig[split:end],
                               vk.digest_bits, first):
                 return False

@@ -70,14 +70,11 @@ def ots_setup_from_seed(L: int, seed: bytes) -> OtsKeypair:
     return OtsKeypair(L, b"".join(preimages), vk)
 
 
-def _digest_bits(message: bytes, L: int) -> list[int]:
-    digest = int.from_bytes(sha256(message), "big")
-    return [(digest >> (255 - i)) & 1 for i in range(L)]
-
-
 def ots_sign(keypair: OtsKeypair, message: bytes) -> bytes:
     L, sk = keypair.L, keypair.sk
-    at = [32 * (bit * L + i) for i, bit in enumerate(_digest_bits(message, L))]
+    # position i's bit is digest bit 255 - i, as ots_verify reads it
+    digest = int.from_bytes(sha256(message), "big")
+    at = [32 * ((digest >> (255 - i) & 1) * L + i) for i in range(L)]
     return b"".join([sk[a : a + 32] for a in at])
 
 

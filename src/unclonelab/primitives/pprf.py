@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hashes import expand_stream, prg_child
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_INPUT_BITS",

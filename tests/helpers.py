@@ -102,6 +102,25 @@ def accept_operator(space):
     return pa @ had @ pd @ had @ pa
 
 
+def first_departure(sig: bytes, off: int, link: bytes, msg_len: int,
+                    L: int) -> int:
+    """The first preimage at which sig, read from off, departs from a stored
+    link whose message (its first msg_len bytes) sig repeats; 0 if sig's
+    message differs. A binary search of prefix compares: the reference for
+    the preimage that detsig.verify finds by one XOR."""
+    link = memoryview(link)
+    if not sig.startswith(link[:msg_len], off):
+        return 0
+    lo, hi = 0, L  # sig repeats the link's first lo preimages, not its first hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sig.startswith(link[: msg_len + 32 * mid], off):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def ots_preimage(seed: bytes, bit: int, position: int) -> bytes:
     """Secret preimage (bit, position) of a seed-derived one-time keypair."""
     return sha256(TAG_OTS + seed + bytes([bit]) + struct.pack("<H", position))

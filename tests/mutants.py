@@ -93,6 +93,23 @@ CATALOG = (
         ("tests/test_detsig.py::TestSeed2KeptDigestFlips",),
     ),
     Mutant(
+        "departure-index",
+        "on a stored link whose message the blob repeats, ots_verify first "
+        "checks the preimage holding the highest set bit of the preimages' XOR",
+        "src/unclonelab/detsig.py",
+        "first = (sig_len - (gap.bit_length() + 7) // 8) // 32",
+        "first = (sig_len - gap.bit_length() // 8) // 32",
+        ("tests/test_detsig.py::TestVerifyWork::test_first_preimage_matches_binary_search_reference",),
+    ),
+    Mutant(
+        "object-parse",
+        "verify accepts a TreeSignature only as the parse of its own bytes",
+        "src/unclonelab/detsig.py",
+        "if signature_from_bytes(blob, n, vk.digest_bits, vk.tag_bits) != sig:",
+        "if signature_from_bytes(blob, n, vk.digest_bits, vk.tag_bits) is None:",
+        ("tests/test_detsig.py::TestSignVerify::test_mis_sized_fields_rejected_despite_valid_joined_length",),
+    ),
+    Mutant(
         "signer-cap",
         "the signer's keypair store stops growing at STORE_CAP",
         "src/unclonelab/detsig.py",

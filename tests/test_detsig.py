@@ -23,6 +23,8 @@ from unclonelab.primitives.pprf import pprf_eval
 from unclonelab.primitives import ots as ots_module
 from unclonelab.rng import make_rng
 
+from helpers import first_departure
+
 GOLDEN_VK_ROOT_SHA256 = "30ac69e5295e8115145677e7e80f888a743763e5137bcb539780b1d3ab8e53da"
 GOLDEN_SIG_SHA256 = "6cd10f8eae5058a04ec0959ad30ae43aa2cc6c8a9f83e9b732dc30ebf3735d18"
 GOLDEN_TAG_HEX = "16ccc2c3ae4a08da76fed5b0fb4be910"
@@ -130,9 +132,15 @@ class TestSignVerify:
         vk = detsig.TreeSigVerifyKey(bytes(ots_vk_len(digest_bits)), 4,
                                      digest_bits, 8)
         size = detsig.signature_len(4, digest_bits, 8)
+        vk_len, sig_len = ots_vk_len(digest_bits), ots_sig_len(digest_bits)
         for m in range(16):
             for fill in (0, m, 255):
                 assert not detsig.verify(vk, m, bytes([fill]) * size)
+                # a signature object is rejected too, not refused with an error
+                link = (bytes([fill]) * vk_len,) * 2 + (bytes([fill]) * sig_len,)
+                obj = detsig.TreeSignature((link,) * 4, bytes([fill]),
+                                           bytes([fill]) * sig_len)
+                assert not detsig.verify(vk, m, obj)
         assert not vk._verified
 
     def test_bytes_and_tree_signature(self):
@@ -190,6 +198,20 @@ class TestSignVerify:
         assert bad.to_bytes() == sig.to_bytes()
         assert detsig.verify(vk, m, sig)
         assert not detsig.verify(vk, m, bad)
+
+    def test_signature_object_is_the_parse_of_its_bytes(self):
+        # list-valued links join to the honest blob, but no parse builds them
+        vk, sk = detsig.setup(4, 16, make_rng(8), digest_bits=8)
+        m = 5
+        sig = detsig.sign(sk, m)
+        parsed = detsig.signature_from_bytes(sig.to_bytes(), 4, 8, 16)
+        assert parsed == sig
+        assert detsig.verify(vk, m, parsed)
+        for listed in (detsig.TreeSignature(list(sig.links), sig.y, sig.isig),
+                       _with_link(sig, 0, list(sig.links[0]))):
+            assert listed.to_bytes() == sig.to_bytes()
+            assert not detsig.verify(vk, m, listed)
+            assert not detsig.verify(dataclasses.replace(vk), m, listed)
 
     def test_chain_soundness_random_vk_replacement(self):
         # digest width 24: a random replacement only survives a link check
@@ -475,6 +497,43 @@ class TestVerifyWork:
                     assert first == preimage
                     assert len(hashed) == 2
         assert vk._verified == before
+
+    @pytest.mark.parametrize("digest_bits", (1, 8, 24))
+    def test_first_preimage_matches_binary_search_reference(self, counted,
+                                                            digest_bits):
+        # on a warm store, a flip in the first or last byte of any preimage,
+        # or in the message, reaches ots_verify with the first preimage the
+        # reference binary search finds; a last-byte flip pins the byte
+        # index. A message flip may keep a short digest, so only its first
+        # check is read
+        _, checks = counted
+        n, L = self.n, digest_bits
+        vk, sk = detsig.setup(n, self.tag_bits, make_rng(34), digest_bits=L)
+        m = 0b0110
+        blob = detsig.sign(sk, m).to_bytes()
+        assert detsig.verify(vk, m, blob)
+        stored = dict(vk._verified)
+        vk_len, sig_len = ots_vk_len(L), ots_sig_len(L)
+        step = 2 * vk_len + sig_len
+        for t in range(n + 1):
+            off = t * step
+            msg_len = 2 * vk_len if t < n else self.tag_bits // 8
+            link = stored[(m | 1 << n) >> (n - t)]
+            preimages = off + msg_len
+            for byte in (off + msg_len // 2,
+                         *(preimages + 32 * i + edge
+                           for i in range(L) for edge in (0, 31))):
+                tampered = _flip(blob, 8 * byte + 3)
+                checks.clear()
+                verdict = detsig.verify(vk, m, tampered)
+                want = first_departure(tampered, off, link, msg_len, L)
+                assert checks[0][4] == want
+                if byte >= preimages:
+                    assert (verdict, len(checks)) == (False, 1)
+                    assert want == (byte - preimages) // 32
+                else:
+                    assert want == 0
+        assert vk._verified == stored
 
     def test_flipped_preimage_checked_first_only_on_a_stored_link(self, counted):
         hashed, checks = counted

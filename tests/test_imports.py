@@ -74,6 +74,11 @@ def test_detsig_loads_no_hilbert_module():
     assert not {m for m in loaded if m.startswith("unclonelab.hilbert")}
 
 
+def test_detsig_loads_no_numpy():
+    # numpy appears in the classical stack only in annotations
+    assert not _loaded_after("import unclonelab.detsig", "numpy")
+
+
 def test_a_run_loads_its_own_stack():
     loaded = _loaded_after(
         "from unclonelab.cli import main\n"
@@ -220,8 +225,6 @@ def test_each_name_is_imported_from_its_defining_module():
 # public names that nothing in the library references, each kept by the
 # gate or workload named
 _REACH_ALLOWLIST = {
-    "detsig.signature_from_bytes":
-        "tamper-sweep: perfbench traces it as the detsig.signature_from_bytes span",
     "primitives.pprf.pprf_puncture":
         "criterion 4: punctured keys agree with the full key off the set",
     "hilbert.povm.threshold_measure":
